@@ -57,7 +57,6 @@ from .gauges import (
     GaugeFunction,
     check_gauge_class,
     check_prop5_hypothesis,
-    eval_gauge,
     gauge_by_name,
 )
 from .reports import ExperimentReport
@@ -85,7 +84,6 @@ __all__ = [
     "SQRT",
     "ONE",
     "gauge_by_name",
-    "eval_gauge",
     "check_gauge_class",
     "check_prop5_hypothesis",
     "s_norm",

@@ -6,9 +6,9 @@ moduli, classx}.  Experiment configs are JSON; numeric fields are
 validated before any computation starts.  Values print at 12
 significant digits.
 
-Environment: BANACHLAB_SEED sets the default seed, BANACHLAB_THREADS
-caps worker count (drivers are sequential but split their generator
-streams by sample index, so results never depend on scheduling).
+Environment: BANACHLAB_SEED sets the default seed (drivers split their
+generator streams by sample index, so results never depend on the order
+of samples).
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ import numpy as np
 
 from .descriptors import (
     Dual,
-    Lp,
     SpaceDescriptor,
     YDistortion,
     conjugate_exponent,
@@ -32,7 +31,7 @@ from .engine import _cutting_plane_dual, calderon_norm, get_evaluator
 from .errors import UnsupportedSpaceError, ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
-from .vectors import SeqVector, lp_norm
+from .vectors import SeqVector, lp_norm, pairing
 
 __all__ = [
     "DualEvaluation",
@@ -51,13 +50,6 @@ class DualEvaluation:
     maximizer: SeqVector
 
 
-def pairing(x: SeqVector, g: SeqVector) -> float:
-    """sum x_i g_i over the common support."""
-    if len(x) > len(g):
-        x, g = g, x
-    return math.fsum(v * g[i] for i, v in x)
-
-
 # bidual cut rows; a warm start only, as for the Schlumprecht dual
 _generic_pools: Dict[tuple, Dict[int, List[np.ndarray]]] = {}
 
@@ -68,8 +60,6 @@ def dual_norm(x_space: SpaceDescriptor, g: SeqVector, tol: float = 1e-6) -> Dual
         return DualEvaluation(0.0, SeqVector())
     if isinstance(x_space, YDistortion):
         raise UnsupportedSpaceError("duals of the distorted norm are out of scope")
-    if isinstance(x_space, Lp):
-        return _lp_dual(g, x_space.p)
     if isinstance(x_space, Dual):
         # honest bidual: cutting-plane over the inner dual ball
         oracle = get_evaluator(x_space)
@@ -79,21 +69,6 @@ def dual_norm(x_space: SpaceDescriptor, g: SeqVector, tol: float = 1e-6) -> Dual
     ev = get_evaluator(Dual(x_space), tol=tol)
     res = ev.norming(g)
     return DualEvaluation(res.value, res.functional)
-
-
-def _lp_dual(g: SeqVector, p: float) -> DualEvaluation:
-    q = conjugate_exponent(p)
-    if math.isinf(q):
-        idx = min(i for i, v in g if abs(v) == max(abs(w) for _, w in g))
-        return DualEvaluation(abs(g[idx]), SeqVector.basis(idx, math.copysign(1.0, g[idx])))
-    if q == 1.0:
-        val = lp_norm(g, 1.0)
-        return DualEvaluation(val, SeqVector((i, math.copysign(1.0, v)) for i, v in g))
-    val = lp_norm(g, q)
-    maximizer = SeqVector(
-        (i, math.copysign((abs(v) / val) ** (q - 1.0), v)) for i, v in g
-    )
-    return DualEvaluation(val, maximizer)
 
 
 def lozanovskii_check(

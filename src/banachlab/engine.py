@@ -16,9 +16,14 @@ certified lower bound
 
     sum_i |z_i| gx_i^(1-t) gy_i^t  <=  ||z||_Z,
 
-valid for any gx, gy in the respective dual balls.  The solver
-terminates only when upper - lower <= tol * upper, else it raises a
-ConvergenceError carrying the bracket.
+valid for any gx, gy in the respective dual balls.  The solver has two
+stages.  L-BFGS-B descends from s = 0 and certifies smooth optima.  A
+Kelley cutting-plane LP in an adaptive trust box (the box-proximal
+bundle method) then runs until the bracket closes; its LP marginals are
+the aggregate multipliers, whose mixtures of norming functionals certify
+kinked optima.  It stops when upper - lower <= tol * upper, when the
+evaluation budget runs out or when the LP fails; the last two raise a
+ConvergenceError carrying the bracket and the reason.
 
 Dual norms of the Schlumprecht space (and, generically, of any space
 with an exact norming oracle) are computed by a cutting-plane LP over
@@ -28,9 +33,11 @@ partition-tree constraints; the separation oracle is the DP itself.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import optimize as _sciopt
@@ -53,7 +60,7 @@ from .errors import (
     ValidationError,
 )
 from .schlumprecht import DEFAULT_DP_CAP, s_norm, s_norm_weights
-from .vectors import SeqVector, lp_norm, pointwise_power
+from .vectors import SeqVector, lp_norm, pairing, pointwise_power
 
 __all__ = [
     "NormingResult",
@@ -69,7 +76,7 @@ TOL_CLOSED = 1e-12
 TOL_DP = 1e-9
 TOL_ITERATIVE = 1e-6
 
-DEFAULT_BUDGET = 100_000
+DEFAULT_BUDGET = 10_000
 
 
 class NormingResult(NamedTuple):
@@ -176,7 +183,7 @@ class NormEvaluator:
             return lp_norm(x, d.p)
         if isinstance(d, YDistortion):
             fam = d.family
-            hit = max(abs(_dot(x, z)) for z in fam.members)
+            hit = max(abs(pairing(x, z)) for z in fam.members)
             return max(lp_norm(x, 2.0), fam.r * hit)
         key = self._key(x, signed=False)
         got = self._norm_cache.get(key)
@@ -207,10 +214,10 @@ class NormEvaluator:
         if isinstance(d, Schlumprecht):
             val, cert = s_norm(x, d.gauge, cap=self.dp_cap)
             func = cert.functional()
-            return NormingResult(val, func, _dot(x, func))
+            return NormingResult(val, func, pairing(x, func))
         if isinstance(d, DualSchlumprecht):
             val, maximizer, _ = self._schlumprecht_dual(x)
-            return NormingResult(val, maximizer, _dot(x, maximizer))
+            return NormingResult(val, maximizer, pairing(x, maximizer))
         if isinstance(d, Convexified):
             return self._convexified_norming(x, d)
         if isinstance(d, CalderonProduct):
@@ -219,7 +226,7 @@ class NormEvaluator:
                 (i, math.copysign(a, x[i]))
                 for i, a in zip(sol.support, sol.gx ** (1.0 - d.theta) * sol.gy**d.theta)
             )
-            return NormingResult(sol.value, func, _dot(x, func))
+            return NormingResult(sol.value, func, pairing(x, func))
         raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
 
     def _convexified_norming(self, x: SeqVector, d: Convexified) -> NormingResult:
@@ -235,7 +242,7 @@ class NormEvaluator:
             (i, math.copysign(abs(x[i]) ** (d.p - 1.0) * abs(rb.functional[i]) / scale, x[i]))
             for i, _ in x
         )
-        return NormingResult(val, func, _dot(x, func))
+        return NormingResult(val, func, pairing(x, func))
 
     # -- Schlumprecht dual: cutting-plane LP ---------------------------------
 
@@ -257,9 +264,12 @@ class NormEvaluator:
             sol = _calderon_solve(evx, evy, d.theta, z, self.tol, self.budget)
             self._sol_cache[key] = sol
         if not sol.converged:
+            budget_out = sol.evals >= self.budget
+            why = "the budget ran out" if budget_out else "the cutting-plane LP failed"
+            gap = (sol.value - sol.lower) / sol.value
             raise ConvergenceError(
-                f"Calderon solver did not certify {space_to_str(d)} "
-                f"within {self.budget} norm evaluations",
+                f"Calderon solver did not certify {space_to_str(d)}: {why} after "
+                f"{sol.evals} of {self.budget} norm evaluations at relative gap {gap:.4g}",
                 lower=sol.lower,
                 upper=sol.value,
             )
@@ -276,12 +286,6 @@ class NormEvaluator:
         return sol.value, sol.factorization(d.theta)
 
 
-def _dot(x: SeqVector, g: SeqVector) -> float:
-    if len(x) > len(g):
-        x, g = g, x
-    return math.fsum(v * g[i] for i, v in x)
-
-
 def _lp_norming(x: SeqVector, p: float) -> NormingResult:
     if math.isinf(p):
         idx = min(i for i, v in x if abs(v) == max(abs(w) for _, w in x))
@@ -290,12 +294,12 @@ def _lp_norming(x: SeqVector, p: float) -> NormingResult:
     if p == 1.0:
         func = SeqVector((i, math.copysign(1.0, v)) for i, v in x)
         val = lp_norm(x, 1.0)
-        return NormingResult(val, func, _dot(x, func))
+        return NormingResult(val, func, pairing(x, func))
     val = lp_norm(x, p)
     func = SeqVector(
         (i, math.copysign((abs(v) / val) ** (p - 1.0), v)) for i, v in x
     )
-    return NormingResult(val, func, _dot(x, func))
+    return NormingResult(val, func, pairing(x, func))
 
 
 # -- cutting-plane dual norm ------------------------------------------------
@@ -464,7 +468,10 @@ def _calderon_solve(
     pool_y: List[np.ndarray] = []
     seen_x: set = set()
     seen_y: set = set()
-    history: List[Tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]] = []
+    # the cuts of the Kelley LP: (s, phi, grad, gx, gy) of the latest points
+    history: Deque[Tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]] = deque(
+        maxlen=120
+    )
     state = {
         "evals": 0,
         "best_u": math.inf,
@@ -535,8 +542,6 @@ def _calderon_solve(
             state["best"] = (s.copy(), nx, ny)
         grad = theta * thc * (xv * gx / nx - yv * gy / ny)
         history.append((s.copy(), phi, grad, gx, gy))
-        if len(history) > 400:
-            del history[0]
         return phi, grad
 
     best_pair: List[np.ndarray] = []
@@ -555,92 +560,21 @@ def _calderon_solve(
         u = state["best_u"]
         return u - state["lower"] <= tol * u
 
-    def kkt_mixture() -> None:
-        # At a kinked optimum the certifying pair is a convex mixture of
-        # the active subgradient functionals.  Recover the weights from
-        # the stationarity system sum_k lam_k x*g_k/Nx = sum_m mu_m
-        # y*g_m/Ny (an LP minimizing the residual), over functionals
-        # collected near the incumbent.
-        s_best, nx_b, ny_b = state["best"]
-        xv = v * np.exp(theta * s_best)
-        yv = v * np.exp(-thc * s_best)
-        for r in (1e-7, 1e-5, 1e-3, 1e-1):
-            gxs: List[np.ndarray] = []
-            gys: List[np.ndarray] = []
-            seen_gx: set = set()
-            seen_gy: set = set()
-            for sj, _, _, gxj, gyj in history:
-                if np.max(np.abs(sj - s_best)) > r:
-                    continue
-                kx = np.round(gxj, 12).tobytes()
-                ky = np.round(gyj, 12).tobytes()
-                if kx not in seen_gx and len(gxs) < 40:
-                    seen_gx.add(kx)
-                    gxs.append(gxj)
-                if ky not in seen_gy and len(gys) < 40:
-                    seen_gy.add(ky)
-                    gys.append(gyj)
-            if len(gxs) + len(gys) < 3:
-                continue
-            kx, ky = len(gxs), len(gys)
-            xi = np.array([xv * g / max(float(np.dot(xv, g)), 1e-300) for g in gxs])
-            eta = np.array([yv * g / max(float(np.dot(yv, g)), 1e-300) for g in gys])
-            nv = kx + ky + 1
-            c_lp = np.zeros(nv)
-            c_lp[-1] = 1.0
-            rows = []
-            rhs = []
-            for i in range(n):
-                row = np.zeros(nv)
-                row[:kx] = xi[:, i]
-                row[kx : kx + ky] = -eta[:, i]
-                row[-1] = -1.0
-                rows.append(row)
-                rhs.append(0.0)
-                rows.append(-row.copy())
-                rows[-1][-1] = -1.0
-                rhs.append(0.0)
-            a_eq = np.zeros((2, nv))
-            a_eq[0, :kx] = 1.0
-            a_eq[1, kx : kx + ky] = 1.0
-            res = _sciopt.linprog(
-                c_lp,
-                A_ub=np.array(rows),
-                b_ub=np.array(rhs),
-                A_eq=a_eq,
-                b_eq=np.ones(2),
-                bounds=[(0.0, None)] * (nv - 1) + [(0.0, None)],
-                method="highs",
-            )
-            if res.status != 0:
-                continue
-            lam = np.maximum(res.x[:kx], 0.0)
-            mu = np.maximum(res.x[kx : kx + ky], 0.0)
-            if lam.sum() > 0 and mu.sum() > 0:
-                record_pool(pool_x, sum(l * g for l, g in zip(lam / lam.sum(), gxs)))
-                record_pool(pool_y, sum(m * g for m, g in zip(mu / mu.sum(), gys)))
-
-    def deep_certify() -> bool:
-        if certified():
-            return True
-        kkt_mixture()
-        return certified()
-
-    def kelley_phase(rounds: int = 200) -> None:
-        # Cutting-plane descent with an adaptive trust box.  The LP duals
-        # give convex mixtures of recent norming functionals, fed back
-        # into the certification pools (they certify flat optima).
+    def kelley_phase() -> None:
+        # Cutting-plane descent with an adaptive trust box (the box-proximal
+        # bundle method).  The LP duals give convex mixtures of recent
+        # norming functionals, fed back into the certification pools: at a
+        # kinked optimum the certifying pair is such a mixture.
         radius = 4.0
-        for k in range(rounds):
-            cuts = history[-120:]
+        for k in itertools.count(1):
             s_best = state["best"][0]
             lo = np.maximum(s_best - radius, -bound)
             hi = np.minimum(s_best + radius, bound)
             c_lp = np.zeros(n + 1)
             c_lp[n] = 1.0
-            a_ub = np.zeros((len(cuts), n + 1))
-            b_ub = np.zeros(len(cuts))
-            for j, (sj, fj, gj, _, _) in enumerate(cuts):
+            a_ub = np.zeros((len(history), n + 1))
+            b_ub = np.zeros(len(history))
+            for j, (sj, fj, gj, _, _) in enumerate(history):
                 a_ub[j, :n] = gj
                 a_ub[j, n] = -1.0
                 b_ub[j] = float(gj @ sj) - fj
@@ -655,17 +589,16 @@ def _calderon_solve(
                 tot = lam.sum()
                 if tot > 0:
                     lam = lam / tot
-                    record_pool(pool_x, sum(l * c[3] for l, c in zip(lam, cuts)))
-                    record_pool(pool_y, sum(l * c[4] for l, c in zip(lam, cuts)))
+                    record_pool(pool_x, sum(l * c[3] for l, c in zip(lam, history)))
+                    record_pool(pool_y, sum(l * c[4] for l, c in zip(lam, history)))
             prev_best = state["best_u"]
             phi_new, _ = eval_point(np.asarray(res.x[:n]))
             if math.exp(phi_new) < prev_best - 1e-14 * prev_best:
                 radius = min(radius * 1.6, 16.0)
             else:
                 radius = max(radius * 0.5, 1e-3)
-            if k % 5 == 4 and certified():
+            if k % 5 == 0 and certified():
                 return
-        certified()
 
     s0 = np.zeros(n)
     try:
@@ -679,33 +612,20 @@ def _calderon_solve(
                 bounds=[(-bound, bound)] * n,
                 options={"maxiter": 80, "ftol": 1e-15, "gtol": 1e-12},
             )
-        if not deep_certify():
-            kelley_phase()
-        if not deep_certify():
-            _sciopt.minimize(
-                lambda s: eval_point(np.clip(s, -bound, bound))[0],
-                state["best"][0],
-                method="Nelder-Mead",
-                options={"maxfev": 1500, "xatol": 1e-13, "fatol": 1e-16},
-            )
-            deep_certify()
-        if not certified():
-            _polyak_phase(eval_point, certified, state, bound, tol, iters=300)
-        if not deep_certify():
-            kelley_phase(rounds=400)
-            deep_certify()
+            if not certified():
+                kelley_phase()
     except _BudgetExhausted:
-        deep_certify()
+        pass
+    certified()
 
     s_best, nx, ny = state["best"]
-    if not best_pair:
-        best_pair[:] = [pool_x[0], pool_y[0]]
+    value = zscale * state["best_u"]
     return _CalderonSolution(
         support=support,
         v=v_raw,
         s=s_best,
-        value=zscale * state["best_u"],
-        lower=zscale * state["lower"],
+        value=value,
+        lower=min(zscale * state["lower"], value),  # rounding must not invert the bracket
         nx=zscale * nx,
         ny=zscale * ny,
         gx=best_pair[0],
@@ -713,22 +633,6 @@ def _calderon_solve(
         evals=state["evals"],
         converged=certified(apply_refresh=False),
     )
-
-
-def _polyak_phase(eval_point, certified, state, bound, tol, iters: int = 2000) -> None:
-    s = state["best"][0].copy()
-    for k in range(iters):
-        phi, grad = eval_point(s)
-        gn2 = float(np.dot(grad, grad))
-        if gn2 <= 1e-30:
-            break
-        target = math.log(max(state["lower"], 1e-300))
-        step = (phi - target) / gn2
-        step = min(step, 10.0 / math.sqrt(gn2))
-        s = np.clip(s - step * grad, -bound, bound)
-        if k % 10 == 9 and certified():
-            return
-    certified()
 
 
 # -- public API ----------------------------------------------------------------

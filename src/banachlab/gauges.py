@@ -21,7 +21,6 @@ __all__ = [
     "SQRT",
     "ONE",
     "gauge_by_name",
-    "eval_gauge",
     "default_grid",
     "check_gauge_class",
     "check_prop5_hypothesis",
@@ -42,11 +41,6 @@ class GaugeFunction:
         if x < 1.0:
             raise ValidationError(f"gauge {self.name} evaluated at x = {x} < 1")
         return self.fn(x)
-
-
-def eval_gauge(f: GaugeFunction, x: float) -> float:
-    """Evaluate f(x) for x >= 1 (domain error below 1)."""
-    return f(x)
 
 
 LOG2P1 = GaugeFunction("log2p1", lambda x: math.log2(x + 1.0))

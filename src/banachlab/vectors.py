@@ -18,6 +18,7 @@ __all__ = [
     "SeqVector",
     "Interval",
     "lp_norm",
+    "pairing",
     "restrict",
     "pointwise_power",
     "parse_vector",
@@ -176,6 +177,13 @@ def lp_norm(x: SeqVector, p: float) -> float:
     m = max(vals)
     # scale out the max to dodge overflow for large p
     return m * math.fsum((v / m) ** p for v in vals) ** (1.0 / p)
+
+
+def pairing(x: SeqVector, g: SeqVector) -> float:
+    """sum x_i g_i over the common support."""
+    if len(x) > len(g):
+        x, g = g, x
+    return math.fsum(v * g[i] for i, v in x)
 
 
 def restrict(x: SeqVector, e: Interval) -> SeqVector:

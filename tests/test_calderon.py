@@ -8,6 +8,7 @@ from banachlab import (
     Convexified,
     LOG2P1,
     Lp,
+    NormEvaluator,
     Schlumprecht,
     SeqVector,
     calderon_norm,
@@ -17,6 +18,7 @@ from banachlab import (
     space_spr,
     spr_summing_identity,
 )
+from banachlab import engine
 from banachlab.errors import (
     ConvergenceError,
     UnsupportedSpaceError,
@@ -89,6 +91,50 @@ class TestCalderonNorm:
         with pytest.raises(ConvergenceError) as err:
             calderon_norm(Lp(1), S, 0.5, z, tol=1e-13, budget=12)
         assert err.value.upper >= err.value.lower > 0
+        assert "the budget ran out after 12 of 12 norm evaluations" in str(err.value)
+        assert "relative gap" in str(err.value)
+
+    def test_lp_failure_is_reported(self, monkeypatch):
+        class Failed:
+            status = 2
+
+        z = SeqVector.from_values([1.0, 0.7, 0.3, 1.2, 0.5])
+        ev = NormEvaluator(CalderonProduct(Lp(1), S, 0.5), tol=1e-13)
+        monkeypatch.setattr(engine._sciopt, "linprog", lambda *a, **k: Failed())
+        with pytest.raises(ConvergenceError) as err:
+            ev.norm(z)
+        assert "the cutting-plane LP failed after" in str(err.value)
+        assert err.value.upper >= err.value.lower > 0
+
+
+class TestSprCertification:
+    """S_{4/3,4} vectors on which the solver once stopped short or inverted its bracket."""
+
+    @pytest.mark.parametrize(
+        "z",
+        [
+            SeqVector.from_values(
+                np.random.default_rng(np.random.SeedSequence([512, 4])).uniform(-1, 1, 12)
+            ),
+            SeqVector.from_values(
+                [-0.07298847597496194, 0.028176939580592864, -0.018395992830107843,
+                 0.0492645883326468, -1.606960612048186, 1.1619192889697132]
+            ),
+        ],
+        ids=["seed-512-4", "support-6"],
+    )
+    def test_certifies(self, z):
+        ev = NormEvaluator(space_spr(4 / 3, 4, F), tol=1e-6)
+        value, fac = ev.factorize(z)
+        assert fac.achieved_value == value
+        assert 0.0 <= fac.relative_gap <= 1e-6
+
+    def test_bracket_never_inverted(self):
+        z = SeqVector.from_values([0.6758160930140471, -0.9098447725352661,
+                                   -0.7684231033990523, 1.231844742801593,
+                                   -0.9407319259947873])
+        value, fac = NormEvaluator(space_spr(4 / 3, 4, F), tol=1e-6).factorize(z)
+        assert fac.lower_bound <= value
 
 
 class TestWitness:

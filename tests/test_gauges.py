@@ -1,26 +1,26 @@
 import pytest
 
-from banachlab import LOG2P1, ONE, SQRT, check_gauge_class, check_prop5_hypothesis, eval_gauge
+from banachlab import LOG2P1, ONE, SQRT, check_gauge_class, check_prop5_hypothesis
 from banachlab.errors import ValidationError
 from banachlab.gauges import IDENTITY, default_grid, gauge_by_name
 
 
 class TestEvalGauge:
     def test_normalization_at_one(self):
-        assert eval_gauge(LOG2P1, 1.0) == 1.0
+        assert LOG2P1(1.0) == 1.0
 
     def test_log_values(self):
-        assert eval_gauge(LOG2P1, 3.0) == pytest.approx(2.0, abs=1e-12)
-        assert eval_gauge(LOG2P1, 7.0) == pytest.approx(3.0, abs=1e-12)
+        assert LOG2P1(3.0) == pytest.approx(2.0, abs=1e-12)
+        assert LOG2P1(7.0) == pytest.approx(3.0, abs=1e-12)
 
     def test_domain_error(self):
         with pytest.raises(ValidationError):
-            eval_gauge(LOG2P1, 0.5)
+            LOG2P1(0.5)
 
     def test_exact_on_dyadic_grid(self):
         # f(2^k - 1) = k exactly
         for k in range(1, 31):
-            assert eval_gauge(LOG2P1, 2.0**k - 1.0) == float(k)
+            assert LOG2P1(2.0**k - 1.0) == float(k)
 
 
 class TestClassChecks:
