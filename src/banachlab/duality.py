@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .descriptors import (
     conjugate_exponent,
     space_to_str,
 )
-from .engine import _cutting_plane_dual, calderon_norm, get_evaluator
+from .engine import _cutting_plane_dual, _positive, _signed, calderon_norm, get_evaluator
 from .errors import UnsupportedSpaceError, ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
@@ -50,10 +50,6 @@ class DualEvaluation:
     maximizer: SeqVector
 
 
-# bidual cut rows; a warm start only, as for the Schlumprecht dual
-_generic_pools: Dict[tuple, Dict[int, List[np.ndarray]]] = {}
-
-
 def dual_norm(x_space: SpaceDescriptor, g: SeqVector, tol: float = 1e-6) -> DualEvaluation:
     """Evaluate ||g|| in the dual of x_space, with maximizer."""
     if not g:
@@ -62,10 +58,8 @@ def dual_norm(x_space: SpaceDescriptor, g: SeqVector, tol: float = 1e-6) -> Dual
         raise UnsupportedSpaceError("duals of the distorted norm are out of scope")
     if isinstance(x_space, Dual):
         # honest bidual: cutting-plane over the inner dual ball
-        oracle = get_evaluator(x_space)
-        pool = _generic_pools.setdefault((x_space,), {})
-        value, maximizer, _ = _cutting_plane_dual(oracle, g, pool)
-        return DualEvaluation(value, maximizer)
+        value, x = _cutting_plane_dual(get_evaluator(x_space), _positive(g))
+        return DualEvaluation(value, _signed(g, x))
     ev = get_evaluator(Dual(x_space), tol=tol)
     res = ev.norming(g)
     return DualEvaluation(res.value, res.functional)

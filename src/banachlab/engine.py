@@ -1,15 +1,25 @@
 """Norm evaluation engine for all space descriptors.
 
-Every descriptor gets two primitives:
+Every lattice norm here is spreading invariant: the norm of x depends
+only on the absolute values of its support, in support order, not on
+the coordinates.  So the evaluator has one core,
 
-* ``norm(x)`` - the norm value (certified upper bound for optimizer
-  branches, exact up to rounding for closed forms and the DP);
-* ``norming(x)`` - a dual-feasible functional g with ||g||_* <= 1 and
-  <x, g> equal to the norm up to the evaluator tolerance.
+* ``norming_values(v)`` - for a positive numpy array v in support
+  order, the norm value (certified upper bound for optimizer branches,
+  exact up to rounding for closed forms and the DP) and the weights of
+  a norming functional g at the same positions, with ||g||_* <= 1 and
+  <v, g> equal to the norm up to the evaluator tolerance.
 
-The two are mutually recursive across the descriptor tree and together
-drive the Calderon-product solver: the norm of X^(1-t) Y^t at z is
-minimized over the log-parameterization x_i = |z_i| e^{t s_i},
+It is the only place that dispatches on the descriptor kind of a lattice
+norm, and its recursion across the descriptor tree stays on arrays.
+``norm``, ``norming`` and ``factorize`` are boundary wrappers: they pass
+|x| in support order to the core and put the coordinates and signs back.
+``norm`` keeps two exceptions, the exact closed form of lp and the
+non-lattice distorted norm.  The caches are keyed by position too, so a
+vector with gaps hits the entry of its compressed twin.
+
+The core drives the Calderon-product solver: the norm of X^(1-t) Y^t at
+z is minimized over the log-parameterization x_i = |z_i| e^{t s_i},
 y_i = |z_i| e^{-(1-t) s_i} (which enforces |x|^(1-t) |y|^t = |z|
 identically), and every iterate's norming functionals produce the
 certified lower bound
@@ -28,7 +38,8 @@ ConvergenceError carrying the bracket and the reason.
 Dual norms of the Schlumprecht space (and, generically, of any space
 with an exact norming oracle) are computed by a cutting-plane LP over
 the polyhedral unit ball: maximize <g, x> subject to lazily generated
-partition-tree constraints; the separation oracle is the DP itself.
+partition-tree constraints; the separation oracle is the DP itself, and
+the cut pool is kept by the evaluator of the ball it cuts.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ from .errors import (
     ValidationError,
 )
 from .schlumprecht import DEFAULT_DP_CAP, s_norm, s_norm_weights
-from .vectors import SeqVector, lp_norm, pairing, pointwise_power
+from .vectors import SeqVector, lp_norm, pairing
 
 __all__ = [
     "NormingResult",
@@ -129,7 +140,7 @@ def _normalize(d: SpaceDescriptor) -> SpaceDescriptor:
 
 
 class NormEvaluator:
-    """Deterministic norm/norming evaluator with a per-vector cache."""
+    """Deterministic norm/norming evaluator with a positional cache."""
 
     def __init__(
         self,
@@ -138,6 +149,8 @@ class NormEvaluator:
         dp_cap: int = DEFAULT_DP_CAP,
         budget: int = DEFAULT_BUDGET,
     ):
+        if budget < 1:
+            raise ValidationError(f"the evaluation budget must be at least 1, got {budget}")
         self.descriptor = descriptor
         self.impl = _normalize(descriptor)
         self.dp_cap = dp_cap
@@ -145,7 +158,7 @@ class NormEvaluator:
         self.tol = tol if tol is not None else self._default_tol()
         self._norm_cache: Dict[tuple, float] = {}
         self._sol_cache: Dict[tuple, "_CalderonSolution"] = {}
-        self._dual_cuts: Dict[int, List[np.ndarray]] = {}
+        self._dual_cuts: Dict[int, List[np.ndarray]] = {}  # cuts of this unit ball
         self._children: Dict[str, NormEvaluator] = {}
 
     # -- configuration ----------------------------------------------------
@@ -154,9 +167,7 @@ class NormEvaluator:
         d = self.impl
         if isinstance(d, (Lp, YDistortion)):
             return TOL_CLOSED
-        if isinstance(d, (Schlumprecht, DualSchlumprecht)):
-            return TOL_DP
-        if isinstance(d, Convexified):
+        if isinstance(d, (Schlumprecht, DualSchlumprecht, Convexified)):
             return TOL_DP
         return TOL_ITERATIVE
 
@@ -168,12 +179,54 @@ class NormEvaluator:
             self._children[name] = ev
         return ev
 
-    def _key(self, x: SeqVector, signed: bool) -> tuple:
-        if signed:
-            return x.canonical()
-        return tuple((i, abs(v)) for i, v in x.canonical())
+    # -- the norming core ---------------------------------------------------
 
-    # -- norm ---------------------------------------------------------------
+    def norming_values(self, v: np.ndarray) -> Tuple[float, np.ndarray]:
+        """Norm and norming weights of a positive array in support order.
+
+        The weights are the absolute values of a norming functional at the
+        same positions.  This is the only dispatch on the descriptor kind
+        for lattice norms.
+        """
+        d = self.impl
+        if isinstance(d, Lp):
+            if math.isinf(d.p):
+                j = int(np.argmax(v))
+                w = np.zeros(len(v))
+                w[j] = 1.0
+                return float(v[j]), w
+            if d.p == 1.0:
+                return float(v.sum()), np.ones(len(v))
+            nv = float(np.linalg.norm(v, d.p))
+            return nv, (v / nv) ** (d.p - 1.0)
+        if isinstance(d, Schlumprecht):
+            if len(v) <= self.dp_cap:
+                nv, w = s_norm_weights(v.tolist(), d.gauge)
+                return nv, np.array(w)
+            # beyond the cap: the analytic constant-block path or SizeCapError
+            nv, cert = s_norm(SeqVector.from_values(v), d.gauge, cap=self.dp_cap)
+            return nv, np.array(cert.functional().values_in_order())
+        if isinstance(d, DualSchlumprecht):
+            return _cutting_plane_dual(self._child("primal", Schlumprecht(d.gauge)), v)
+        if isinstance(d, Convexified):
+            nb, wb = self._child("base", d.base).norming_values(v**d.p)
+            nv = nb ** (1.0 / d.p)
+            if nv == 0.0:
+                return 0.0, np.zeros(len(v))
+            return nv, v ** (d.p - 1.0) * wb / nb ** ((d.p - 1.0) / d.p)
+        if isinstance(d, CalderonProduct):
+            sol = self._solve_product(v)
+            return sol.value, sol.gx ** (1.0 - d.theta) * sol.gy**d.theta
+        raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
+
+    def _cached_norm(self, v: np.ndarray) -> float:
+        key = tuple(v.tolist())
+        got = self._norm_cache.get(key)
+        if got is None:
+            got = self._norm_cache[key] = self.norming_values(v)[0]
+        return got
+
+    # -- boundary wrappers on SeqVectors ------------------------------------
 
     def norm(self, x: SeqVector) -> float:
         if not x:
@@ -185,83 +238,23 @@ class NormEvaluator:
             fam = d.family
             hit = max(abs(pairing(x, z)) for z in fam.members)
             return max(lp_norm(x, 2.0), fam.r * hit)
-        key = self._key(x, signed=False)
-        got = self._norm_cache.get(key)
-        if got is not None:
-            return got
-        if isinstance(d, Schlumprecht):
-            val = s_norm(x, d.gauge, cap=self.dp_cap)[0]
-        elif isinstance(d, DualSchlumprecht):
-            val, _, _ = self._schlumprecht_dual(x)
-        elif isinstance(d, Convexified):
-            base = self._child("base", d.base)
-            val = base.norm(pointwise_power(x, d.p)) ** (1.0 / d.p)
-        elif isinstance(d, CalderonProduct):
-            val = self._solve_product(x).value
-        else:  # pragma: no cover
-            raise UnsupportedSpaceError(f"cannot evaluate {space_to_str(d)}")
-        self._norm_cache[key] = val
-        return val
-
-    # -- norming functionals -------------------------------------------------
+        return self._cached_norm(_positive(x))
 
     def norming(self, x: SeqVector) -> NormingResult:
         if not x:
             return NormingResult(0.0, SeqVector(), 0.0)
-        d = self.impl
-        if isinstance(d, Lp):
-            return _lp_norming(x, d.p)
-        if isinstance(d, Schlumprecht):
-            val, cert = s_norm(x, d.gauge, cap=self.dp_cap)
-            func = cert.functional()
-            return NormingResult(val, func, pairing(x, func))
-        if isinstance(d, DualSchlumprecht):
-            val, maximizer, _ = self._schlumprecht_dual(x)
-            return NormingResult(val, maximizer, pairing(x, maximizer))
-        if isinstance(d, Convexified):
-            return self._convexified_norming(x, d)
-        if isinstance(d, CalderonProduct):
-            sol = self._solve_product(x)
-            func = SeqVector(
-                (i, math.copysign(a, x[i]))
-                for i, a in zip(sol.support, sol.gx ** (1.0 - d.theta) * sol.gy**d.theta)
-            )
-            return NormingResult(sol.value, func, pairing(x, func))
-        raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
+        value, w = self.norming_values(_positive(x))
+        func = _signed(x, w)
+        return NormingResult(value, func, pairing(x, func))
 
-    def _convexified_norming(self, x: SeqVector, d: Convexified) -> NormingResult:
-        base = self._child("base", d.base)
-        u = pointwise_power(x, d.p)
-        rb = base.norming(u)
-        nb = rb.value
-        val = nb ** (1.0 / d.p)
-        if val == 0.0:
-            return NormingResult(0.0, SeqVector(), 0.0)
-        scale = nb ** ((d.p - 1.0) / d.p)
-        func = SeqVector(
-            (i, math.copysign(abs(x[i]) ** (d.p - 1.0) * abs(rb.functional[i]) / scale, x[i]))
-            for i, _ in x
-        )
-        return NormingResult(val, func, pairing(x, func))
-
-    # -- Schlumprecht dual: cutting-plane LP ---------------------------------
-
-    def _schlumprecht_dual(self, g: SeqVector) -> Tuple[float, SeqVector, float]:
-        assert isinstance(self.impl, DualSchlumprecht)
-        oracle = self._child("primal", Schlumprecht(self.impl.gauge))
-        return _cutting_plane_dual(oracle, g, self._dual_cuts)
-
-    # -- Calderon product solver ---------------------------------------------
-
-    def _solve_product(self, z: SeqVector) -> "_CalderonSolution":
+    def _solve_product(self, v: np.ndarray) -> "_CalderonSolution":
         d = self.impl
         assert isinstance(d, CalderonProduct)
-        key = self._key(z, signed=False)
+        key = tuple(v.tolist())
         sol = self._sol_cache.get(key)
         if sol is None:
-            evx = self._child("x", d.x)
-            evy = self._child("y", d.y)
-            sol = _calderon_solve(evx, evy, d.theta, z, self.tol, self.budget)
+            evx, evy = self._child("x", d.x), self._child("y", d.y)
+            sol = _calderon_solve(evx, evy, d.theta, v, self.tol, self.budget)
             self._sol_cache[key] = sol
         if not sol.converged:
             budget_out = sol.evals >= self.budget
@@ -282,24 +275,18 @@ class NormEvaluator:
             raise UnsupportedSpaceError(
                 f"factorize needs a Calderon product, got {space_to_str(d)}"
             )
-        sol = self._solve_product(z)
-        return sol.value, sol.factorization(d.theta)
+        sol = self._solve_product(_positive(z))
+        return sol.value, sol.factorization(d.theta, z.support)
 
 
-def _lp_norming(x: SeqVector, p: float) -> NormingResult:
-    if math.isinf(p):
-        idx = min(i for i, v in x if abs(v) == max(abs(w) for _, w in x))
-        func = SeqVector.basis(idx, math.copysign(1.0, x[idx]))
-        return NormingResult(abs(x[idx]), func, abs(x[idx]))
-    if p == 1.0:
-        func = SeqVector((i, math.copysign(1.0, v)) for i, v in x)
-        val = lp_norm(x, 1.0)
-        return NormingResult(val, func, pairing(x, func))
-    val = lp_norm(x, p)
-    func = SeqVector(
-        (i, math.copysign((abs(v) / val) ** (p - 1.0), v)) for i, v in x
-    )
-    return NormingResult(val, func, pairing(x, func))
+def _positive(x: SeqVector) -> np.ndarray:
+    """|x| in support order: what the norming core sees of x."""
+    return np.abs(np.array(x.values_in_order()))
+
+
+def _signed(x: SeqVector, w: np.ndarray) -> SeqVector:
+    """Put the support and the signs of x back on positional weights w."""
+    return SeqVector(zip(x.support, np.copysign(w, x.values_in_order()).tolist()))
 
 
 # -- cutting-plane dual norm ------------------------------------------------
@@ -307,18 +294,18 @@ def _lp_norming(x: SeqVector, p: float) -> NormingResult:
 
 def _cutting_plane_dual(
     oracle: NormEvaluator,
-    g: SeqVector,
-    cut_pool: Dict[int, List[np.ndarray]],
+    c: np.ndarray,
     feas_tol: float = 1e-9,
     gap_tol: float = 1e-7,
     max_rounds: int = 400,
-) -> Tuple[float, SeqVector, float]:
-    """max { <x, g> : ||x||_oracle <= 1 } with lazily generated cuts.
+) -> Tuple[float, np.ndarray]:
+    """max { <x, c> : ||x||_oracle <= 1 } for a positive c, with lazy cuts.
 
-    Cuts are functionals with dual norm at most one, so each LP value is
-    an upper bound; every point the oracle sees, rescaled onto the unit
-    sphere, is feasible and gives a lower bound.  The result is a
-    certified two-sided bracket: width feas_tol on polyhedral balls,
+    Returns the value and a maximizer, nonnegative and in the positions
+    of c.  Cuts are functionals with dual norm at most one, so each LP
+    value is an upper bound; every point the oracle sees, rescaled onto
+    the unit sphere, is feasible and gives a lower bound.  The result is
+    a certified two-sided bracket: width feas_tol on polyhedral balls,
     where the LP vertex itself turns out feasible, and gap_tol on smooth
     ones, where the bracket closes gradually.
 
@@ -331,29 +318,26 @@ def _cutting_plane_dual(
     cuts the vertex off, since the best point satisfies the cut; if it
     lies inside, the lower bound gains at least half the gap.
 
-    cut_pool maps a support size to cut rows in support-position space
-    (all implemented spaces are spreading-invariant).  It is a warm start
-    only: the call copies the rows for its size, works on the copy and
-    writes the copy back when it ends, so no call sees a pool that
-    changes under it.
+    The cut pool belongs to the ball it cuts, oracle._dual_cuts, and maps
+    a support size to cut rows by position (all implemented spaces are
+    spreading invariant).  It is a warm start only: the call copies the
+    rows for its size, works on the copy and writes the copy back when it
+    ends, so no call sees a pool that changes under it.
     """
-    support = g.support
-    n = len(support)
-    c = np.array([abs(g[i]) for i in support])
-    signs = np.sign([g[i] for i in support])
+    n = len(c)
     scale = float(c.max())  # dual norms are homogeneous; keep the LP well scaled
     c = c / scale
-    unit = oracle.norm(SeqVector.basis(1, 1.0))
+    unit = oracle._cached_norm(np.ones(1))
     bounds = [(0.0, 1.0 / unit)] * n
-    cuts = list(cut_pool.get(n, ()))
-
-    def point(x: np.ndarray) -> SeqVector:
-        # all balls here are lattices, so signing |x| like g keeps the norm
-        return SeqVector(zip(support, signs * x))
+    cuts = list(oracle._dual_cuts.get(n, ()))
 
     def probe(x: np.ndarray) -> Tuple[float, np.ndarray]:
-        nr = oracle.norming(point(x))
-        return nr.value, np.array([abs(nr.functional[i]) for i in support])
+        # LP points have zero coordinates; the oracle norms the positive ones
+        pos = x > 0.0
+        nx, w = oracle.norming_values(x[pos])
+        row = np.zeros(n)
+        row[pos] = w
+        return nx, row
 
     def closed() -> bool:
         return lpval - best_val <= gap_tol * max(lpval, 1.0)
@@ -379,10 +363,10 @@ def _cutting_plane_dual(
                 healed = True
                 continue
             lpval = float(c @ xstar)
-            nv = oracle.norm(point(xstar))  # cached: warm LPs often repeat a vertex
+            nv = oracle._cached_norm(xstar[xstar > 0.0])  # warm LPs often repeat a vertex
             if nv <= 1.0 + feas_tol:
                 fix = 1.0 / nv if nv > 1.0 else 1.0
-                return scale * lpval * fix, point(xstar * fix), scale * lpval
+                return scale * lpval * fix, xstar * fix
             row = None
             if best_val < lpval / nv:
                 best_val, best_x = lpval / nv, xstar / nv
@@ -399,7 +383,7 @@ def _cutting_plane_dual(
                     if not gain:
                         break
             if closed():
-                return scale * best_val, point(best_x), scale * lpval
+                return scale * best_val, best_x
             if row is None:
                 row = probe(xstar)[1]
             if float(row @ xstar) <= 1.0 + 0.5 * feas_tol:
@@ -409,7 +393,7 @@ def _cutting_plane_dual(
         raise ConvergenceError("dual-norm LP exceeded round limit",
                                scale * best_val, scale * lpval)
     finally:
-        cut_pool[n] = cuts
+        oracle._dual_cuts[n] = cuts
 
 
 # -- Calderon product solver --------------------------------------------------
@@ -417,7 +401,6 @@ def _cutting_plane_dual(
 
 @dataclass
 class _CalderonSolution:
-    support: Tuple[int, ...]
     v: np.ndarray
     s: np.ndarray
     value: float  # min observed balanced value (certified upper bound)
@@ -429,7 +412,7 @@ class _CalderonSolution:
     evals: int
     converged: bool
 
-    def factorization(self, theta: float) -> Factorization:
+    def factorization(self, theta: float, support: Tuple[int, ...]) -> Factorization:
         xv = self.v * np.exp(theta * self.s)
         yv = self.v * np.exp(-(1.0 - theta) * self.s)
         # rebalance so both norms equal the achieved value
@@ -437,8 +420,8 @@ class _CalderonSolution:
         xv = xv * math.exp(theta * c)
         yv = yv * math.exp(-(1.0 - theta) * c)
         return Factorization(
-            SeqVector(zip(self.support, xv)),
-            SeqVector(zip(self.support, yv)),
+            SeqVector(zip(support, xv)),
+            SeqVector(zip(support, yv)),
             self.value,
             self.lower,
         )
@@ -452,15 +435,13 @@ def _calderon_solve(
     evx: NormEvaluator,
     evy: NormEvaluator,
     theta: float,
-    z: SeqVector,
+    v_raw: np.ndarray,
     tol: float,
     budget: int,
 ) -> _CalderonSolution:
-    support = z.support
-    v_raw = np.array([abs(z[i]) for i in support])
     zscale = float(v_raw.max())  # homogeneity: solve at unit scale
     v = v_raw / zscale
-    n = len(support)
+    n = len(v)
     thc = 1.0 - theta
     bound = 40.0 / max(theta, thc)
 
@@ -503,32 +484,14 @@ def _calderon_solve(
                 out.append(mask.astype(float) / k)
         return out
 
-    def norming_arr(ev: NormEvaluator, vals: np.ndarray) -> Tuple[float, np.ndarray]:
-        d = ev.impl
-        if isinstance(d, Lp):  # vals > 0 by construction
-            if math.isinf(d.p):
-                j = int(np.argmax(vals))
-                g = np.zeros(n)
-                g[j] = 1.0
-                return float(vals[j]), g
-            if d.p == 1.0:
-                return float(vals.sum()), np.ones(n)
-            nv = float(np.linalg.norm(vals, d.p))
-            return nv, (vals / nv) ** (d.p - 1.0)
-        if isinstance(d, Schlumprecht) and n <= ev.dp_cap:
-            nv, w = s_norm_weights([float(t) for t in vals], d.gauge)
-            return nv, np.array(w)
-        res = ev.norming(SeqVector(zip(support, vals)))
-        return res.value, np.array([abs(res.functional[i]) for i in support])
-
     def eval_point(s: np.ndarray) -> Tuple[float, np.ndarray]:
         if state["evals"] >= budget:
             raise _BudgetExhausted
         state["evals"] += 2
         xv = v * np.exp(theta * s)
         yv = v * np.exp(-thc * s)
-        nx, gx = norming_arr(evx, xv)
-        ny, gy = norming_arr(evy, yv)
+        nx, gx = evx.norming_values(xv)
+        ny, gy = evy.norming_values(yv)
         record_pool(pool_x, gx)
         record_pool(pool_y, gy)
         for cand in flat_candidates(xv, evx):
@@ -621,7 +584,6 @@ def _calderon_solve(
     s_best, nx, ny = state["best"]
     value = zscale * state["best_u"]
     return _CalderonSolution(
-        support=support,
         v=v_raw,
         s=s_best,
         value=value,

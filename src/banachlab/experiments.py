@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .descriptors import (
     space_to_str,
 )
 from .duality import dual_norm, pairing
-from .engine import get_evaluator
+from .engine import NormEvaluator, get_evaluator
 from .errors import ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
@@ -296,6 +296,42 @@ def _seed_pairs(dim: int) -> List[Tuple[SeqVector, SeqVector]]:
     return pairs
 
 
+def _unit(ev: NormEvaluator, v: SeqVector) -> Optional[SeqVector]:
+    nv = ev.norm(v)
+    return v * (1.0 / nv) if nv > 0 else None
+
+
+def _search_pairs(
+    ev: NormEvaluator,
+    consider: Callable[[SeqVector, SeqVector], None],
+    best: list,
+    samples: int,
+    dim: int,
+    seed: int,
+) -> None:
+    """Feed unit pairs to consider: the seed pairs, `samples` random pairs,
+    then random perturbations of the incumbent pair best[1]."""
+    for x, y in _seed_pairs(dim):
+        consider(x, y)
+    for k in range(samples):
+        rng = _rng(seed, k)
+        x = _unit(ev, SeqVector.from_values(rng.normal(0.0, 1.0, dim)))
+        y = _unit(ev, SeqVector.from_values(rng.normal(0.0, 1.0, dim)))
+        if x is not None and y is not None:
+            consider(x, y)
+    refine = _rng(seed, samples + 1)
+    sigma = 0.3
+    for _ in range(min(300, samples)):
+        if best[1] is None:
+            break
+        x, y = best[1]
+        xp = _unit(ev, x + SeqVector.from_values(refine.normal(0.0, sigma, dim)))
+        yp = _unit(ev, y + SeqVector.from_values(refine.normal(0.0, sigma, dim)))
+        if xp is not None and yp is not None:
+            consider(xp, yp)
+        sigma = max(sigma * 0.98, 1e-3)
+
+
 def modulus_convexity_estimate(
     x_space: SpaceDescriptor,
     eps: float,
@@ -313,11 +349,6 @@ def modulus_convexity_estimate(
     if not 0.0 < eps <= 2.0:
         raise ValidationError(f"eps must lie in (0, 2], got {eps}")
     ev = get_evaluator(x_space)
-
-    def unit(v: SeqVector) -> Optional[SeqVector]:
-        nv = ev.norm(v)
-        return v * (1.0 / nv) if nv > 0 else None
-
     best = [math.inf, None]
 
     def consider(x: SeqVector, y: SeqVector, polish: bool = True) -> None:
@@ -333,7 +364,7 @@ def modulus_convexity_estimate(
         lo, hi, feas = 0.0, 1.0, y
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            cand = unit((1.0 - mid) * y + mid * x)
+            cand = _unit(ev, (1.0 - mid) * y + mid * x)
             if cand is None:
                 hi = mid
                 continue
@@ -345,25 +376,7 @@ def modulus_convexity_estimate(
         if obj < best[0]:
             best[0], best[1] = obj, (x, feas)
 
-    for x, y in _seed_pairs(dim):
-        consider(x, y)
-    for k in range(samples):
-        rng = _rng(seed, k)
-        x = unit(SeqVector.from_values(rng.normal(0.0, 1.0, dim)))
-        y = unit(SeqVector.from_values(rng.normal(0.0, 1.0, dim)))
-        if x is not None and y is not None:
-            consider(x, y)
-    refine = _rng(seed, samples + 1)
-    sigma = 0.3
-    for _ in range(min(300, samples)):
-        if best[1] is None:
-            break
-        x, y = best[1]
-        xp = unit(x + SeqVector.from_values(refine.normal(0.0, sigma, dim)))
-        yp = unit(y + SeqVector.from_values(refine.normal(0.0, sigma, dim)))
-        if xp is not None and yp is not None:
-            consider(xp, yp)
-        sigma = max(sigma * 0.98, 1e-3)
+    _search_pairs(ev, consider, best, samples, dim, seed)
     return best[0]
 
 
@@ -379,11 +392,6 @@ def modulus_smoothness_estimate(
     if not 0.0 < tau <= 1.0:
         raise ValidationError(f"tau must lie in (0, 1], got {tau}")
     ev = get_evaluator(x_space)
-
-    def unit(v: SeqVector) -> Optional[SeqVector]:
-        nv = ev.norm(v)
-        return v * (1.0 / nv) if nv > 0 else None
-
     best = [-math.inf, None]
 
     def consider(x: SeqVector, y: SeqVector) -> None:
@@ -391,23 +399,7 @@ def modulus_smoothness_estimate(
         if obj > best[0]:
             best[0], best[1] = obj, (x, y)
 
-    for x, y in _seed_pairs(dim):
-        consider(x, y)
-    for k in range(samples):
-        rng = _rng(seed, k)
-        x = unit(SeqVector.from_values(rng.normal(0.0, 1.0, dim)))
-        y = unit(SeqVector.from_values(rng.normal(0.0, 1.0, dim)))
-        if x is not None and y is not None:
-            consider(x, y)
-    refine = _rng(seed, samples + 1)
-    sigma = 0.3
-    for _ in range(min(300, samples)):
-        x, y = best[1]
-        xp = unit(x + SeqVector.from_values(refine.normal(0.0, sigma, dim)))
-        yp = unit(y + SeqVector.from_values(refine.normal(0.0, sigma, dim)))
-        if xp is not None and yp is not None:
-            consider(xp, yp)
-        sigma = max(sigma * 0.98, 1e-3)
+    _search_pairs(ev, consider, best, samples, dim, seed)
     return best[0]
 
 

@@ -225,9 +225,9 @@ def _dp_core(vals: Sequence[float], f: GaugeFunction):
 def s_norm_weights(vals: Sequence[float], f: GaugeFunction) -> Tuple[float, List[float]]:
     """Array fast path: norm and norming-functional weights by position.
 
-    Assumes strictly positive values (the optimizer's parameterization
-    guarantees this); returns the DP value and per-position weights of
-    the extremal partition tree, skipping certificate construction.
+    Assumes strictly positive values (callers pass only the positive
+    entries); returns the DP value and per-position weights of the
+    extremal partition tree, skipping certificate construction.
     """
     n = len(vals)
     if n == 1:
@@ -240,22 +240,19 @@ def s_norm_weights(vals: Sequence[float], f: GaugeFunction) -> Tuple[float, List
         if kind == "leaf":
             weights[idx] += w
             return
-        m = idx
-        wm = w / f(float(m))
-        while m > 1:
-            k = bp[m][a][b]
-            walk(a, k, wm)
-            a, m = k + 1, m - 1
-        walk(a, b, wm)
+        wm = w / f(float(idx))
+        for s, e in _blocks_of(bp, a, b, idx):
+            walk(s, e, wm)
 
     walk(0, n - 1, 1.0)
     return g[0][n - 1], weights
 
 
-def _blocks_of(table: DpTable, a: int, b: int, m: int) -> List[Tuple[int, int]]:
+def _blocks_of(bp: List[List[List[int]]], a: int, b: int, m: int) -> List[Tuple[int, int]]:
+    """The m blocks of the earliest maximizing partition of positions a..b."""
     blocks = []
     while m > 1:
-        k = table.bp[m][a][b]
+        k = bp[m][a][b]
         blocks.append((a, k))
         a, m = k + 1, m - 1
     blocks.append((a, b))
@@ -266,7 +263,7 @@ def _build_cert(table: DpTable, a: int, b: int, f: GaugeFunction) -> CertNode:
     kind, idx = table.choice[a][b]
     if kind == "leaf":
         return Leaf(table.coords[idx], table.signs[idx])
-    children = tuple(_build_cert(table, s, e, f) for s, e in _blocks_of(table, a, b, idx))
+    children = tuple(_build_cert(table, s, e, f) for s, e in _blocks_of(table.bp, a, b, idx))
     return Split(
         Interval(table.coords[a], table.coords[b]), idx, 1.0 / f(float(idx)), children
     )
@@ -333,7 +330,7 @@ def best_partition(
     table = _build_table(xe, f)
     m = min(n, table.size)
     total = table.best[m][0][table.size - 1]
-    runs = _blocks_of(table, 0, table.size - 1, m) if m > 1 else [(0, table.size - 1)]
+    runs = _blocks_of(table.bp, 0, table.size - 1, m)
 
     # Map support runs to covering intervals of e, cutting right after
     # each run.  Spare blocks (n > m) hold no support; they are carved as

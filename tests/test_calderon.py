@@ -86,6 +86,11 @@ class TestCalderonNorm:
         with pytest.raises(UnsupportedSpaceError):
             calderon_norm(YDistortion(fam), Lp(2), 0.5, SeqVector.basis(1))
 
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_rejects_budget_below_one(self, budget):
+        with pytest.raises(ValidationError):
+            calderon_norm(Lp(1), S, 0.5, SeqVector.from_values([1, 1]), budget=budget)
+
     def test_budget_exhaustion_carries_bracket(self):
         z = SeqVector.from_values([1.0, 0.7, 0.3, 1.2, 0.5])
         with pytest.raises(ConvergenceError) as err:

@@ -14,6 +14,7 @@ from banachlab import (
     Dual,
     LOG2P1,
     Lp,
+    NormEvaluator,
     ONE,
     Schlumprecht,
     SeqVector,
@@ -21,6 +22,7 @@ from banachlab import (
     get_evaluator,
     lp_norm,
     s_norm_value,
+    space_spr,
 )
 from banachlab.descriptors import CalderonProduct
 
@@ -100,6 +102,29 @@ def test_evaluator_determinism():
     fresh = get_evaluator(CalderonProduct(Lp(1), S, 0.5), tol=2e-7).norm(x)
     assert first == again
     assert first == pytest.approx(fresh, rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "desc", [Lp(3), S, Dual(S), Convexified(S, 2.0), space_spr(4 / 3, 4, F)], ids=str
+)
+def test_positional_cache_key(desc):
+    # caches are keyed by support position, so a vector with gaps hits the
+    # entry of its compressed twin; spreading invariance makes that exact
+    compressed = SeqVector.from_values([0.7, -1.3, 0.4, 1.1])
+    spread = SeqVector(zip((2, 5, 6, 11), compressed.values_in_order()))
+    warm = NormEvaluator(desc)
+    warm.norm(compressed)
+    first = warm.norming(compressed)
+    warm_value = warm.norm(spread)
+    fresh = NormEvaluator(desc)
+    ref = fresh.norming(spread)
+    assert warm_value == pytest.approx(fresh.norm(spread), rel=warm.tol)
+    assert first.value == pytest.approx(ref.value, rel=warm.tol)
+    to_spread = dict(zip(compressed.support, spread.support))
+    moved = SeqVector((to_spread[i], v) for i, v in first.functional)
+    assert [moved[i] for i in spread.support] == pytest.approx(
+        [ref.functional[i] for i in spread.support], abs=warm.tol
+    )
 
 
 class TestConvexifiedNormOp:
