@@ -22,8 +22,8 @@ from typing import Any, Dict
 
 import click
 
-from . import __version__
-from .descriptors import FunctionalFamily, parse_space
+from . import __version__, schlumprecht
+from .descriptors import FunctionalFamily, Schlumprecht, parse_space
 from .duality import dual_norm
 from .engine import calderon_norm, get_evaluator
 from .errors import BanachLabError, ValidationError
@@ -41,7 +41,6 @@ from .experiments import (
 )
 from .gauges import check_gauge_class, gauge_by_name
 from .reports import ExperimentReport, format_number
-from .schlumprecht import summing_norm_table
 from .vectors import SeqVector, parse_vector
 
 EXPERIMENTS = (
@@ -70,6 +69,13 @@ def main() -> None:
     """Sequence-space norm laboratory."""
 
 
+def _schlumprecht_gauge(ev, error: str):
+    """The gauge of the evaluator's Schlumprecht space; ValidationError otherwise."""
+    if not isinstance(ev.impl, Schlumprecht):
+        raise ValidationError(error)
+    return ev.impl.gauge
+
+
 def _space_with_gauge(space: str, gauge: str | None):
     if gauge and space == "s":
         space = f"s:{gauge}"
@@ -88,12 +94,8 @@ def norm(space: str, gauge: str | None, vec: str, cert: bool, tol: float | None)
     x = parse_vector(vec)
     ev = get_evaluator(desc, tol=tol)
     if cert:
-        from .descriptors import Schlumprecht
-        from .schlumprecht import s_norm
-
-        if not isinstance(ev.impl, Schlumprecht):
-            raise ValidationError("--cert requires a Schlumprecht space")
-        value, certificate = s_norm(x, ev.impl.gauge, cap=ev.dp_cap)
+        gauge_fn = _schlumprecht_gauge(ev, "--cert requires a Schlumprecht space")
+        value, certificate = schlumprecht.s_norm(x, gauge_fn)
         click.echo(_fmt(value))
         click.echo(certificate.render())
     else:
@@ -181,7 +183,7 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
 
     if name == "summing":
         _require(cfg, name, "n_max")
-        report = summing_norm_table(int(_num(cfg, "n_max", 1)), gauge)
+        report = schlumprecht.summing_norm_table(int(_num(cfg, "n_max", 1)), gauge)
     elif name == "block-growth":
         _require(cfg, name, "space", "p", "m", "count")
         desc = parse_space(cfg["space"])
@@ -219,14 +221,11 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
             w = g = BlockSequence.basis(count)
         else:
             w = BlockSequence(tuple(l1_average(m, m * k, desc) for k in range(count)))
-            from .schlumprecht import s_norm
-            from .descriptors import Schlumprecht
-
-            ev = get_evaluator(desc)
-            if not isinstance(ev.impl, Schlumprecht):
-                raise ValidationError("projection with m > 1 needs a Schlumprecht space")
+            gauge_fn = _schlumprecht_gauge(
+                get_evaluator(desc), "projection with m > 1 needs a Schlumprecht space"
+            )
             g = BlockSequence(
-                tuple(s_norm(b, ev.impl.gauge)[1].functional() for b in w)
+                tuple(schlumprecht.s_norm(b, gauge_fn)[1].functional() for b in w)
             )
         norm_lower, m_bound = projection_bound(
             desc, w, g, int(cfg.get("samples", 100)), seed=seed

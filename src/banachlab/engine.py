@@ -146,20 +146,17 @@ class NormEvaluator:
         self,
         descriptor: SpaceDescriptor,
         tol: Optional[float] = None,
-        dp_cap: int = DEFAULT_DP_CAP,
         budget: int = DEFAULT_BUDGET,
     ):
         if budget < 1:
             raise ValidationError(f"the evaluation budget must be at least 1, got {budget}")
         self.descriptor = descriptor
         self.impl = _normalize(descriptor)
-        self.dp_cap = dp_cap
         self.budget = budget
         self.tol = tol if tol is not None else self._default_tol()
         self._norm_cache: Dict[tuple, float] = {}
         self._sol_cache: Dict[tuple, "_CalderonSolution"] = {}
         self._dual_cuts: Dict[int, List[np.ndarray]] = {}  # cuts of this unit ball
-        self._children: Dict[str, NormEvaluator] = {}
 
     # -- configuration ----------------------------------------------------
 
@@ -171,13 +168,8 @@ class NormEvaluator:
             return TOL_DP
         return TOL_ITERATIVE
 
-    def _child(self, name: str, desc: SpaceDescriptor) -> "NormEvaluator":
-        ev = self._children.get(name)
-        if ev is None:
-            tol = max(self.tol * 0.25, 1e-10)
-            ev = get_evaluator(desc, tol=tol, dp_cap=self.dp_cap, budget=self.budget)
-            self._children[name] = ev
-        return ev
+    def _child(self, desc: SpaceDescriptor) -> "NormEvaluator":
+        return get_evaluator(desc, tol=max(self.tol * 0.25, 1e-10), budget=self.budget)
 
     # -- the norming core ---------------------------------------------------
 
@@ -200,16 +192,16 @@ class NormEvaluator:
             nv = float(np.linalg.norm(v, d.p))
             return nv, (v / nv) ** (d.p - 1.0)
         if isinstance(d, Schlumprecht):
-            if len(v) <= self.dp_cap:
+            if len(v) <= DEFAULT_DP_CAP:
                 nv, w = s_norm_weights(v.tolist(), d.gauge)
                 return nv, np.array(w)
             # beyond the cap: the analytic constant-block path or SizeCapError
-            nv, cert = s_norm(SeqVector.from_values(v), d.gauge, cap=self.dp_cap)
+            nv, cert = s_norm(SeqVector.from_values(v), d.gauge)
             return nv, np.array(cert.functional().values_in_order())
         if isinstance(d, DualSchlumprecht):
-            return _cutting_plane_dual(self._child("primal", Schlumprecht(d.gauge)), v)
+            return _cutting_plane_dual(self._child(Schlumprecht(d.gauge)), v)
         if isinstance(d, Convexified):
-            nb, wb = self._child("base", d.base).norming_values(v**d.p)
+            nb, wb = self._child(d.base).norming_values(v**d.p)
             nv = nb ** (1.0 / d.p)
             if nv == 0.0:
                 return 0.0, np.zeros(len(v))
@@ -253,7 +245,7 @@ class NormEvaluator:
         key = tuple(v.tolist())
         sol = self._sol_cache.get(key)
         if sol is None:
-            evx, evy = self._child("x", d.x), self._child("y", d.y)
+            evx, evy = self._child(d.x), self._child(d.y)
             sol = _calderon_solve(evx, evy, d.theta, v, self.tol, self.budget)
             self._sol_cache[key] = sol
         if not sol.converged:
@@ -509,8 +501,8 @@ def _calderon_solve(
 
     best_pair: List[np.ndarray] = []
 
-    def certified(apply_refresh: bool = True) -> bool:
-        if apply_refresh and pool_x and pool_y:
+    def certified() -> bool:
+        if pool_x and pool_y:
             cands_x = pool_x + ([np.mean(pool_x, axis=0)] if len(pool_x) > 1 else [])
             cands_y = pool_y + ([np.mean(pool_y, axis=0)] if len(pool_y) > 1 else [])
             ax = np.asarray(cands_x) ** thc * v  # rows scaled by |z|
@@ -579,7 +571,7 @@ def _calderon_solve(
                 kelley_phase()
     except _BudgetExhausted:
         pass
-    certified()
+    converged = certified()
 
     s_best, nx, ny = state["best"]
     value = zscale * state["best_u"]
@@ -593,7 +585,7 @@ def _calderon_solve(
         gx=best_pair[0],
         gy=best_pair[1],
         evals=state["evals"],
-        converged=certified(apply_refresh=False),
+        converged=converged,
     )
 
 
@@ -606,14 +598,13 @@ _registry: Dict[tuple, NormEvaluator] = {}
 def get_evaluator(
     descriptor: SpaceDescriptor,
     tol: Optional[float] = None,
-    dp_cap: int = DEFAULT_DP_CAP,
     budget: int = DEFAULT_BUDGET,
 ) -> NormEvaluator:
     """Shared evaluator instances (caches persist across calls)."""
-    key = (descriptor, tol, dp_cap, budget)
+    key = (descriptor, tol, budget)
     ev = _registry.get(key)
     if ev is None:
-        ev = NormEvaluator(descriptor, tol=tol, dp_cap=dp_cap, budget=budget)
+        ev = NormEvaluator(descriptor, tol=tol, budget=budget)
         _registry[key] = ev
     return ev
 

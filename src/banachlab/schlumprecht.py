@@ -19,6 +19,11 @@ exhaustive reference evaluator below:
   absorbed into a neighboring block without decreasing any term, by
   lattice monotonicity), so splits are covering partitions.
 
+The pass fills one table, `_dp_core`'s (best, bp, split), read by every
+consumer: the norm, the certificate tree and the best n-way partition.
+One walk of the extremal tree, `_tree_weights`, gives both the weights of
+`s_norm_weights` and the norming functional stored in the certificate.
+
 The reference evaluator makes neither reduction over block placement:
 it enumerates every sequence of two or more disjoint runs, gaps
 included, at every recursion level.
@@ -41,7 +46,6 @@ __all__ = [
     "Leaf",
     "Split",
     "PartitionCertificate",
-    "DpTable",
     "s_norm",
     "s_norm_value",
     "best_partition",
@@ -84,28 +88,17 @@ class PartitionCertificate:
     Doubles as a norming functional: the induced linear functional is
     the product of split weights down each root-leaf path times the sign
     at the leaf.  It attains the norm on the witnessed vector and never
-    exceeds the norm on any other vector (dual feasibility).
+    exceeds the norm on any other vector (dual feasibility).  `s_norm`
+    stores that functional, computed by the same walk as `s_norm_weights`.
     """
 
-    def __init__(self, root: CertNode, value: float, analytic: bool = False):
+    def __init__(self, root: CertNode, value: float, functional: SeqVector, analytic: bool = False):
         self.root = root
         self.value = value
         self.analytic = analytic
-        self._functional: SeqVector | None = None
+        self._functional = functional
 
     def functional(self) -> SeqVector:
-        if self._functional is None:
-            weights: Dict[int, float] = {}
-
-            def walk(node: CertNode, w: float) -> None:
-                if isinstance(node, Leaf):
-                    weights[node.index] = weights.get(node.index, 0.0) + w * node.sign
-                else:
-                    for child in node.children:
-                        walk(child, w * node.weight)
-
-            walk(self.root, 1.0)
-            self._functional = SeqVector(weights)
         return self._functional
 
     def evaluate(self, x: SeqVector) -> float:
@@ -134,57 +127,28 @@ class PartitionCertificate:
 # -- the DP table --------------------------------------------------------
 
 
-@dataclass
-class DpTable:
-    """Per-interval norm values and partition maxima with back-pointers.
-
-    g[a][b] is the norm of the restriction to support positions a..b
-    (0-based, inclusive); best[n][a][b] the maximal sum of block norms
-    over covering partitions of a..b into n blocks; bp[n][a][b] the end
-    of the first block of the earliest maximizing partition.  choice
-    records how g[a][b] was attained.
-    """
-
-    coords: Tuple[int, ...]
-    values: Tuple[float, ...]
-    signs: Tuple[float, ...]
-    g: List[List[float]]
-    best: List[List[List[float]]]
-    bp: List[List[List[int]]]
-    choice: List[List[Tuple[str, int]]]
-
-    @property
-    def size(self) -> int:
-        return len(self.coords)
-
-    def norm(self) -> float:
-        return self.g[0][self.size - 1]
-
-
-def _build_table(x: SeqVector, f: GaugeFunction) -> DpTable:
-    entries = x.canonical()
-    coords = tuple(i for i, _ in entries)
-    signs = tuple(1.0 if v >= 0 else -1.0 for _, v in entries)
-    vals = tuple(abs(v) for _, v in entries)
-    g, best, bp, choice = _dp_core(vals, f)
-    return DpTable(coords, vals, signs, g, best, bp, choice)
-
-
 def _dp_core(vals: Sequence[float], f: GaugeFunction):
-    n = len(vals)
+    """The DP table (best, bp, split) over positions a..b (0-based, inclusive).
 
-    g = [[0.0] * n for _ in range(n)]
-    choice: List[List[Tuple[str, int]]] = [[("leaf", 0)] * n for _ in range(n)]
-    # best[m] / bp[m] indexed [a][b]; m = 0 unused
+    * best[m][a][b], m >= 2: the maximal sum of block norms over covering
+      partitions of a..b into m blocks; best[1][a][b]: the norm of a..b.
+    * bp[m][a][b], m >= 2: the end of the first block of the earliest such
+      partition; bp[1][a][b]: the leaf, the position of the largest value
+      in a..b, earliest on ties.
+    * split[a][b]: the block count attaining best[1][a][b], 1 for the leaf;
+      a split must beat the leaf strictly, the smallest m winning ties.
+    """
+    n = len(vals)
+    split = [[1] * n for _ in range(n)]
     best = [[[0.0] * n for _ in range(n)] for _ in range(n + 1)]
     bp = [[[0] * n for _ in range(n)] for _ in range(n + 1)]
+    norms, leaves = best[1], bp[1]
 
     finv = [0.0, 1.0] + [1.0 / f(float(m)) for m in range(2, n + 1)]
 
     for a in range(n):
-        g[a][a] = vals[a]
-        choice[a][a] = ("leaf", a)
-        best[1][a][a] = vals[a]
+        norms[a][a] = vals[a]
+        leaves[a][a] = a
 
     for length in range(2, n + 1):
         for a in range(n - length + 1):
@@ -192,7 +156,7 @@ def _dp_core(vals: Sequence[float], f: GaugeFunction):
             # covering partitions into m blocks; first block a..k
             for m in range(2, length + 1):
                 rows_prev = best[m - 1]
-                ga = g[a]
+                ga = norms[a]
                 top = -1.0
                 arg = a
                 for k in range(a, b - m + 2):
@@ -202,50 +166,18 @@ def _dp_core(vals: Sequence[float], f: GaugeFunction):
                         arg = k
                 best[m][a][b] = top
                 bp[m][a][b] = arg
-            # leaf candidate: largest coordinate, earliest on ties
-            top = -1.0
-            arg = a
-            for i in range(a, b + 1):
-                if vals[i] > top:
-                    top = vals[i]
-                    arg = i
-            kind, idx = "leaf", arg
+            # leaf candidate: largest value, earliest on ties
+            arg = leaves[a][b - 1]
+            leaves[a][b] = arg = b if vals[b] > vals[arg] else arg
+            top = vals[arg]
             for m in range(2, length + 1):
                 cand = best[m][a][b] * finv[m]
                 if cand > top:
                     top = cand
-                    kind, idx = "split", m
-            g[a][b] = top
-            choice[a][b] = (kind, idx)
-            best[1][a][b] = top
+                    split[a][b] = m
+            norms[a][b] = top
 
-    return g, best, bp, choice
-
-
-def s_norm_weights(vals: Sequence[float], f: GaugeFunction) -> Tuple[float, List[float]]:
-    """Array fast path: norm and norming-functional weights by position.
-
-    Assumes strictly positive values (callers pass only the positive
-    entries); returns the DP value and per-position weights of the
-    extremal partition tree, skipping certificate construction.
-    """
-    n = len(vals)
-    if n == 1:
-        return vals[0], [1.0]
-    g, best, bp, choice = _dp_core(vals, f)
-    weights = [0.0] * n
-
-    def walk(a: int, b: int, w: float) -> None:
-        kind, idx = choice[a][b]
-        if kind == "leaf":
-            weights[idx] += w
-            return
-        wm = w / f(float(idx))
-        for s, e in _blocks_of(bp, a, b, idx):
-            walk(s, e, wm)
-
-    walk(0, n - 1, 1.0)
-    return g[0][n - 1], weights
+    return best, bp, split
 
 
 def _blocks_of(bp: List[List[List[int]]], a: int, b: int, m: int) -> List[Tuple[int, int]]:
@@ -259,14 +191,49 @@ def _blocks_of(bp: List[List[List[int]]], a: int, b: int, m: int) -> List[Tuple[
     return blocks
 
 
-def _build_cert(table: DpTable, a: int, b: int, f: GaugeFunction) -> CertNode:
-    kind, idx = table.choice[a][b]
-    if kind == "leaf":
-        return Leaf(table.coords[idx], table.signs[idx])
-    children = tuple(_build_cert(table, s, e, f) for s, e in _blocks_of(table.bp, a, b, idx))
-    return Split(
-        Interval(table.coords[a], table.coords[b]), idx, 1.0 / f(float(idx)), children
+def _tree_weights(bp, split, f: GaugeFunction, n: int) -> List[float]:
+    """Per-position products of 1/f(m) down the extremal tree to each leaf.
+
+    A loop, not a recursive closure: a closure cycle would keep the O(N^3)
+    tables alive until a full GC.  No position is the leaf of two nodes.
+    """
+    weights = [0.0] * n
+    stack = [(0, n - 1, 1.0)]
+    while stack:
+        a, b, w = stack.pop()
+        m = split[a][b]
+        if m == 1:
+            weights[bp[1][a][b]] += w
+        else:
+            wm = w / f(float(m))
+            for s, e in _blocks_of(bp, a, b, m):
+                stack.append((s, e, wm))
+    return weights
+
+
+def _build_cert(coords, signs, bp, split, f: GaugeFunction, a: int, b: int) -> CertNode:
+    m = split[a][b]
+    if m == 1:
+        i = bp[1][a][b]
+        return Leaf(coords[i], signs[i])
+    children = tuple(
+        _build_cert(coords, signs, bp, split, f, s, e) for s, e in _blocks_of(bp, a, b, m)
     )
+    return Split(Interval(coords[a], coords[b]), m, 1.0 / f(float(m)), children)
+
+
+def s_norm_weights(vals: Sequence[float], f: GaugeFunction) -> Tuple[float, List[float]]:
+    """Array fast path: norm and norming-functional weights by position.
+
+    Assumes strictly positive values (callers pass only the positive
+    entries); returns the DP value and per-position weights of the
+    extremal partition tree, skipping certificate construction.
+    """
+    n = len(vals)
+    if n == 1:
+        return vals[0], [1.0]
+    best, bp, split = _dp_core(vals, f)
+    return best[1][0][n - 1], _tree_weights(bp, split, f, n)
 
 
 def s_norm(
@@ -281,19 +248,25 @@ def s_norm(
     """
     if not x:
         raise ValidationError("s_norm requires a nonempty vector")
-    n = len(x)
-    if n > cap:
-        vals = [abs(v) for _, v in x]
-        if max(vals) - min(vals) <= 1e-15 * max(vals):
-            c = vals[0]
-            value = c * n / f(float(n))
-            leaves = tuple(Leaf(i, 1.0 if v >= 0 else -1.0) for i, v in x)
-            root = Split(Interval.spanning(x), n, 1.0 / f(float(n)), leaves)
-            return value, PartitionCertificate(root, value, analytic=True)
+    entries = x.canonical()
+    n = len(entries)
+    coords = [i for i, _ in entries]
+    signs = [1.0 if v >= 0 else -1.0 for _, v in entries]
+    vals = [abs(v) for _, v in entries]
+    if n <= cap:
+        best, bp, split = _dp_core(vals, f)
+        value = best[1][0][n - 1]
+        weights = _tree_weights(bp, split, f, n)
+        root = _build_cert(coords, signs, bp, split, f, 0, n - 1)
+    elif max(vals) - min(vals) <= 1e-15 * max(vals):
+        weights = [1.0 / f(float(n))] * n
+        value = vals[0] * n / f(float(n))
+        leaves = tuple(map(Leaf, coords, signs))
+        root = Split(Interval(coords[0], coords[-1]), n, weights[0], leaves)
+    else:
         raise SizeCapError("support exceeds DP cap", needed=n, cap=cap)
-    table = _build_table(x, f)
-    value = table.norm()
-    return value, PartitionCertificate(_build_cert(table, 0, n - 1, f), value)
+    func = SeqVector(zip(coords, [w * s for w, s in zip(weights, signs)]))
+    return value, PartitionCertificate(root, value, func, analytic=n > cap)
 
 
 def s_norm_value(x: SeqVector, f: GaugeFunction, cap: int = DEFAULT_DP_CAP) -> float:
@@ -320,62 +293,36 @@ def best_partition(
         raise ValidationError(f"a split needs n >= 2 blocks, got {n}")
     if n > len(e):
         raise ValidationError(f"cannot split {e} into {n} nonempty blocks")
-    xe = restrict(x, e)
-    if not xe:
-        cuts = [Interval(e.lo + i, e.lo + i) for i in range(n - 1)]
-        return 0.0, cuts + [Interval(e.lo + n - 1, e.hi)]
-    if len(xe) > cap:
-        raise SizeCapError("support exceeds DP cap", needed=len(xe), cap=cap)
+    entries = restrict(x, e).canonical()
+    size = len(entries)
+    if size > cap:
+        raise SizeCapError("support exceeds DP cap", needed=size, cap=cap)
 
-    table = _build_table(xe, f)
-    m = min(n, table.size)
-    total = table.best[m][0][table.size - 1]
-    runs = _blocks_of(table.bp, 0, table.size - 1, m)
-
-    # Map support runs to covering intervals of e, cutting right after
-    # each run.  Spare blocks (n > m) hold no support; they are carved as
-    # singletons from the trailing gap first, then the leading gap, then
-    # inner gaps left to right.
-    coords = table.coords
-    run_iv = [(coords[s], coords[t]) for s, t in runs]
-    spare = n - m
-    tail_room = e.hi - run_iv[-1][1]
-    lead_room = run_iv[0][0] - e.lo
-    inner_room = [run_iv[j + 1][0] - run_iv[j][1] - 1 for j in range(m - 1)]
-
-    alloc_tail = min(spare, tail_room)
-    rest = spare - alloc_tail
-    alloc_lead = min(rest, lead_room)
-    rest -= alloc_lead
-    alloc_inner = []
-    for room in inner_room:
-        take = min(rest, room)
-        alloc_inner.append(take)
-        rest -= take
-    if rest > 0:
-        raise ValidationError(f"cannot fit {n} blocks around the support inside {e}")
-
-    blocks: List[Interval] = []
-    cursor = e.lo
-    for _ in range(alloc_lead):
-        blocks.append(Interval(cursor, cursor))
-        cursor += 1
-    for j, (_, ce) in enumerate(run_iv[:-1]):
-        blocks.append(Interval(cursor, ce))
-        cursor = ce + 1
-        for _ in range(alloc_inner[j]):
-            blocks.append(Interval(cursor, cursor))
-            cursor += 1
-    if alloc_tail == 0:
-        blocks.append(Interval(cursor, e.hi))
+    # A block ends at each entry of `ends` and at e.hi; every support run
+    # but the last ends a block.  The spare blocks hold no support: each
+    # gap (first cut, room) takes up to `room` of them, the trailing gap
+    # first (its first cut ends the last run), then the leading gap, then
+    # inner gaps left to right.  They always fit, since with n >= size
+    # every run is a single support point.
+    if size:
+        coords = [i for i, _ in entries]
+        best, bp, _ = _dp_core([abs(v) for _, v in entries], f)
+        m = min(n, size)
+        total = best[m][0][size - 1]
+        runs = [(coords[s], coords[t]) for s, t in _blocks_of(bp, 0, size - 1, m)]
+        gaps = [(runs[-1][1], e.hi - runs[-1][1]), (e.lo, runs[0][0] - e.lo)]
+        gaps += [(t + 1, s - t - 1) for (_, t), (s, _) in zip(runs, runs[1:])]
+        ends = [t for _, t in runs[:-1]]
     else:
-        blocks.append(Interval(cursor, run_iv[-1][1]))
-        cursor = run_iv[-1][1] + 1
-        for k in range(alloc_tail):
-            hi = cursor if k < alloc_tail - 1 else e.hi
-            blocks.append(Interval(cursor, hi))
-            cursor = hi + 1
-    return total / f(float(n)), blocks
+        total, m, gaps, ends = 0.0, 1, [(e.lo, len(e))], []
+    spare = n - m
+    for first, room in gaps:
+        take = min(spare, room)
+        ends.extend(range(first, first + take))
+        spare -= take
+    ends.sort()
+    starts = [e.lo] + [t + 1 for t in ends]
+    return total / f(float(n)), [Interval(s, t) for s, t in zip(starts, ends + [e.hi])]
 
 
 def fixed_point_check(
@@ -423,9 +370,9 @@ def summing_norm_table(
         ["n", "dp_value", "closed_form", "abs_diff"],
         metadata={"gauge": f.name, "dp_cap": cap},
     )
-    table = _build_table(SeqVector.from_values([1.0] * n_max), f) if n_max > 1 else None
+    norms = _dp_core([1.0] * n_max, f)[0][1]
     for n in range(1, n_max + 1):
-        dp = 1.0 if n == 1 else table.g[0][n - 1]
+        dp = norms[0][n - 1]
         ref = n / f(float(n))
         report.add_row(n, dp, ref, abs(dp - ref))
     return report

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from banachlab import (
     fixed_point_check,
     lp_norm,
     reference_norm,
+    restrict,
     s_norm,
     s_norm_value,
     summing_norm_table,
@@ -95,11 +97,17 @@ class TestCertificates:
             value, weights = s_norm_weights(vals, F)
             x = SeqVector.from_values(vals)
             ref, cert = s_norm(x, F)
-            assert value == pytest.approx(ref, abs=1e-12)
+            assert value == ref
             func = cert.functional()
-            assert weights == pytest.approx(
-                [func[i] for i in x.support], abs=1e-12
-            )
+            assert weights == [func[i] for i in x.support]
+        # signed, with gaps: |functional| is the weights position by position
+        x = SeqVector({1: 1.8, 4: -1.6, 6: -0.5, 8: 0.7, 10: -1.8, 12: -0.1, 14: -1.7, 16: 1.6})
+        value, weights = s_norm_weights([abs(v) for _, v in x], F)
+        ref, cert = s_norm(x, F)
+        func = cert.functional()
+        assert value == ref
+        assert [abs(func[i]) for i in x.support] == weights
+        assert all(func[i] * v >= 0.0 for i, v in x)
 
     def test_render_mentions_split(self):
         _, cert = s_norm(vec(1, 1, 1), F)
@@ -134,6 +142,34 @@ class TestBestPartition:
         value, blocks = best_partition(SeqVector.basis(1, 5.0), F, Interval(1, 3), 2)
         assert value == pytest.approx(5 / math.log2(3), abs=1e-12)
         assert blocks[0] == Interval(1, 1)
+
+    def test_brute_force_partitions(self):
+        # every covering n-partition of e, enumerated by its block ends
+        for lo in (1, 4):
+            for length in range(2, 7):
+                e = Interval(lo, lo + length - 1)
+                around = range(max(1, lo - 2), e.hi + 3)
+                for k in range(4):
+                    rng = np.random.default_rng(np.random.SeedSequence([47, lo, length, k]))
+                    size = int(rng.integers(1, 5))
+                    coords = rng.choice(around, size=min(size, len(around)), replace=False)
+                    vals = rng.uniform(0.1, 2.0, len(coords)) * rng.choice([-1.0, 1.0], len(coords))
+                    x = SeqVector(zip(coords.tolist(), vals.tolist()))
+                    for n in range(2, length + 1):
+                        value, blocks = best_partition(x, F, e, n)
+                        assert len(blocks) == n
+                        assert blocks[0].lo == e.lo and blocks[-1].hi == e.hi
+                        assert all(p.hi + 1 == q.lo for p, q in zip(blocks, blocks[1:]))
+                        total = sum(s_norm_value(restrict(x, b), F) for b in blocks)
+                        assert total / F(float(n)) == pytest.approx(value, abs=1e-12)
+                        top = max(
+                            sum(
+                                s_norm_value(restrict(x, Interval(s, t)), F)
+                                for s, t in zip((lo,) + tuple(c + 1 for c in cuts), cuts + (e.hi,))
+                            )
+                            for cuts in itertools.combinations(range(lo, e.hi), n - 1)
+                        )
+                        assert value == pytest.approx(top / F(float(n)), abs=1e-12)
 
     def test_too_many_blocks_rejected(self):
         with pytest.raises(ValidationError):
