@@ -56,7 +56,12 @@ EXPERIMENTS = (
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("BANACHLAB_SEED", "0"))
+    raw = os.environ.get("BANACHLAB_SEED", "0")
+    try:
+        value: Any = int(raw)
+    except ValueError:
+        value = raw  # _num rejects it
+    return int(_num({"BANACHLAB_SEED": value}, "BANACHLAB_SEED", 0))
 
 
 def _fmt(v: float) -> str:
@@ -162,11 +167,17 @@ def _require(cfg: Dict[str, Any], name: str, *keys: str) -> None:
         raise ValidationError(f"experiment {name!r} config is missing {missing}")
 
 
-def _num(cfg: Dict[str, Any], key: str, lo: float | None = None, hi: float | None = None):
-    v = cfg[key]
+def _num(
+    cfg: Dict[str, Any],
+    key: str,
+    lo: float | None = None,
+    hi: float | None = None,
+    default: float | None = None,
+):
+    v = cfg.get(key, default)
     if isinstance(v, str) and v == "inf":
         v = math.inf
-    if not isinstance(v, (int, float)):
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"config field {key!r} must be numeric, got {v!r}")
     if lo is not None and v < lo:
         raise ValidationError(f"config field {key!r} must be >= {lo}, got {v}")
@@ -177,7 +188,7 @@ def _num(cfg: Dict[str, Any], key: str, lo: float | None = None, hi: float | Non
 
 def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
     """Validate the config for one driver and produce its report."""
-    seed = int(cfg.get("seed", _default_seed()))
+    seed = int(_num(cfg, "seed", 0)) if "seed" in cfg else _default_seed()
     gauge = gauge_by_name(cfg.get("gauge", "log2p1"))
     t0 = time.perf_counter()
 
@@ -207,7 +218,7 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
             _num(cfg, "p", 1.0),
             gauge,
             int(_num(cfg, "n", 1)),
-            budget=int(cfg.get("budget", 50)),
+            budget=int(_num(cfg, "budget", default=50)),
             seed=seed,
         )
         report = ExperimentReport(["lower", "upper", "best_found"])
@@ -216,7 +227,7 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         _require(cfg, name, "space", "count")
         desc = parse_space(cfg["space"])
         count = int(_num(cfg, "count", 1))
-        m = int(cfg.get("m", 1))
+        m = int(_num(cfg, "m", default=1))
         if m == 1:
             w = g = BlockSequence.basis(count)
         else:
@@ -228,7 +239,7 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
                 tuple(schlumprecht.s_norm(b, gauge_fn)[1].functional() for b in w)
             )
         norm_lower, m_bound = projection_bound(
-            desc, w, g, int(cfg.get("samples", 100)), seed=seed
+            desc, w, g, int(_num(cfg, "samples", default=100)), seed=seed
         )
         report = ExperimentReport(["projection_norm_lower", "dual_bound_M"])
         report.add_row(norm_lower, m_bound)
@@ -243,10 +254,10 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
     elif name == "moduli":
         _require(cfg, name, "space")
         desc = parse_space(cfg["space"])
-        samples = int(cfg.get("samples", 10_000))
-        dim = int(cfg.get("dim", 4))
-        eps = _num(cfg, "eps", 0.0, 2.0) if "eps" in cfg else 1.0
-        tau = _num(cfg, "tau", 0.0, 1.0) if "tau" in cfg else 1.0
+        samples = int(_num(cfg, "samples", default=10_000))
+        dim = int(_num(cfg, "dim", default=4))
+        eps = _num(cfg, "eps", 0.0, 2.0, default=1.0)
+        tau = _num(cfg, "tau", 0.0, 1.0, default=1.0)
         delta = modulus_convexity_estimate(desc, eps, samples, dim=dim, seed=seed)
         rho = modulus_smoothness_estimate(desc, tau, samples, dim=dim, seed=seed)
         report = ExperimentReport(
@@ -261,9 +272,9 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
             _num(cfg, "p", 1.0),
             _num(cfg, "r", 1.0),
             gauge,
-            int(cfg.get("samples", 500)),
+            int(_num(cfg, "samples", default=500)),
             seed=seed,
-            tol=float(cfg.get("tolerance", 1e-8)),
+            tol=float(_num(cfg, "tolerance", default=1e-8)),
         )
     else:
         raise ValidationError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")

@@ -18,6 +18,16 @@ norm, and its recursion across the descriptor tree stays on arrays.
 non-lattice distorted norm.  The caches are keyed by position too, so a
 vector with gaps hits the entry of its compressed twin.
 
+Each piece of state has one owner and one bound.  An evaluator owns its
+norm cache (NORM_CACHE_SIZE norms), the cut pool of its unit ball
+(CUT_POOL_SIZE rows per support size) and the evaluators of its factors,
+built on first use, so a new NormEvaluator is cold all the way down.
+``get_evaluator`` is the only place evaluators are shared; its module
+registry keeps REGISTRY_SIZE of them.  Every bound drops the oldest
+entries first, and none changes a value beyond the evaluator tolerance:
+cached norms are recomputed on a miss, and pooled cuts only warm-start
+the dual LP.
+
 The core drives the Calderon-product solver: the norm of X^(1-t) Y^t at
 z is minimized over the log-parameterization x_i = |z_i| e^{t s_i},
 y_i = |z_i| e^{-(1-t) s_i} (which enforces |x|^(1-t) |y|^t = |z|
@@ -79,7 +89,6 @@ __all__ = [
     "NormEvaluator",
     "get_evaluator",
     "calderon_norm",
-    "contains_non_lattice",
 ]
 
 # default relative tolerances by evaluation branch
@@ -89,15 +98,16 @@ TOL_ITERATIVE = 1e-6
 
 DEFAULT_BUDGET = 10_000
 
+# bounds on evaluator state; each drops its oldest entries first
+NORM_CACHE_SIZE = 1 << 14  # norms cached per evaluator
+REGISTRY_SIZE = 64  # evaluators shared by get_evaluator
+CUT_POOL_SIZE = 256  # cut rows kept per support size of a ball
+
 
 class NormingResult(NamedTuple):
     value: float
     functional: SeqVector
     pairing: float
-
-    @property
-    def gap(self) -> float:
-        return self.value - self.pairing
 
 
 @dataclass
@@ -116,16 +126,15 @@ class Factorization:
         return (self.achieved_value - self.lower_bound) / self.achieved_value
 
 
-def contains_non_lattice(d: SpaceDescriptor) -> bool:
-    if isinstance(d, YDistortion):
-        return True
-    if isinstance(d, Convexified):
-        return contains_non_lattice(d.base)
-    if isinstance(d, CalderonProduct):
-        return contains_non_lattice(d.x) or contains_non_lattice(d.y)
-    if isinstance(d, Dual):
-        return contains_non_lattice(d.base)
-    return False
+def _memo(cache: dict, key, make, size: int):
+    """cache[key], made on a miss; beyond `size` entries the oldest goes."""
+    got = cache.get(key)
+    if got is None:
+        got = make()
+        if len(cache) >= size:
+            del cache[next(iter(cache))]
+        cache[key] = got
+    return got
 
 
 def _normalize(d: SpaceDescriptor) -> SpaceDescriptor:
@@ -140,7 +149,11 @@ def _normalize(d: SpaceDescriptor) -> SpaceDescriptor:
 
 
 class NormEvaluator:
-    """Deterministic norm/norming evaluator with a positional cache."""
+    """Deterministic norm/norming evaluator with a positional cache.
+
+    It owns the evaluators of its factors, so a new instance is cold all
+    the way down.
+    """
 
     def __init__(
         self,
@@ -155,8 +168,8 @@ class NormEvaluator:
         self.budget = budget
         self.tol = tol if tol is not None else self._default_tol()
         self._norm_cache: Dict[tuple, float] = {}
-        self._sol_cache: Dict[tuple, "_CalderonSolution"] = {}
         self._dual_cuts: Dict[int, List[np.ndarray]] = {}  # cuts of this unit ball
+        self._children: Dict[SpaceDescriptor, NormEvaluator] = {}
 
     # -- configuration ----------------------------------------------------
 
@@ -169,7 +182,11 @@ class NormEvaluator:
         return TOL_ITERATIVE
 
     def _child(self, desc: SpaceDescriptor) -> "NormEvaluator":
-        return get_evaluator(desc, tol=max(self.tol * 0.25, 1e-10), budget=self.budget)
+        child = self._children.get(desc)
+        if child is None:
+            child = NormEvaluator(desc, tol=max(self.tol * 0.25, 1e-10), budget=self.budget)
+            self._children[desc] = child
+        return child
 
     # -- the norming core ---------------------------------------------------
 
@@ -212,11 +229,8 @@ class NormEvaluator:
         raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
 
     def _cached_norm(self, v: np.ndarray) -> float:
-        key = tuple(v.tolist())
-        got = self._norm_cache.get(key)
-        if got is None:
-            got = self._norm_cache[key] = self.norming_values(v)[0]
-        return got
+        return _memo(self._norm_cache, tuple(v.tolist()),
+                     lambda: self.norming_values(v)[0], NORM_CACHE_SIZE)
 
     # -- boundary wrappers on SeqVectors ------------------------------------
 
@@ -241,13 +255,7 @@ class NormEvaluator:
 
     def _solve_product(self, v: np.ndarray) -> "_CalderonSolution":
         d = self.impl
-        assert isinstance(d, CalderonProduct)
-        key = tuple(v.tolist())
-        sol = self._sol_cache.get(key)
-        if sol is None:
-            evx, evy = self._child(d.x), self._child(d.y)
-            sol = _calderon_solve(evx, evy, d.theta, v, self.tol, self.budget)
-            self._sol_cache[key] = sol
+        sol = _calderon_solve(self._child(d.x), self._child(d.y), d.theta, v, self.tol, self.budget)
         if not sol.converged:
             budget_out = sol.evals >= self.budget
             why = "the budget ran out" if budget_out else "the cutting-plane LP failed"
@@ -313,8 +321,9 @@ def _cutting_plane_dual(
     The cut pool belongs to the ball it cuts, oracle._dual_cuts, and maps
     a support size to cut rows by position (all implemented spaces are
     spreading invariant).  It is a warm start only: the call copies the
-    rows for its size, works on the copy and writes the copy back when it
-    ends, so no call sees a pool that changes under it.
+    rows for its size, works on the copy and writes the newest
+    CUT_POOL_SIZE rows back when it ends, so no call sees a pool that
+    changes under it.
     """
     n = len(c)
     scale = float(c.max())  # dual norms are homogeneous; keep the LP well scaled
@@ -385,7 +394,7 @@ def _cutting_plane_dual(
         raise ConvergenceError("dual-norm LP exceeded round limit",
                                scale * best_val, scale * lpval)
     finally:
-        oracle._dual_cuts[n] = cuts
+        oracle._dual_cuts[n] = cuts[-CUT_POOL_SIZE:]
 
 
 # -- Calderon product solver --------------------------------------------------
@@ -600,13 +609,13 @@ def get_evaluator(
     tol: Optional[float] = None,
     budget: int = DEFAULT_BUDGET,
 ) -> NormEvaluator:
-    """Shared evaluator instances (caches persist across calls)."""
-    key = (descriptor, tol, budget)
-    ev = _registry.get(key)
-    if ev is None:
-        ev = NormEvaluator(descriptor, tol=tol, budget=budget)
-        _registry[key] = ev
-    return ev
+    """The shared evaluator of (descriptor, tol, budget).
+
+    Its caches persist across calls; the registry keeps the newest
+    REGISTRY_SIZE evaluators.
+    """
+    return _memo(_registry, (descriptor, tol, budget),
+                 lambda: NormEvaluator(descriptor, tol=tol, budget=budget), REGISTRY_SIZE)
 
 
 def convexified_norm(base: SpaceDescriptor, p: float, x: SeqVector) -> float:
@@ -630,8 +639,6 @@ def calderon_norm(
     for an empty z, and ConvergenceError (carrying the bracket) if the
     certified gap cannot be closed within the evaluation budget.
     """
-    if contains_non_lattice(x_space) or contains_non_lattice(y_space):
-        raise UnsupportedSpaceError("Calderon product factors must be lattice norms")
     if not z:
         raise ValidationError("Calderon norm needs a nonzero vector")
     desc = CalderonProduct(x_space, y_space, theta)

@@ -77,12 +77,6 @@ class BlockSequence:
     def __getitem__(self, k: int) -> SeqVector:
         return self.blocks[k]
 
-    def prefix_sum(self, n: int) -> SeqVector:
-        out = SeqVector()
-        for b in self.blocks[:n]:
-            out = out + b
-        return out
-
     @classmethod
     def basis(cls, count: int, start: int = 1) -> "BlockSequence":
         return cls(tuple(SeqVector.basis(start + k) for k in range(count)))

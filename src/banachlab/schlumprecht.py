@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 from .errors import SizeCapError, ValidationError
 from .gauges import GaugeFunction
@@ -106,8 +106,9 @@ class PartitionCertificate:
 
     def render(self, indent: str = "  ") -> str:
         lines: List[str] = []
-
-        def walk(node: CertNode, depth: int) -> None:
+        stack: List[Tuple[CertNode, int]] = [(self.root, 0)]
+        while stack:
+            node, depth = stack.pop()
             pad = indent * depth
             if isinstance(node, Leaf):
                 sgn = "+" if node.sign >= 0 else "-"
@@ -117,10 +118,7 @@ class PartitionCertificate:
                     f"{pad}split n={node.count} w={node.weight:.6g} "
                     f"[{node.interval.lo}..{node.interval.hi}]"
                 )
-                for child in node.children:
-                    walk(child, depth + 1)
-
-        walk(self.root, 0)
+                stack.extend((child, depth + 1) for child in reversed(node.children))
         return "\n".join(lines)
 
 
@@ -386,21 +384,14 @@ REFERENCE_CAP = 12
 @lru_cache(maxsize=None)
 def _run_sequences(length: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     """All sequences of >= 2 disjoint increasing runs inside 0..length-1."""
-
-    @lru_cache(maxsize=None)
-    def tails(start: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
-        if start >= length:
-            return ((),)
-        out = list(tails(start + 1))  # position unused
-        for s in (start,):
-            for e in range(s, length):
-                for rest in tails(e + 1):
-                    out.append(((s, e),) + rest)
-        return tuple(out)
-
-    seqs = tuple(seq for seq in tails(0) if len(seq) >= 2)
-    tails.cache_clear()
-    return seqs
+    # tails[s]: the run sequences inside s..length-1, filled from the right
+    tails = [((),)] * (length + 1)
+    for s in range(length - 1, -1, -1):
+        out = list(tails[s + 1])  # position s unused
+        for e in range(s, length):
+            out.extend(((s, e),) + rest for rest in tails[e + 1])
+        tails[s] = tuple(out)
+    return tuple(seq for seq in tails[0] if len(seq) >= 2)
 
 
 def reference_norm(x: SeqVector, f: GaugeFunction, cap: int = REFERENCE_CAP) -> float:
@@ -417,24 +408,22 @@ def reference_norm(x: SeqVector, f: GaugeFunction, cap: int = REFERENCE_CAP) -> 
     if len(x) > cap:
         raise SizeCapError("reference evaluator cap", needed=len(x), cap=cap)
     vals = tuple(abs(v) for _, v in x)
-
-    memo: Dict[Tuple[int, int], float] = {}
-
-    def rec(a: int, b: int) -> float:
-        key = (a, b)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        best = max(vals[a : b + 1])
-        for seq in _run_sequences(b - a + 1):
-            total = math.fsum(rec(a + s, a + e) for s, e in seq)
-            cand = total / f(float(len(seq)))
-            if cand > best:
-                best = cand
-        memo[key] = best
-        return best
-
-    return rec(0, len(vals) - 1)
+    n = len(vals)
+    # value[a][b] for positions a..b, by increasing length: every run of a
+    # sequence is shorter than the interval it lies in
+    value = [[0.0] * n for _ in range(n)]
+    for length in range(1, n + 1):
+        seqs = _run_sequences(length)
+        for a in range(n - length + 1):
+            b = a + length - 1
+            best = max(vals[a : b + 1])
+            for seq in seqs:
+                total = math.fsum(value[a + s][a + e] for s, e in seq)
+                cand = total / f(float(len(seq)))
+                if cand > best:
+                    best = cand
+            value[a][b] = best
+    return value[0][n - 1]
 
 
 def iterate_defining_map(

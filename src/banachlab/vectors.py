@@ -117,9 +117,6 @@ class SeqVector:
     def __neg__(self) -> "SeqVector":
         return (-1.0) * self
 
-    def abs(self) -> "SeqVector":
-        return SeqVector((i, math.fabs(v)) for i, v in self._entries.items())
-
     def __repr__(self) -> str:
         body = ",".join(f"{i}:{v:.6g}" for i, v in self)
         return f"SeqVector({body})"
@@ -144,15 +141,6 @@ class Interval:
 
     def __lt__(self, other: "Interval") -> bool:
         return self.hi < other.lo
-
-    def overlaps(self, other: "Interval") -> bool:
-        return not (self.hi < other.lo or other.hi < self.lo)
-
-    @classmethod
-    def spanning(cls, x: SeqVector) -> "Interval":
-        if not x:
-            raise ValidationError("cannot span an empty vector")
-        return cls(x.min_index(), x.max_index())
 
     def __repr__(self) -> str:
         return f"[{self.lo}..{self.hi}]"

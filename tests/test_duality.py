@@ -20,6 +20,7 @@ from banachlab import (
     s_norm,
     s_norm_value,
 )
+from banachlab import engine
 from banachlab.calderon import lp_product_oracle
 from banachlab.descriptors import CalderonProduct
 from banachlab.errors import ValidationError
@@ -95,7 +96,7 @@ class TestWarmCutPool:
         rng = np.random.default_rng(17)
         vectors = [SeqVector.from_values([1.0] * n) for n in range(1, 11)]
         vectors += [rand_vec(rng, dmax=10) for _ in range(6)]
-        ev = NormEvaluator(Dual(S))  # not the shared registry instance
+        ev = NormEvaluator(Dual(S))  # a private tree: its S child and cut pool start empty
         cold = [ev.norming(g) for g in vectors]
         warm = [ev.norming(g) for g in vectors]
         for g, a, b in zip(vectors, cold, warm):
@@ -103,6 +104,24 @@ class TestWarmCutPool:
             for res in (a, b):
                 assert s_norm_value(res.functional, F) <= 1.0 + 1e-8
                 assert pairing(res.functional, g) == pytest.approx(res.value, rel=1e-6)
+
+    def test_new_evaluator_is_cold_all_the_way_down(self):
+        shared = get_evaluator(Dual(S))
+        shared.norming(SeqVector.from_values([1.0, 0.5, 0.25]))
+        assert shared._child(S)._dual_cuts
+        assert NormEvaluator(Dual(S))._child(S)._dual_cuts == {}
+
+    def test_pools_keep_the_newest_rows(self, monkeypatch):
+        monkeypatch.setattr(engine, "CUT_POOL_SIZE", 4)
+        rng = np.random.default_rng(19)
+        vectors = [rand_vec(rng, dmax=8) for _ in range(8)]
+        cold = [NormEvaluator(Dual(S)).norming(g).value for g in vectors]
+        ev = NormEvaluator(Dual(S))
+        for _ in range(2):
+            warm = [ev.norming(g).value for g in vectors]
+            assert warm == pytest.approx(cold, abs=1e-6)
+        pools = ev._child(S)._dual_cuts
+        assert pools and max(len(rows) for rows in pools.values()) <= 4
 
     @pytest.mark.parametrize("space", [S, Lp(3)])
     def test_bidual_repeat_agrees(self, space):

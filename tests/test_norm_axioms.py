@@ -24,6 +24,7 @@ from banachlab import (
     s_norm_value,
     space_spr,
 )
+from banachlab import engine
 from banachlab.descriptors import CalderonProduct
 
 F = LOG2P1
@@ -102,6 +103,27 @@ def test_evaluator_determinism():
     fresh = get_evaluator(CalderonProduct(Lp(1), S, 0.5), tol=2e-7).norm(x)
     assert first == again
     assert first == pytest.approx(fresh, rel=1e-6)
+
+
+def test_registry_keeps_the_newest(monkeypatch):
+    monkeypatch.setattr(engine, "_registry", {})
+    monkeypatch.setattr(engine, "REGISTRY_SIZE", 3)
+    x = SeqVector.from_values([0.4, 1.1, 0.7])
+    products = [CalderonProduct(Lp(1 + k / 4), Lp(math.inf), 0.5) for k in range(10)]
+    first = [get_evaluator(d).norm(x) for d in products]
+    assert len(engine._registry) <= 3
+    assert [get_evaluator(d).norm(x) for d in products] == first
+
+
+@pytest.mark.parametrize("desc", [S, Dual(S), Convexified(S, 2.0)], ids=str)
+def test_small_norm_cache(monkeypatch, desc):
+    vectors = [sample_pair(k, dmax=6)[0] for k in range(6)]
+    ref = [NormEvaluator(desc).norm(x) for x in vectors]
+    monkeypatch.setattr(engine, "NORM_CACHE_SIZE", 2)
+    ev = NormEvaluator(desc)
+    for _ in range(2):
+        assert [ev.norm(x) for x in vectors] == pytest.approx(ref, rel=1e-6)
+    assert len(ev._norm_cache) <= 2
 
 
 @pytest.mark.parametrize(

@@ -193,3 +193,31 @@ class TestExperimentCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")
         assert entrypoint(["experiment", "summing", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize(
+        "name, cfg",
+        [
+            ("projection", {"space": "s:log2p1", "count": 2, "seed": "abc"}),
+            ("projection", {"space": "s:log2p1", "count": 2, "seed": -1}),
+            ("projection", {"space": "s:log2p1", "count": 2, "samples": "many"}),
+            ("projection", {"space": "s:log2p1", "count": 2, "m": "two"}),
+            ("summing", {"n_max": True}),
+            ("beta", {"space": "s:log2p1", "p": 1, "n": 2, "budget": "lots"}),
+            ("moduli", {"space": "l2", "samples": 3, "dim": "x"}),
+            ("classx", {"space": "s:log2p1", "p": 1, "r": "inf", "tolerance": "tight"}),
+        ],
+    )
+    def test_bad_config_field_exits_2(self, tmp_path, capsys, name, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert entrypoint(["experiment", name, "--config", str(path)]) == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_seed_from_environment(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_max": 2, "format": "json"}))
+        monkeypatch.setenv("BANACHLAB_SEED", "7")
+        assert entrypoint(["experiment", "summing", "--config", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["metadata"]["seed"] == 7
+        monkeypatch.setenv("BANACHLAB_SEED", "abc")
+        assert entrypoint(["experiment", "summing", "--config", str(path)]) == 2

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 
@@ -113,6 +114,23 @@ class TestCertificates:
         _, cert = s_norm(vec(1, 1, 1), F)
         text = cert.render()
         assert "split n=3" in text and "leaf" in text
+
+
+def test_no_reference_cycles():
+    # the oracle and the renderer leave nothing for the cyclic collector
+    x = vec(1, 0.5, 0.3, 0.9, 0.2, 0.7, 0.4, 0.6)
+    _, cert = s_norm(x, F)
+    reference_norm(x, F)  # fills the run-sequence cache
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for call in (lambda: reference_norm(x, F), cert.render):
+            call()
+            assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 class TestTies:
