@@ -186,10 +186,17 @@ def _num(
     return v
 
 
+def _text(cfg: Dict[str, Any], key: str, default: str | None = None) -> str:
+    v = cfg.get(key, default)
+    if not isinstance(v, str):
+        raise ValidationError(f"config field {key!r} must be a string, got {v!r}")
+    return v
+
+
 def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
     """Validate the config for one driver and produce its report."""
     seed = int(_num(cfg, "seed", 0)) if "seed" in cfg else _default_seed()
-    gauge = gauge_by_name(cfg.get("gauge", "log2p1"))
+    gauge = gauge_by_name(_text(cfg, "gauge", "log2p1"))
     t0 = time.perf_counter()
 
     if name == "summing":
@@ -197,7 +204,7 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         report = schlumprecht.summing_norm_table(int(_num(cfg, "n_max", 1)), gauge)
     elif name == "block-growth":
         _require(cfg, name, "space", "p", "m", "count")
-        desc = parse_space(cfg["space"])
+        desc = parse_space(_text(cfg, "space"))
         p = _num(cfg, "p", 1.0)
         m = int(_num(cfg, "m", 1))
         count = int(_num(cfg, "count", 1))
@@ -205,14 +212,14 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         report = block_sum_growth(desc, p, blocks)
     elif name == "vn":
         _require(cfg, name, "space", "p", "n_max")
-        desc = parse_space(cfg["space"])
+        desc = parse_space(_text(cfg, "space"))
         p = _num(cfg, "p", 1.0)
         n_max = int(_num(cfg, "n_max", 1))
         basis = BlockSequence.basis(2 ** (n_max + 1))
         report = vn_averages(desc, p, basis, n_max)
     elif name == "beta":
         _require(cfg, name, "space", "p", "n")
-        desc = parse_space(cfg["space"])
+        desc = parse_space(_text(cfg, "space"))
         lower, upper, best = beta_estimate(
             desc,
             _num(cfg, "p", 1.0),
@@ -225,9 +232,10 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         report.add_row(lower, upper, best)
     elif name == "projection":
         _require(cfg, name, "space", "count")
-        desc = parse_space(cfg["space"])
+        desc = parse_space(_text(cfg, "space"))
         count = int(_num(cfg, "count", 1))
         m = int(_num(cfg, "m", default=1))
+        samples = int(_num(cfg, "samples", 1, default=100))
         if m == 1:
             w = g = BlockSequence.basis(count)
         else:
@@ -238,9 +246,7 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
             g = BlockSequence(
                 tuple(schlumprecht.s_norm(b, gauge_fn)[1].functional() for b in w)
             )
-        norm_lower, m_bound = projection_bound(
-            desc, w, g, int(_num(cfg, "samples", default=100)), seed=seed
-        )
+        norm_lower, m_bound = projection_bound(desc, w, g, samples, seed=seed)
         report = ExperimentReport(["projection_norm_lower", "dual_bound_M"])
         report.add_row(norm_lower, m_bound)
     elif name == "distortion":
@@ -253,9 +259,9 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         report.add_row(plus, minus, ratio)
     elif name == "moduli":
         _require(cfg, name, "space")
-        desc = parse_space(cfg["space"])
+        desc = parse_space(_text(cfg, "space"))
         samples = int(_num(cfg, "samples", default=10_000))
-        dim = int(_num(cfg, "dim", default=4))
+        dim = int(_num(cfg, "dim", 1, default=4))
         eps = _num(cfg, "eps", 0.0, 2.0, default=1.0)
         tau = _num(cfg, "tau", 0.0, 1.0, default=1.0)
         delta = modulus_convexity_estimate(desc, eps, samples, dim=dim, seed=seed)
@@ -266,13 +272,13 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         report.add_row(eps, delta, tau, rho)
     elif name == "classx":
         _require(cfg, name, "space", "p", "r")
-        desc = parse_space(cfg["space"])
+        desc = parse_space(_text(cfg, "space"))
         report = classX_verify(
             desc,
             _num(cfg, "p", 1.0),
             _num(cfg, "r", 1.0),
             gauge,
-            int(_num(cfg, "samples", default=500)),
+            int(_num(cfg, "samples", 1, default=500)),
             seed=seed,
             tol=float(_num(cfg, "tolerance", default=1e-8)),
         )

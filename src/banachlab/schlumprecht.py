@@ -24,6 +24,16 @@ consumer: the norm, the certificate tree and the best n-way partition.
 One walk of the extremal tree, `_tree_weights`, gives both the weights of
 `s_norm_weights` and the norming functional stored in the certificate.
 
+The table has two implementations with equal entries.  Below
+`DP_NUMPY_MIN` (16) positions a pure-Python loop fills it: the Calderon
+solver and the dual LP call the DP tens of thousands of times at N <= 12,
+where numpy's per-call overhead makes it about 4x slower (0.17 ms against
+0.04 ms at N = 5 on a 2-CPU host).  From 16 on a numpy wavefront over
+interval length fills it, O(N^4) work in O(N) array steps, about 11x
+faster at N = 64 (13 ms against 146 ms).  `BENCH_8.json` has the table.
+Readers convert what they take out of the table to Python `float` and
+`int`, so no numpy scalar reaches a caller.
+
 The reference evaluator makes neither reduction over block placement:
 it enumerates every sequence of two or more disjoint runs, gaps
 included, at every recursion level.
@@ -35,6 +45,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple, Union
+
+import numpy as np
 
 from .errors import SizeCapError, ValidationError
 from .gauges import GaugeFunction
@@ -56,6 +68,8 @@ __all__ = [
 ]
 
 DEFAULT_DP_CAP = 64
+# support size from which `_dp_core` runs the numpy wavefront (see there)
+DP_NUMPY_MIN = 16
 
 
 # -- certificates -------------------------------------------------------
@@ -135,7 +149,22 @@ def _dp_core(vals: Sequence[float], f: GaugeFunction):
       in a..b, earliest on ties.
     * split[a][b]: the block count attaining best[1][a][b], 1 for the leaf;
       a split must beat the leaf strictly, the smallest m winning ties.
+
+    Below DP_NUMPY_MIN positions, where numpy's per-call overhead costs
+    more than it saves, the tables are nested lists from `_dp_loop`; from
+    there on they are numpy arrays from `_dp_numpy`.  The two agree entry
+    by entry wherever m <= b - a + 1; the other entries (no such
+    partition) are unspecified, 0.0 in the lists and -inf in the arrays.
+    Readers convert what they take out with `float` and `int`.
     """
+    if len(vals) >= DP_NUMPY_MIN:
+        return _dp_numpy(vals, f)
+    return _dp_loop(vals, f)
+
+
+def _dp_loop(vals: Sequence[float], f: GaugeFunction):
+    """`_dp_core` in pure Python: the small-N path, and the reference for
+    the numpy tables."""
     n = len(vals)
     split = [[1] * n for _ in range(n)]
     best = [[[0.0] * n for _ in range(n)] for _ in range(n + 1)]
@@ -178,6 +207,62 @@ def _dp_core(vals: Sequence[float], f: GaugeFunction):
     return best, bp, split
 
 
+def _strided(table: np.ndarray, offset: int, shape, strides) -> np.ndarray:
+    """A view of `table` from flat element `offset`, strides in elements."""
+    size = table.itemsize
+    return np.ndarray(shape, table.dtype, table, offset * size, [t * size for t in strides])
+
+
+def _dp_numpy(vals: Sequence[float], f: GaugeFunction):
+    """`_dp_core` as a numpy wavefront: one length L at a time, all (m, a, k).
+
+    With j = k - a, both terms of best[1][a][k] + best[m-1][k+1][b] are
+    affine in (m, a, j) on the flat table, so two strided views give the
+    (L-1, N-L+1, L-1) block of candidates, and the cells (m, a, a+L-1)
+    written back are one strided view per table.  A cell with no partition
+    of k+1..b into m-1 blocks reads -inf and never wins.  The first
+    arg-max over j is the earliest k, over m the smallest count, as the
+    loop's strict `>` picks them; the same float operations give the same
+    bits, so the tables equal the loop's entry by entry.
+    """
+    n = len(vals)
+    nn = n * n
+    v = np.asarray(vals, dtype=float)
+    best = np.full((n + 1, n, n), -np.inf)
+    bp = np.zeros((n + 1, n, n), dtype=np.intp)
+    split = np.ones((n, n), dtype=np.intp)
+    finv = np.array([1.0 / f(float(m)) for m in range(2, n + 1)])
+
+    pos = np.arange(n)
+    best[1, pos, pos] = v
+    bp[1, pos, pos] = pos
+    for length in range(2, n + 1):
+        a, b = pos[: n - length + 1], pos[length - 1 :]
+        shape = (length - 1, len(a), length - 1)  # (m - 2, a, j)
+        cand = _strided(best, nn, shape, (0, n + 1, 1)) + _strided(
+            best, nn + n + length - 1, shape, (nn, n + 1, n)
+        )
+        first = cand.argmax(axis=2)
+        top = np.take_along_axis(cand, first[..., None], 2)[..., 0]
+        cells = (2 * nn + length - 1, top.shape, (nn, n + 1))  # m >= 2, a, b
+        _strided(best, *cells)[...] = top
+        _strided(bp, *cells)[...] = first + a
+
+        # leaf: largest value, earliest on ties; a split must beat it strictly
+        prev = _strided(bp, nn + length - 2, a.shape, (n + 1,))
+        leaf = np.where(v[b] > v[prev], b, prev)
+        scaled = top * finv[: length - 1, None]
+        m = scaled.argmax(axis=0)
+        split_val, leaf_val = scaled[m, a], v[leaf]
+        wins = split_val > leaf_val
+        cells = (nn + length - 1, a.shape, (n + 1,))  # m = 1, a, b
+        _strided(bp, *cells)[...] = leaf
+        _strided(best, *cells)[...] = np.where(wins, split_val, leaf_val)
+        _strided(split, length - 1, a.shape, (n + 1,))[...] = np.where(wins, m + 2, 1)
+
+    return best, bp, split
+
+
 def _blocks_of(bp: List[List[List[int]]], a: int, b: int, m: int) -> List[Tuple[int, int]]:
     """The m blocks of the earliest maximizing partition of positions a..b."""
     blocks = []
@@ -210,7 +295,7 @@ def _tree_weights(bp, split, f: GaugeFunction, n: int) -> List[float]:
 
 
 def _build_cert(coords, signs, bp, split, f: GaugeFunction, a: int, b: int) -> CertNode:
-    m = split[a][b]
+    m = int(split[a][b])
     if m == 1:
         i = bp[1][a][b]
         return Leaf(coords[i], signs[i])
@@ -231,7 +316,7 @@ def s_norm_weights(vals: Sequence[float], f: GaugeFunction) -> Tuple[float, List
     if n == 1:
         return vals[0], [1.0]
     best, bp, split = _dp_core(vals, f)
-    return best[1][0][n - 1], _tree_weights(bp, split, f, n)
+    return float(best[1][0][n - 1]), _tree_weights(bp, split, f, n)
 
 
 def s_norm(
@@ -253,7 +338,7 @@ def s_norm(
     vals = [abs(v) for _, v in entries]
     if n <= cap:
         best, bp, split = _dp_core(vals, f)
-        value = best[1][0][n - 1]
+        value = float(best[1][0][n - 1])
         weights = _tree_weights(bp, split, f, n)
         root = _build_cert(coords, signs, bp, split, f, 0, n - 1)
     elif max(vals) - min(vals) <= 1e-15 * max(vals):
@@ -306,7 +391,7 @@ def best_partition(
         coords = [i for i, _ in entries]
         best, bp, _ = _dp_core([abs(v) for _, v in entries], f)
         m = min(n, size)
-        total = best[m][0][size - 1]
+        total = float(best[m][0][size - 1])
         runs = [(coords[s], coords[t]) for s, t in _blocks_of(bp, 0, size - 1, m)]
         gaps = [(runs[-1][1], e.hi - runs[-1][1]), (e.lo, runs[0][0] - e.lo)]
         gaps += [(t + 1, s - t - 1) for (_, t), (s, _) in zip(runs, runs[1:])]
@@ -370,7 +455,7 @@ def summing_norm_table(
     )
     norms = _dp_core([1.0] * n_max, f)[0][1]
     for n in range(1, n_max + 1):
-        dp = norms[0][n - 1]
+        dp = float(norms[0][n - 1])
         ref = n / f(float(n))
         report.add_row(n, dp, ref, abs(dp - ref))
     return report

@@ -205,6 +205,13 @@ class TestExperimentCommand:
             ("beta", {"space": "s:log2p1", "p": 1, "n": 2, "budget": "lots"}),
             ("moduli", {"space": "l2", "samples": 3, "dim": "x"}),
             ("classx", {"space": "s:log2p1", "p": 1, "r": "inf", "tolerance": "tight"}),
+            # non-string text fields
+            ("vn", {"space": 5, "p": 1, "n_max": 2}),
+            ("summing", {"n_max": 3, "gauge": 5}),
+            # zero counts that would make the check vacuous
+            ("classx", {"space": "s:log2p1", "p": 1, "r": "inf", "samples": 0}),
+            ("projection", {"space": "s:log2p1", "count": 2, "samples": 0}),
+            ("moduli", {"space": "l2", "samples": 3, "dim": 0}),
         ],
     )
     def test_bad_config_field_exits_2(self, tmp_path, capsys, name, cfg):

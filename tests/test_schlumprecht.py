@@ -22,7 +22,14 @@ from banachlab import (
     summing_norm_table,
 )
 from banachlab.errors import SizeCapError, ValidationError
-from banachlab.schlumprecht import iterate_defining_map, s_norm_weights
+from banachlab.schlumprecht import (
+    DP_NUMPY_MIN,
+    _dp_core,
+    _dp_loop,
+    _dp_numpy,
+    iterate_defining_map,
+    s_norm_weights,
+)
 
 F = LOG2P1
 
@@ -143,6 +150,53 @@ class TestTies:
         r1 = s_norm(x, F)[1].render()
         r2 = s_norm(x, F)[1].render()
         assert r1 == r2
+
+
+class TestDpPaths:
+    """The numpy wavefront and the pure-Python loop fill the same tables."""
+
+    @staticmethod
+    def inputs(n):
+        rng = np.random.default_rng(np.random.SeedSequence([46, n]))
+        yield "uniform", list(rng.uniform(0.05, 2.0, n))
+        yield "constant", [1.0] * n  # every partition ties
+        yield "dyadic", list(rng.integers(1, 5, n) / 4.0)  # exact sums tie
+
+    @pytest.mark.parametrize("f", [LOG2P1, ONE], ids=lambda f: f.name)
+    def test_tables_equal_entry_by_entry(self, f):
+        for n in range(1, 41):
+            m, a, b = np.ogrid[: n + 1, :n, :n]
+            cells = (m >= 1) & (m <= b - a + 1)  # the entries the tables define
+            for kind, vals in self.inputs(n):
+                loop, wave = _dp_loop(vals, f), _dp_numpy(vals, f)
+                for name, lt, wt, mask in zip(
+                    ("best", "bp", "split"), loop, wave, (cells, cells, cells[1])
+                ):
+                    same = np.asarray(lt)[mask] == wt[mask]
+                    assert same.all(), (f.name, kind, n, name)
+
+    def test_dispatch_on_support_size(self):
+        below = _dp_core([1.0] * (DP_NUMPY_MIN - 1), F)
+        at = _dp_core([1.0] * DP_NUMPY_MIN, F)
+        assert all(isinstance(t, list) for t in below)
+        assert all(isinstance(t, np.ndarray) for t in at)
+
+    def test_readers_return_python_numbers(self):
+        rng = np.random.default_rng(47)
+        vals = rng.uniform(0.05, 2.0, 20)
+        assert len(vals) >= DP_NUMPY_MIN
+        x = SeqVector({2 * i + 1: v for i, v in enumerate(vals)})
+        value, cert = s_norm(x, F)
+        assert type(value) is float
+        assert all(type(w) is float for _, w in cert.functional())
+        assert type(cert.root.count) is int
+        value, weights = s_norm_weights(list(vals), F)
+        assert type(value) is float and all(type(w) is float for w in weights)
+        total, blocks = best_partition(x, F, Interval(1, 45), 5)
+        assert type(total) is float
+        assert all(type(e.lo) is int and type(e.hi) is int for e in blocks)
+        for row in summing_norm_table(20, F).rows:
+            assert [type(c) for c in row] == [int, float, float, float]
 
 
 class TestBestPartition:
