@@ -260,7 +260,7 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
     elif name == "moduli":
         _require(cfg, name, "space")
         desc = parse_space(_text(cfg, "space"))
-        samples = int(_num(cfg, "samples", default=10_000))
+        samples = int(_num(cfg, "samples", 0, default=10_000))
         dim = int(_num(cfg, "dim", 1, default=4))
         eps = _num(cfg, "eps", 0.0, 2.0, default=1.0)
         tau = _num(cfg, "tau", 0.0, 1.0, default=1.0)
@@ -280,7 +280,7 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
             gauge,
             int(_num(cfg, "samples", 1, default=500)),
             seed=seed,
-            tol=float(_num(cfg, "tolerance", default=1e-8)),
+            tol=float(_num(cfg, "tolerance", 0.0, default=1e-8)),
         )
     else:
         raise ValidationError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")

@@ -24,7 +24,6 @@ from .vectors import SeqVector
 __all__ = [
     "Lp",
     "Schlumprecht",
-    "DualSchlumprecht",
     "Convexified",
     "CalderonProduct",
     "Dual",
@@ -49,13 +48,6 @@ class Lp:
 
 @dataclass(frozen=True)
 class Schlumprecht:
-    gauge: GaugeFunction
-
-
-@dataclass(frozen=True)
-class DualSchlumprecht:
-    """Dual of the Schlumprecht space; evaluated by a cutting-plane LP."""
-
     gauge: GaugeFunction
 
 
@@ -109,7 +101,7 @@ class YDistortion:
 
 
 SpaceDescriptor = Union[
-    Lp, Schlumprecht, DualSchlumprecht, Convexified, CalderonProduct, Dual, YDistortion
+    Lp, Schlumprecht, Convexified, CalderonProduct, Dual, YDistortion
 ]
 
 _GAUGE_NAMES = {"log2p1", "sqrt", "one", "identity", "pow"}
@@ -187,8 +179,6 @@ def space_to_str(d: SpaceDescriptor) -> str:
         return f"l{_num(d.p)}"
     if isinstance(d, Schlumprecht):
         return f"s:{d.gauge.name}"
-    if isinstance(d, DualSchlumprecht):
-        return f"dual:s:{d.gauge.name}"
     if isinstance(d, Convexified):
         return f"conv:{space_to_str(d.base)}:{_num(d.p)}"
     if isinstance(d, CalderonProduct):
@@ -215,14 +205,14 @@ def dual_descriptor(d: SpaceDescriptor) -> SpaceDescriptor:
 
     Uses the classical closed forms: (lp)* = lq, and the duality theorem
     for lattice products (X^(1-t) Y^t)* = (X*)^(1-t) (Y*)^t.  A
-    p-convexification is first rewritten as base^(1/p) linf^(1/q).
+    p-convexification is first rewritten as base^(1/p) linf^(1/q).  The
+    dual of a Schlumprecht space has no closed form and stays Dual(S),
+    which the engine norms by a cutting-plane LP.
     """
     if isinstance(d, Lp):
         return Lp(conjugate_exponent(d.p))
     if isinstance(d, Schlumprecht):
-        return DualSchlumprecht(d.gauge)
-    if isinstance(d, DualSchlumprecht):
-        return Schlumprecht(d.gauge)
+        return Dual(d)
     if isinstance(d, Convexified):
         if d.p == 1.0:
             return dual_descriptor(d.base)

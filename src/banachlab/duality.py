@@ -3,8 +3,9 @@
 Routing for dual_norm(X, g) = sup { <x, g> : ||x||_X <= 1 }:
 
 * lp leaves use the conjugate closed form;
-* Schlumprecht leaves run the cutting-plane LP over partition-tree
-  functionals (the separation oracle is the norm DP itself);
+* Schlumprecht leaves stay Dual(S) and run the cutting-plane LP over
+  partition-tree functionals (the separation oracle is the norm DP
+  itself);
 * convexifications and Calderon products go through the duality theorem
   (X^(1-t) Y^t)* = (X*)^(1-t) (Y*)^t and the certified product solver;
 * duals of duals are computed honestly, by the generic cutting-plane

@@ -36,20 +36,25 @@ certified lower bound
 
     sum_i |z_i| gx_i^(1-t) gy_i^t  <=  ||z||_Z,
 
-valid for any gx, gy in the respective dual balls.  The solver has two
-stages.  L-BFGS-B descends from s = 0 and certifies smooth optima.  A
-Kelley cutting-plane LP in an adaptive trust box (the box-proximal
-bundle method) then runs until the bracket closes; its LP marginals are
-the aggregate multipliers, whose mixtures of norming functionals certify
-kinked optima.  It stops when upper - lower <= tol * upper, when the
-evaluation budget runs out or when the LP fails; the last two raise a
-ConvergenceError carrying the bracket and the reason.
+valid for any gx, gy in the respective dual balls.  One _Solve object
+holds a solve's state (per side, the pool of norming functionals; the
+Kelley cuts; the best point and the bracket) and, once it has run, is
+its result.  The solver has two stages.  L-BFGS-B descends from s = 0
+and certifies smooth optima.  A Kelley cutting-plane LP in an adaptive
+trust box (the box-proximal bundle method) then runs until the bracket
+closes.  Each evaluation stores its cut once, as the LP row it becomes;
+the LP marginals are the aggregate multipliers, whose mixtures of
+norming functionals certify kinked optima.  It stops when upper - lower
+<= tol * upper, when the evaluation budget runs out or when the LP
+fails; the last two raise a ConvergenceError carrying the bracket and
+the reason.
 
-Dual norms of the Schlumprecht space (and, generically, of any space
-with an exact norming oracle) are computed by a cutting-plane LP over
-the polyhedral unit ball: maximize <g, x> subject to lazily generated
-partition-tree constraints; the separation oracle is the DP itself, and
-the cut pool is kept by the evaluator of the ball it cuts.
+The dual of the Schlumprecht space stays Dual(S) after normalization.
+Its norm (and, generically, the dual norm of any space with an exact
+norming oracle) is computed by a cutting-plane LP over the polyhedral
+unit ball: maximize <g, x> subject to lazily generated partition-tree
+constraints; the separation oracle is the DP itself, and the cut pool
+is kept by the evaluator of the ball it cuts.
 """
 
 from __future__ import annotations
@@ -67,7 +72,6 @@ from .descriptors import (
     CalderonProduct,
     Convexified,
     Dual,
-    DualSchlumprecht,
     Lp,
     Schlumprecht,
     SpaceDescriptor,
@@ -107,7 +111,6 @@ CUT_POOL_SIZE = 256  # cut rows kept per support size of a ball
 class NormingResult(NamedTuple):
     value: float
     functional: SeqVector
-    pairing: float
 
 
 @dataclass
@@ -138,9 +141,9 @@ def _memo(cache: dict, key, make, size: int):
 
 
 def _normalize(d: SpaceDescriptor) -> SpaceDescriptor:
-    """Push Dual constructors down to closed forms."""
+    """Push Dual constructors down to closed forms; only Dual(S) remains."""
     if isinstance(d, Dual):
-        return _normalize(dual_descriptor(_normalize(d.base)))
+        return dual_descriptor(_normalize(d.base))
     if isinstance(d, Convexified):
         return Convexified(_normalize(d.base), d.p)
     if isinstance(d, CalderonProduct):
@@ -177,7 +180,7 @@ class NormEvaluator:
         d = self.impl
         if isinstance(d, (Lp, YDistortion)):
             return TOL_CLOSED
-        if isinstance(d, (Schlumprecht, DualSchlumprecht, Convexified)):
+        if isinstance(d, (Schlumprecht, Dual, Convexified)):
             return TOL_DP
         return TOL_ITERATIVE
 
@@ -215,8 +218,8 @@ class NormEvaluator:
             # beyond the cap: the analytic constant-block path or SizeCapError
             nv, cert = s_norm(SeqVector.from_values(v), d.gauge)
             return nv, np.array(cert.functional().values_in_order())
-        if isinstance(d, DualSchlumprecht):
-            return _cutting_plane_dual(self._child(Schlumprecht(d.gauge)), v)
+        if isinstance(d, Dual):
+            return _cutting_plane_dual(self._child(d.base), v)
         if isinstance(d, Convexified):
             nb, wb = self._child(d.base).norming_values(v**d.p)
             nv = nb ** (1.0 / d.p)
@@ -225,7 +228,8 @@ class NormEvaluator:
             return nv, v ** (d.p - 1.0) * wb / nb ** ((d.p - 1.0) / d.p)
         if isinstance(d, CalderonProduct):
             sol = self._solve_product(v)
-            return sol.value, sol.gx ** (1.0 - d.theta) * sol.gy**d.theta
+            gx, gy = sol.pair
+            return sol.value, gx ** (1.0 - d.theta) * gy**d.theta
         raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
 
     def _cached_norm(self, v: np.ndarray) -> float:
@@ -248,12 +252,11 @@ class NormEvaluator:
 
     def norming(self, x: SeqVector) -> NormingResult:
         if not x:
-            return NormingResult(0.0, SeqVector(), 0.0)
+            return NormingResult(0.0, SeqVector())
         value, w = self.norming_values(_positive(x))
-        func = _signed(x, w)
-        return NormingResult(value, func, pairing(x, func))
+        return NormingResult(value, _signed(x, w))
 
-    def _solve_product(self, v: np.ndarray) -> "_CalderonSolution":
+    def _solve_product(self, v: np.ndarray) -> "_Solve":
         d = self.impl
         sol = _calderon_solve(self._child(d.x), self._child(d.y), d.theta, v, self.tol, self.budget)
         if not sol.converged:
@@ -276,7 +279,7 @@ class NormEvaluator:
                 f"factorize needs a Calderon product, got {space_to_str(d)}"
             )
         sol = self._solve_product(_positive(z))
-        return sol.value, sol.factorization(d.theta, z.support)
+        return sol.value, sol.factorization(z.support)
 
 
 def _positive(x: SeqVector) -> np.ndarray:
@@ -400,152 +403,133 @@ def _cutting_plane_dual(
 # -- Calderon product solver --------------------------------------------------
 
 
-@dataclass
-class _CalderonSolution:
-    v: np.ndarray
-    s: np.ndarray
-    value: float  # min observed balanced value (certified upper bound)
-    lower: float
-    nx: float
-    ny: float
-    gx: np.ndarray  # best certifying dual pair (unit dual balls)
-    gy: np.ndarray
-    evals: int
-    converged: bool
-
-    def factorization(self, theta: float, support: Tuple[int, ...]) -> Factorization:
-        xv = self.v * np.exp(theta * self.s)
-        yv = self.v * np.exp(-(1.0 - theta) * self.s)
-        # rebalance so both norms equal the achieved value
-        c = math.log(self.ny / self.nx) if self.nx > 0 and self.ny > 0 else 0.0
-        xv = xv * math.exp(theta * c)
-        yv = yv * math.exp(-(1.0 - theta) * c)
-        return Factorization(
-            SeqVector(zip(support, xv)),
-            SeqVector(zip(support, yv)),
-            self.value,
-            self.lower,
-        )
-
-
 class _BudgetExhausted(Exception):
     pass
 
 
-def _calderon_solve(
-    evx: NormEvaluator,
-    evy: NormEvaluator,
-    theta: float,
-    v_raw: np.ndarray,
-    tol: float,
-    budget: int,
-) -> _CalderonSolution:
-    zscale = float(v_raw.max())  # homogeneity: solve at unit scale
-    v = v_raw / zscale
-    n = len(v)
-    thc = 1.0 - theta
-    bound = 40.0 / max(theta, thc)
+def _flat_candidates(vals: np.ndarray, ev: NormEvaluator) -> List[np.ndarray]:
+    """Extra dual candidates for a sup-norm side: uniform weight over the
+    near-maximal coordinates (any convex mix of vertices is feasible)."""
+    if not (isinstance(ev.impl, Lp) and math.isinf(ev.impl.p)):
+        return []
+    m = vals.max()
+    out = []
+    for delta in (1e-12, 1e-9, 1e-6, 1e-3):
+        mask = vals >= (1.0 - delta) * m
+        k = int(mask.sum())
+        if k > 1:
+            out.append(mask.astype(float) / k)
+    return out
 
-    pool_x: List[np.ndarray] = []
-    pool_y: List[np.ndarray] = []
-    seen_x: set = set()
-    seen_y: set = set()
-    # the cuts of the Kelley LP: (s, phi, grad, gx, gy) of the latest points
-    history: Deque[Tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]] = deque(
-        maxlen=120
-    )
-    state = {
-        "evals": 0,
-        "best_u": math.inf,
-        "best": None,  # (s, nx, ny)
-        "lower": 0.0,
-    }
 
-    def record_pool(pool: List[np.ndarray], arr: np.ndarray) -> None:
-        seen = seen_x if pool is pool_x else seen_y
-        key = np.round(arr, 12).tobytes()
-        if key in seen:
+class _Solve:
+    """One Calderon solve: its state while it runs, its result once it has.
+
+    The solver works at unit scale, v = z / max z (homogeneity).  Side 0 is
+    X and side 1 is Y: each keeps a pool of its newest 48 norming
+    functionals, the candidates of the certified lower bound, and the set
+    of every functional it ever pooled, so an old one never comes back.
+    Each evaluation stores its Kelley cut phi(t) >= phi(s) + grad.(t - s)
+    once, as the LP row [grad, -1] <= grad.s - phi over (t, phi), with
+    the two norming functionals that the LP marginals mix.
+    """
+
+    def __init__(self, evx: NormEvaluator, evy: NormEvaluator, theta: float,
+                 z: np.ndarray, tol: float, budget: int):
+        self.evs = (evx, evy)
+        self.theta = theta
+        self.tol = tol
+        self.budget = budget
+        self.z = z
+        self.zscale = float(z.max())
+        self.v = z / self.zscale
+        self.bound = 40.0 / max(theta, 1.0 - theta)  # box on s
+        self.pools: Tuple[List[np.ndarray], List[np.ndarray]] = ([], [])
+        self.seen: Tuple[set, set] = (set(), set())
+        # the Kelley LP of the latest points: (row, rhs, gx, gy)
+        self.cuts: Deque[Tuple[np.ndarray, float, np.ndarray, np.ndarray]] = deque(maxlen=120)
+        self.evals = 0
+        self.best_u = math.inf  # least balanced value seen, at unit scale
+        self.best: Optional[Tuple[np.ndarray, float, float]] = None  # its (s, nx, ny)
+        self.lower_u = 0.0  # certified lower bound, at unit scale
+        self.pair: Optional[Tuple[np.ndarray, np.ndarray]] = None  # certifying (gx, gy)
+        self.converged = False
+
+    @property
+    def value(self) -> float:
+        """The certified upper bound, the least value seen."""
+        return self.zscale * self.best_u
+
+    @property
+    def lower(self) -> float:
+        return min(self.zscale * self.lower_u, self.value)  # rounding must not invert it
+
+    def record(self, side: int, g: np.ndarray) -> None:
+        key = np.round(g, 12).tobytes()
+        if key in self.seen[side]:
             return
-        seen.add(key)
-        pool.append(arr)
+        self.seen[side].add(key)
+        pool = self.pools[side]
+        pool.append(g)
         if len(pool) > 48:
             del pool[0]
 
-    def flat_candidates(vals: np.ndarray, ev: NormEvaluator) -> List[np.ndarray]:
-        # extra dual candidates for sup-norm sides: uniform weight over
-        # near-maximal coordinates (any convex mix of vertices is feasible)
-        if not (isinstance(ev.impl, Lp) and math.isinf(ev.impl.p)):
-            return []
-        m = vals.max()
-        out = []
-        for delta in (1e-12, 1e-9, 1e-6, 1e-3):
-            mask = vals >= (1.0 - delta) * m
-            k = int(mask.sum())
-            if k > 1:
-                out.append(mask.astype(float) / k)
-        return out
-
-    def eval_point(s: np.ndarray) -> Tuple[float, np.ndarray]:
-        if state["evals"] >= budget:
+    def eval_point(self, s: np.ndarray) -> Tuple[float, np.ndarray]:
+        """phi(s) = log of the balanced value at s, and its gradient."""
+        if self.evals >= self.budget:
             raise _BudgetExhausted
-        state["evals"] += 2
-        xv = v * np.exp(theta * s)
-        yv = v * np.exp(-thc * s)
-        nx, gx = evx.norming_values(xv)
-        ny, gy = evy.norming_values(yv)
-        record_pool(pool_x, gx)
-        record_pool(pool_y, gy)
-        for cand in flat_candidates(xv, evx):
-            record_pool(pool_x, cand)
-        for cand in flat_candidates(yv, evy):
-            record_pool(pool_y, cand)
+        self.evals += 2
+        theta, thc = self.theta, 1.0 - self.theta
+        xv = self.v * np.exp(theta * s)
+        yv = self.v * np.exp(-thc * s)
+        nx, gx = self.evs[0].norming_values(xv)
+        ny, gy = self.evs[1].norming_values(yv)
+        for side, w, g in ((0, xv, gx), (1, yv, gy)):
+            self.record(side, g)
+            for cand in _flat_candidates(w, self.evs[side]):
+                self.record(side, cand)
         phi = thc * math.log(nx) + theta * math.log(ny)
         u = math.exp(phi)
-        if u < state["best_u"]:
-            state["best_u"] = u
-            state["best"] = (s.copy(), nx, ny)
+        if u < self.best_u:
+            self.best_u = u
+            self.best = (s.copy(), nx, ny)
         grad = theta * thc * (xv * gx / nx - yv * gy / ny)
-        history.append((s.copy(), phi, grad, gx, gy))
+        self.cuts.append((np.append(grad, -1.0), float(grad @ s) - phi, gx, gy))
         return phi, grad
 
-    best_pair: List[np.ndarray] = []
-
-    def certified() -> bool:
-        if pool_x and pool_y:
-            cands_x = pool_x + ([np.mean(pool_x, axis=0)] if len(pool_x) > 1 else [])
-            cands_y = pool_y + ([np.mean(pool_y, axis=0)] if len(pool_y) > 1 else [])
-            ax = np.asarray(cands_x) ** thc * v  # rows scaled by |z|
-            by = np.asarray(cands_y) ** theta
+    def certified(self) -> bool:
+        """Raise the lower bound over the pooled pairs; is the bracket closed?"""
+        px, py = self.pools
+        if px and py:
+            cands_x = px + ([np.mean(px, axis=0)] if len(px) > 1 else [])
+            cands_y = py + ([np.mean(py, axis=0)] if len(py) > 1 else [])
+            ax = np.asarray(cands_x) ** (1.0 - self.theta) * self.v  # rows scaled by |z|
+            by = np.asarray(cands_y) ** self.theta
             lb = ax @ by.T
             i, j = np.unravel_index(int(np.argmax(lb)), lb.shape)
-            if lb[i, j] > state["lower"] or not best_pair:
-                state["lower"] = max(state["lower"], float(lb[i, j]))
-                best_pair[:] = [cands_x[i], cands_y[j]]
-        u = state["best_u"]
-        return u - state["lower"] <= tol * u
+            if lb[i, j] > self.lower_u or self.pair is None:
+                self.lower_u = max(self.lower_u, float(lb[i, j]))
+                self.pair = (cands_x[i], cands_y[j])
+        return self.best_u - self.lower_u <= self.tol * self.best_u
 
-    def kelley_phase() -> None:
-        # Cutting-plane descent with an adaptive trust box (the box-proximal
-        # bundle method).  The LP duals give convex mixtures of recent
-        # norming functionals, fed back into the certification pools: at a
-        # kinked optimum the certifying pair is such a mixture.
+    def kelley(self) -> None:
+        """Cutting-plane descent with an adaptive trust box.
+
+        This is the box-proximal bundle method.  The LP duals give convex
+        mixtures of recent norming functionals, fed back into the pools:
+        at a kinked optimum the certifying pair is such a mixture.
+        """
+        n = len(self.v)
+        c_lp = np.zeros(n + 1)
+        c_lp[n] = 1.0
         radius = 4.0
         for k in itertools.count(1):
-            s_best = state["best"][0]
-            lo = np.maximum(s_best - radius, -bound)
-            hi = np.minimum(s_best + radius, bound)
-            c_lp = np.zeros(n + 1)
-            c_lp[n] = 1.0
-            a_ub = np.zeros((len(history), n + 1))
-            b_ub = np.zeros(len(history))
-            for j, (sj, fj, gj, _, _) in enumerate(history):
-                a_ub[j, :n] = gj
-                a_ub[j, n] = -1.0
-                b_ub[j] = float(gj @ sj) - fj
-            lp_bounds = [(lo[i], hi[i]) for i in range(n)] + [(None, None)]
-            res = _sciopt.linprog(
-                c_lp, A_ub=a_ub, b_ub=b_ub, bounds=lp_bounds, method="highs"
-            )
+            s_best = self.best[0]
+            lo = np.maximum(s_best - radius, -self.bound)
+            hi = np.minimum(s_best + radius, self.bound)
+            rows, rhs, gxs, gys = zip(*self.cuts)
+            res = _sciopt.linprog(c_lp, A_ub=np.array(rows), b_ub=np.array(rhs),
+                                  bounds=[*zip(lo, hi), (None, None)], method="highs")
             if res.status != 0:
                 return
             if res.ineqlin is not None:
@@ -553,49 +537,58 @@ def _calderon_solve(
                 tot = lam.sum()
                 if tot > 0:
                     lam = lam / tot
-                    record_pool(pool_x, sum(l * c[3] for l, c in zip(lam, history)))
-                    record_pool(pool_y, sum(l * c[4] for l, c in zip(lam, history)))
-            prev_best = state["best_u"]
-            phi_new, _ = eval_point(np.asarray(res.x[:n]))
+                    self.record(0, sum(l * g for l, g in zip(lam, gxs)))
+                    self.record(1, sum(l * g for l, g in zip(lam, gys)))
+            prev_best = self.best_u
+            phi_new, _ = self.eval_point(np.asarray(res.x[:n]))
             if math.exp(phi_new) < prev_best - 1e-14 * prev_best:
                 radius = min(radius * 1.6, 16.0)
             else:
                 radius = max(radius * 0.5, 1e-3)
-            if k % 5 == 0 and certified():
+            if k % 5 == 0 and self.certified():
                 return
 
-    s0 = np.zeros(n)
+    def factorization(self, support: Tuple[int, ...]) -> Factorization:
+        """The witness at the best point, rebalanced so both norms equal the value."""
+        s, nx, ny = self.best
+        nx, ny = self.zscale * nx, self.zscale * ny
+        theta = self.theta
+        c = math.log(ny / nx) if nx > 0 and ny > 0 else 0.0
+        xv = self.z * np.exp(theta * s) * math.exp(theta * c)
+        yv = self.z * np.exp(-(1.0 - theta) * s) * math.exp(-(1.0 - theta) * c)
+        return Factorization(
+            SeqVector(zip(support, xv)), SeqVector(zip(support, yv)), self.value, self.lower
+        )
+
+
+def _calderon_solve(
+    evx: NormEvaluator,
+    evy: NormEvaluator,
+    theta: float,
+    v: np.ndarray,
+    tol: float,
+    budget: int,
+) -> _Solve:
+    """Run s = 0, then L-BFGS-B, then Kelley until the bracket closes."""
+    solve = _Solve(evx, evy, theta, v, tol, budget)
+    s0 = np.zeros(len(v))
     try:
-        eval_point(s0)
-        if not certified():
+        solve.eval_point(s0)
+        if not solve.certified():
             _sciopt.minimize(
-                eval_point,
+                solve.eval_point,
                 s0,
                 jac=True,
                 method="L-BFGS-B",
-                bounds=[(-bound, bound)] * n,
+                bounds=[(-solve.bound, solve.bound)] * len(v),
                 options={"maxiter": 80, "ftol": 1e-15, "gtol": 1e-12},
             )
-            if not certified():
-                kelley_phase()
+            if not solve.certified():
+                solve.kelley()
     except _BudgetExhausted:
         pass
-    converged = certified()
-
-    s_best, nx, ny = state["best"]
-    value = zscale * state["best_u"]
-    return _CalderonSolution(
-        v=v_raw,
-        s=s_best,
-        value=value,
-        lower=min(zscale * state["lower"], value),  # rounding must not invert the bracket
-        nx=zscale * nx,
-        ny=zscale * ny,
-        gx=best_pair[0],
-        gy=best_pair[1],
-        evals=state["evals"],
-        converged=converged,
-    )
+    solve.converged = solve.certified()
+    return solve
 
 
 # -- public API ----------------------------------------------------------------

@@ -52,10 +52,6 @@ class ExperimentReport:
             )
         self.rows.append(list(cells))
 
-    def column(self, name: str) -> List[Any]:
-        k = self.columns.index(name)
-        return [row[k] for row in self.rows]
-
     # -- emission -------------------------------------------------------
 
     def to_csv(self) -> str:
@@ -110,15 +106,6 @@ class ExperimentReport:
         columns = lines[0][1:].split()
         rows = [[_parse_cell(c) for c in ln.split()] for ln in lines[1:]]
         return cls(columns, rows)
-
-    @classmethod
-    def parse(cls, text: str, fmt: str) -> "ExperimentReport":
-        try:
-            return {"csv": cls.from_csv, "json": cls.from_json, "plotdata": cls.from_plotdata}[fmt](
-                text
-            )
-        except KeyError:
-            raise ValidationError(f"unknown report format {fmt!r}") from None
 
     def write(self, path: str, fmt: str) -> None:
         try:

@@ -212,6 +212,9 @@ class TestExperimentCommand:
             ("classx", {"space": "s:log2p1", "p": 1, "r": "inf", "samples": 0}),
             ("projection", {"space": "s:log2p1", "count": 2, "samples": 0}),
             ("moduli", {"space": "l2", "samples": 3, "dim": 0}),
+            # negative sizes and tolerances
+            ("moduli", {"space": "l2", "samples": -5, "dim": 2}),
+            ("classx", {"space": "s:log2p1", "p": 1, "r": "inf", "samples": 1, "tolerance": -1}),
         ],
     )
     def test_bad_config_field_exits_2(self, tmp_path, capsys, name, cfg):
