@@ -92,8 +92,8 @@ def _space_with_gauge(space: str, gauge: str | None):
 @click.option("--gauge", default=None, help="gauge shorthand when --space is plain 's'")
 @click.option("--vec", required=True, help="vector literal: '1,2,3' or '1:1,5:2.5'")
 @click.option("--cert", is_flag=True, help="print the partition certificate tree")
-@click.option("--tol", type=float, default=None, help="evaluator tolerance override")
-def norm(space: str, gauge: str | None, vec: str, cert: bool, tol: float | None) -> None:
+@click.option("--tol", type=float, default=1e-6, help="relative tolerance of product norms")
+def norm(space: str, gauge: str | None, vec: str, cert: bool, tol: float) -> None:
     """Evaluate a norm; with --cert also print the witnessing tree."""
     desc = _space_with_gauge(space, gauge)
     x = parse_vector(vec)
@@ -161,10 +161,10 @@ def gauge_check(gauge: str, prop5_a: float) -> None:
 # -- experiment dispatch -----------------------------------------------------
 
 
-def _require(cfg: Dict[str, Any], name: str, *keys: str) -> None:
-    missing = [k for k in keys if k not in cfg]
-    if missing:
-        raise ValidationError(f"experiment {name!r} config is missing {missing}")
+def _field(cfg: Dict[str, Any], key: str, default: Any) -> Any:
+    if key not in cfg and default is None:
+        raise ValidationError(f"config field {key!r} is missing")
+    return cfg.get(key, default)
 
 
 def _num(
@@ -174,7 +174,7 @@ def _num(
     hi: float | None = None,
     default: float | None = None,
 ):
-    v = cfg.get(key, default)
+    v = _field(cfg, key, default)
     if isinstance(v, str) and v == "inf":
         v = math.inf
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -187,7 +187,7 @@ def _num(
 
 
 def _text(cfg: Dict[str, Any], key: str, default: str | None = None) -> str:
-    v = cfg.get(key, default)
+    v = _field(cfg, key, default)
     if not isinstance(v, str):
         raise ValidationError(f"config field {key!r} must be a string, got {v!r}")
     return v
@@ -200,10 +200,8 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
     t0 = time.perf_counter()
 
     if name == "summing":
-        _require(cfg, name, "n_max")
         report = schlumprecht.summing_norm_table(int(_num(cfg, "n_max", 1)), gauge)
     elif name == "block-growth":
-        _require(cfg, name, "space", "p", "m", "count")
         desc = parse_space(_text(cfg, "space"))
         p = _num(cfg, "p", 1.0)
         m = int(_num(cfg, "m", 1))
@@ -211,14 +209,12 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         blocks = BlockSequence(tuple(l1_average(m, m * k, desc) for k in range(count)))
         report = block_sum_growth(desc, p, blocks)
     elif name == "vn":
-        _require(cfg, name, "space", "p", "n_max")
         desc = parse_space(_text(cfg, "space"))
         p = _num(cfg, "p", 1.0)
         n_max = int(_num(cfg, "n_max", 1))
         basis = BlockSequence.basis(2 ** (n_max + 1))
         report = vn_averages(desc, p, basis, n_max)
     elif name == "beta":
-        _require(cfg, name, "space", "p", "n")
         desc = parse_space(_text(cfg, "space"))
         lower, upper, best = beta_estimate(
             desc,
@@ -231,7 +227,6 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         report = ExperimentReport(["lower", "upper", "best_found"])
         report.add_row(lower, upper, best)
     elif name == "projection":
-        _require(cfg, name, "space", "count")
         desc = parse_space(_text(cfg, "space"))
         count = int(_num(cfg, "count", 1))
         m = int(_num(cfg, "m", default=1))
@@ -250,7 +245,6 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         report = ExperimentReport(["projection_norm_lower", "dual_bound_M"])
         report.add_row(norm_lower, m_bound)
     elif name == "distortion":
-        _require(cfg, name, "r", "count")
         count = int(_num(cfg, "count", 2))
         r = int(_num(cfg, "r", 1))
         fam = FunctionalFamily((SeqVector.from_values([1.0] * count),), r)
@@ -258,7 +252,6 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         report = ExperimentReport(["plus", "minus", "ratio"])
         report.add_row(plus, minus, ratio)
     elif name == "moduli":
-        _require(cfg, name, "space")
         desc = parse_space(_text(cfg, "space"))
         samples = int(_num(cfg, "samples", 0, default=10_000))
         dim = int(_num(cfg, "dim", 1, default=4))
@@ -271,7 +264,6 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         )
         report.add_row(eps, delta, tau, rho)
     elif name == "classx":
-        _require(cfg, name, "space", "p", "r")
         desc = parse_space(_text(cfg, "space"))
         report = classX_verify(
             desc,

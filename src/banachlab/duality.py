@@ -24,12 +24,11 @@ import numpy as np
 from .descriptors import (
     Dual,
     SpaceDescriptor,
-    YDistortion,
     conjugate_exponent,
     space_to_str,
 )
 from .engine import _cutting_plane_dual, _positive, _signed, calderon_norm, get_evaluator
-from .errors import UnsupportedSpaceError, ValidationError
+from .errors import ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
 from .vectors import SeqVector, lp_norm, pairing
@@ -55,8 +54,6 @@ def dual_norm(x_space: SpaceDescriptor, g: SeqVector, tol: float = 1e-6) -> Dual
     """Evaluate ||g|| in the dual of x_space, with maximizer."""
     if not g:
         return DualEvaluation(0.0, SeqVector())
-    if isinstance(x_space, YDistortion):
-        raise UnsupportedSpaceError("duals of the distorted norm are out of scope")
     if isinstance(x_space, Dual):
         # honest bidual: cutting-plane over the inner dual ball
         value, x = _cutting_plane_dual(get_evaluator(x_space), _positive(g))

@@ -8,7 +8,7 @@ the coordinates.  So the evaluator has one core,
   order, the norm value (certified upper bound for optimizer branches,
   exact up to rounding for closed forms and the DP) and the weights of
   a norming functional g at the same positions, with ||g||_* <= 1 and
-  <v, g> equal to the norm up to the evaluator tolerance.
+  <v, g> equal to the norm up to the accuracy of its branch.
 
 It is the only place that dispatches on the descriptor kind of a lattice
 norm, and its recursion across the descriptor tree stays on arrays.
@@ -24,9 +24,9 @@ norm cache (NORM_CACHE_SIZE norms), the cut pool of its unit ball
 built on first use, so a new NormEvaluator is cold all the way down.
 ``get_evaluator`` is the only place evaluators are shared; its module
 registry keeps REGISTRY_SIZE of them.  Every bound drops the oldest
-entries first, and none changes a value beyond the evaluator tolerance:
-cached norms are recomputed on a miss, and pooled cuts only warm-start
-the dual LP.
+entries first.  None changes a norm: cached norms are recomputed on a
+miss.  Pooled cuts only warm-start the dual LP, so they move a dual
+value only within DUAL_GAP_TOL.
 
 The core drives the Calderon-product solver: the norm of X^(1-t) Y^t at
 z is minimized over the log-parameterization x_i = |z_i| e^{t s_i},
@@ -95,9 +95,7 @@ __all__ = [
     "calderon_norm",
 ]
 
-# default relative tolerances by evaluation branch
-TOL_CLOSED = 1e-12
-TOL_DP = 1e-9
+# default relative tolerance; only the Calderon solver and _child read it
 TOL_ITERATIVE = 1e-6
 
 DEFAULT_BUDGET = 10_000
@@ -106,6 +104,11 @@ DEFAULT_BUDGET = 10_000
 NORM_CACHE_SIZE = 1 << 14  # norms cached per evaluator
 REGISTRY_SIZE = 64  # evaluators shared by get_evaluator
 CUT_POOL_SIZE = 256  # cut rows kept per support size of a ball
+
+# stopping rules of the dual cutting-plane LP
+DUAL_FEAS_TOL = 1e-9  # an LP vertex this close to the ball counts as feasible
+DUAL_GAP_TOL = 1e-7  # relative gap that closes the bracket otherwise
+DUAL_MAX_ROUNDS = 400
 
 
 class NormingResult(NamedTuple):
@@ -161,7 +164,7 @@ class NormEvaluator:
     def __init__(
         self,
         descriptor: SpaceDescriptor,
-        tol: Optional[float] = None,
+        tol: float = TOL_ITERATIVE,
         budget: int = DEFAULT_BUDGET,
     ):
         if budget < 1:
@@ -169,20 +172,12 @@ class NormEvaluator:
         self.descriptor = descriptor
         self.impl = _normalize(descriptor)
         self.budget = budget
-        self.tol = tol if tol is not None else self._default_tol()
+        self.tol = tol
         self._norm_cache: Dict[tuple, float] = {}
         self._dual_cuts: Dict[int, List[np.ndarray]] = {}  # cuts of this unit ball
         self._children: Dict[SpaceDescriptor, NormEvaluator] = {}
 
     # -- configuration ----------------------------------------------------
-
-    def _default_tol(self) -> float:
-        d = self.impl
-        if isinstance(d, (Lp, YDistortion)):
-            return TOL_CLOSED
-        if isinstance(d, (Schlumprecht, Dual, Convexified)):
-            return TOL_DP
-        return TOL_ITERATIVE
 
     def _child(self, desc: SpaceDescriptor) -> "NormEvaluator":
         child = self._children.get(desc)
@@ -295,22 +290,16 @@ def _signed(x: SeqVector, w: np.ndarray) -> SeqVector:
 # -- cutting-plane dual norm ------------------------------------------------
 
 
-def _cutting_plane_dual(
-    oracle: NormEvaluator,
-    c: np.ndarray,
-    feas_tol: float = 1e-9,
-    gap_tol: float = 1e-7,
-    max_rounds: int = 400,
-) -> Tuple[float, np.ndarray]:
+def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np.ndarray]:
     """max { <x, c> : ||x||_oracle <= 1 } for a positive c, with lazy cuts.
 
     Returns the value and a maximizer, nonnegative and in the positions
     of c.  Cuts are functionals with dual norm at most one, so each LP
     value is an upper bound; every point the oracle sees, rescaled onto
     the unit sphere, is feasible and gives a lower bound.  The result is
-    a certified two-sided bracket: width feas_tol on polyhedral balls,
-    where the LP vertex itself turns out feasible, and gap_tol on smooth
-    ones, where the bracket closes gradually.
+    a certified two-sided bracket: width DUAL_FEAS_TOL on polyhedral
+    balls, where the LP vertex itself turns out feasible, and DUAL_GAP_TOL
+    on smooth ones, where the bracket closes gradually.
 
     Separation is stabilized by in-out separation (Ben-Ameur & Neto
     2007).  While the rescaled LP vertex is the best feasible point, the
@@ -344,13 +333,13 @@ def _cutting_plane_dual(
         return nx, row
 
     def closed() -> bool:
-        return lpval - best_val <= gap_tol * max(lpval, 1.0)
+        return lpval - best_val <= DUAL_GAP_TOL * max(lpval, 1.0)
 
     best_val, best_x = 0.0, np.zeros(n)
     lpval = math.inf
     healed = False
     try:
-        for _ in range(max_rounds):
+        for _ in range(DUAL_MAX_ROUNDS):
             a_ub = np.vstack(cuts) if cuts else None
             b_ub = np.ones(len(cuts)) if cuts else None
             res = _sciopt.linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
@@ -368,7 +357,7 @@ def _cutting_plane_dual(
                 continue
             lpval = float(c @ xstar)
             nv = oracle._cached_norm(xstar[xstar > 0.0])  # warm LPs often repeat a vertex
-            if nv <= 1.0 + feas_tol:
+            if nv <= 1.0 + DUAL_FEAS_TOL:
                 fix = 1.0 / nv if nv > 1.0 else 1.0
                 return scale * lpval * fix, xstar * fix
             row = None
@@ -381,7 +370,7 @@ def _cutting_plane_dual(
                     gain = float(c @ q) / nq > best_val
                     if gain:
                         best_val, best_x = float(c @ q) / nq, q / nq
-                    if float(qrow @ xstar) > 1.0 + 0.5 * feas_tol:
+                    if float(qrow @ xstar) > 1.0 + 0.5 * DUAL_FEAS_TOL:
                         row = qrow
                         break
                     if not gain:
@@ -390,7 +379,7 @@ def _cutting_plane_dual(
                 return scale * best_val, best_x
             if row is None:
                 row = probe(xstar)[1]
-            if float(row @ xstar) <= 1.0 + 0.5 * feas_tol:
+            if float(row @ xstar) <= 1.0 + 0.5 * DUAL_FEAS_TOL:
                 raise ConvergenceError("dual-norm LP stalled (oracle cut did not separate)",
                                        scale * best_val, scale * lpval)
             cuts.append(row)
@@ -599,7 +588,7 @@ _registry: Dict[tuple, NormEvaluator] = {}
 
 def get_evaluator(
     descriptor: SpaceDescriptor,
-    tol: Optional[float] = None,
+    tol: float = TOL_ITERATIVE,
     budget: int = DEFAULT_BUDGET,
 ) -> NormEvaluator:
     """The shared evaluator of (descriptor, tol, budget).

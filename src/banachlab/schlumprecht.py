@@ -319,15 +319,14 @@ def s_norm_weights(vals: Sequence[float], f: GaugeFunction) -> Tuple[float, List
     return float(best[1][0][n - 1]), _tree_weights(bp, split, f, n)
 
 
-def s_norm(
-    x: SeqVector, f: GaugeFunction, cap: int = DEFAULT_DP_CAP
-) -> Tuple[float, PartitionCertificate]:
+def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]:
     """Norm of x with its witnessing partition certificate.
 
-    Supports up to `cap` points run through the DP.  Larger vectors are
-    accepted only on the analytic fast path (all |values| equal, where
-    the norm is value * N / f(N) by the summing identity, witnessed by
-    the N-way singleton split); anything else raises SizeCapError.
+    Supports up to DEFAULT_DP_CAP points run through the DP.  Larger
+    vectors are accepted only on the analytic fast path (all |values|
+    equal, where the norm is value * N / f(N) by the summing identity,
+    witnessed by the N-way singleton split); anything else raises
+    SizeCapError.
     """
     if not x:
         raise ValidationError("s_norm requires a nonempty vector")
@@ -336,7 +335,7 @@ def s_norm(
     coords = [i for i, _ in entries]
     signs = [1.0 if v >= 0 else -1.0 for _, v in entries]
     vals = [abs(v) for _, v in entries]
-    if n <= cap:
+    if n <= DEFAULT_DP_CAP:
         best, bp, split = _dp_core(vals, f)
         value = float(best[1][0][n - 1])
         weights = _tree_weights(bp, split, f, n)
@@ -347,15 +346,15 @@ def s_norm(
         leaves = tuple(map(Leaf, coords, signs))
         root = Split(Interval(coords[0], coords[-1]), n, weights[0], leaves)
     else:
-        raise SizeCapError("support exceeds DP cap", needed=n, cap=cap)
+        raise SizeCapError("support exceeds DP cap", needed=n, cap=DEFAULT_DP_CAP)
     func = SeqVector(zip(coords, [w * s for w, s in zip(weights, signs)]))
-    return value, PartitionCertificate(root, value, func, analytic=n > cap)
+    return value, PartitionCertificate(root, value, func, analytic=n > DEFAULT_DP_CAP)
 
 
-def s_norm_value(x: SeqVector, f: GaugeFunction, cap: int = DEFAULT_DP_CAP) -> float:
+def s_norm_value(x: SeqVector, f: GaugeFunction) -> float:
     if not x:
         return 0.0
-    return s_norm(x, f, cap)[0]
+    return s_norm(x, f)[0]
 
 
 def best_partition(
@@ -363,7 +362,6 @@ def best_partition(
     f: GaugeFunction,
     e: Interval,
     n: int,
-    cap: int = DEFAULT_DP_CAP,
 ) -> Tuple[float, List[Interval]]:
     """Best n-way split of x over e: max (1/f(n)) sum ||E_i x||.
 
@@ -378,8 +376,8 @@ def best_partition(
         raise ValidationError(f"cannot split {e} into {n} nonempty blocks")
     entries = restrict(x, e).canonical()
     size = len(entries)
-    if size > cap:
-        raise SizeCapError("support exceeds DP cap", needed=size, cap=cap)
+    if size > DEFAULT_DP_CAP:
+        raise SizeCapError("support exceeds DP cap", needed=size, cap=DEFAULT_DP_CAP)
 
     # A block ends at each entry of `ends` and at e.hi; every support run
     # but the last ends a block.  The spare blocks hold no support: each
@@ -443,15 +441,13 @@ def fixed_point_check(
     return abs(stepped - claimed)
 
 
-def summing_norm_table(
-    n_max: int, f: GaugeFunction, cap: int = DEFAULT_DP_CAP
-) -> ExperimentReport:
+def summing_norm_table(n_max: int, f: GaugeFunction) -> ExperimentReport:
     """Rows (n, dp_value, n/f(n), abs difference) for n = 1..n_max."""
-    if n_max > cap:
-        raise SizeCapError("summing table exceeds DP cap", needed=n_max, cap=cap)
+    if n_max > DEFAULT_DP_CAP:
+        raise SizeCapError("summing table exceeds DP cap", needed=n_max, cap=DEFAULT_DP_CAP)
     report = ExperimentReport(
         ["n", "dp_value", "closed_form", "abs_diff"],
-        metadata={"gauge": f.name, "dp_cap": cap},
+        metadata={"gauge": f.name, "dp_cap": DEFAULT_DP_CAP},
     )
     norms = _dp_core([1.0] * n_max, f)[0][1]
     for n in range(1, n_max + 1):

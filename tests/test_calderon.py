@@ -15,6 +15,7 @@ from banachlab import (
     get_evaluator,
     lp_norm,
     lp_product_oracle,
+    pointwise_power,
     space_spr,
     spr_summing_identity,
 )
@@ -218,6 +219,17 @@ class TestSummingIdentity:
         expected, computed, diff = spr_summing_identity(1, 1.5, 3, F)
         assert expected == 1.0
         assert computed == pytest.approx(1.0, rel=1e-7)
+
+    @pytest.mark.parametrize("k", [7, 10])
+    def test_convexified_product_default_tolerance(self, k):
+        # a convexified product takes the product's default tolerance; a
+        # tighter one made these vectors exhaust the evaluation budget
+        rng = np.random.default_rng(np.random.SeedSequence([77, k]))
+        z = SeqVector.from_values(rng.uniform(-1, 1, int(rng.integers(2, 6))))
+        spr = space_spr(4 / 3, 4, F)
+        value = NormEvaluator(Convexified(spr, 2.0)).norm(z)
+        expected = NormEvaluator(spr).norm(pointwise_power(z, 2.0)) ** 0.5
+        assert value == pytest.approx(expected, rel=1e-6)
 
     def test_convexified_spot_values(self):
         ev = get_evaluator(space_spr(2, math.inf, F))

@@ -22,8 +22,8 @@ from banachlab import (
 )
 from banachlab import engine
 from banachlab.calderon import lp_product_oracle
-from banachlab.descriptors import CalderonProduct
-from banachlab.errors import ValidationError
+from banachlab.descriptors import CalderonProduct, FunctionalFamily, YDistortion
+from banachlab.errors import UnsupportedSpaceError, ValidationError
 
 F = LOG2P1
 S = Schlumprecht(F)
@@ -65,6 +65,11 @@ class TestClosedForms:
     def test_linf_dual_is_l1(self):
         res = dual_norm(Lp(math.inf), SeqVector.from_values([1, -2]))
         assert res.value == 3.0
+
+    def test_distorted_norm_has_no_dual(self):
+        fam = FunctionalFamily((SeqVector.basis(1),), 2)
+        with pytest.raises(UnsupportedSpaceError):
+            dual_norm(YDistortion(fam), SeqVector.from_values([1, -2]))
 
 
 class TestSchlumprechtDual:

@@ -21,6 +21,7 @@ from banachlab import (
     s_norm_value,
     summing_norm_table,
 )
+from banachlab import schlumprecht
 from banachlab.errors import SizeCapError, ValidationError
 from banachlab.schlumprecht import (
     DP_NUMPY_MIN,
@@ -277,18 +278,21 @@ class TestMonotoneImprovement:
 
 
 class TestAnalyticFastPath:
-    def test_matches_dp_on_constant_vectors(self):
+    def test_matches_dp_on_constant_vectors(self, monkeypatch):
         for n in (8, 16, 32):
             x = SeqVector.from_values([0.7] * n)
-            dp = s_norm(x, F, cap=64)[0]
-            fast_value, fast_cert = s_norm(x, F, cap=4)
+            monkeypatch.setattr(schlumprecht, "DEFAULT_DP_CAP", 64)
+            dp = s_norm(x, F)[0]
+            monkeypatch.setattr(schlumprecht, "DEFAULT_DP_CAP", 4)
+            fast_value, fast_cert = s_norm(x, F)
             assert fast_cert.analytic
             assert abs(dp - fast_value) <= 1e-9
 
-    def test_nonconstant_overflow_rejected(self):
+    def test_nonconstant_overflow_rejected(self, monkeypatch):
+        monkeypatch.setattr(schlumprecht, "DEFAULT_DP_CAP", 8)
         x = SeqVector.from_values([1.0] * 9 + [0.5])
         with pytest.raises(SizeCapError):
-            s_norm(x, F, cap=8)
+            s_norm(x, F)
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
