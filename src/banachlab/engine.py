@@ -28,26 +28,22 @@ entries first.  None changes a norm: cached norms are recomputed on a
 miss.  Pooled cuts only warm-start the dual LP, so they move a dual
 value only within DUAL_GAP_TOL.
 
-The core drives the Calderon-product solver: the norm of X^(1-t) Y^t at
-z is minimized over the log-parameterization x_i = |z_i| e^{t s_i},
-y_i = |z_i| e^{-(1-t) s_i} (which enforces |x|^(1-t) |y|^t = |z|
-identically), and every iterate's norming functionals produce the
-certified lower bound
-
-    sum_i |z_i| gx_i^(1-t) gy_i^t  <=  ||z||_Z,
-
-valid for any gx, gy in the respective dual balls.  One _Solve object
-holds a solve's state (per side, the pool of norming functionals; the
-Kelley cuts; the best point and the bracket) and, once it has run, is
-its result.  The solver has two stages.  L-BFGS-B descends from s = 0
-and certifies smooth optima.  A Kelley cutting-plane LP in an adaptive
-trust box (the box-proximal bundle method) then runs until the bracket
-closes.  Each evaluation stores its cut once, as the LP row it becomes;
-the LP marginals are the aggregate multipliers, whose mixtures of
-norming functionals certify kinked optima.  It stops when upper - lower
-<= tol * upper, when the evaluation budget runs out or when the LP
-fails; the last two raise a ConvergenceError carrying the bracket and
-the reason.
+The core drives the Calderon-product solver.  The norm of X^(1-t) Y^t
+at z is max { sum_i |z_i| gx_i^(1-t) gy_i^t : gx in B(X*), gy in B(Y*) },
+so every pair (gx, gy) gives a certified lower bound.  The solver is
+simplicial decomposition (fully-corrective Frank-Wolfe), whose linear
+oracle over B(X*) is X's norming call.  Each side keeps atoms (scaled
+unit vectors and the norming functionals found so far), and each round
+maximizes the pairing over their convex hulls, then norms the gradient
+directions cx = |z| gx^-t gy^t and cy = |z| gx^(1-t) gy^(t-1).  Since
+cx^(1-t) cy^t = |z|, the factors K cx/||cx|| and K cy/||cy|| witness the
+upper bound K = ||cx||^(1-t) ||cy||^t; the two norming functionals
+become new atoms.  An lp side keeps no atoms: Hölder's equality case
+answers the other side in closed form.  The solver stops when
+upper - lower <= tol * upper, when a round adds no atom and moves
+neither bound (the Frank-Wolfe gap is then at the rounding level) or
+when the budget of norm evaluations runs out; the last two raise a
+ConvergenceError carrying the bracket and the reason.
 
 The dual of the Schlumprecht space stays Dual(S) after normalization.
 Its norm (and, generically, the dual norm of any space with an exact
@@ -59,11 +55,9 @@ is kept by the evaluator of the ball it cuts.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy import optimize as _sciopt
@@ -76,6 +70,7 @@ from .descriptors import (
     Schlumprecht,
     SpaceDescriptor,
     YDistortion,
+    conjugate_exponent,
     dual_descriptor,
     space_to_str,
 )
@@ -256,7 +251,7 @@ class NormEvaluator:
         sol = _calderon_solve(self._child(d.x), self._child(d.y), d.theta, v, self.tol, self.budget)
         if not sol.converged:
             budget_out = sol.evals >= self.budget
-            why = "the budget ran out" if budget_out else "the cutting-plane LP failed"
+            why = "the budget ran out" if budget_out else "a round improved neither bound"
             gap = (sol.value - sol.lower) / sol.value
             raise ConvergenceError(
                 f"Calderon solver did not certify {space_to_str(d)}: {why} after "
@@ -391,58 +386,58 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
 
 # -- Calderon product solver --------------------------------------------------
 
+# the upper bound read at the hull optimum g* blows up where g* has tiny
+# coordinates, so it is also read at (1 - eta) g* + eta mean(atoms)
+HULL_SHIFTS = (1e-8, 1e-6, 1e-4)
+WEIGHT_FLOOR = 1e-12  # least weight of an atom; keeps every coordinate of g positive
+KKT_SLACK = 1e-6  # an atom whose slope beats the mixture's by this much is not optimal
+RESTARTS = 4  # hull solves per round at most
+ROUNDING = 1e-14  # relative moves of a bound this small do not count as progress
 
-class _BudgetExhausted(Exception):
-    pass
 
+def _holder(a: np.ndarray, p: float, beta: float) -> np.ndarray:
+    """The maximizer h of sum a h^beta over the positive unit ball of (l_p)*.
 
-def _flat_candidates(vals: np.ndarray, ev: NormEvaluator) -> List[np.ndarray]:
-    """Extra dual candidates for a sup-norm side: uniform weight over the
-    near-maximal coordinates (any convex mix of vertices is feasible)."""
-    if not (isinstance(ev.impl, Lp) and math.isinf(ev.impl.p)):
-        return []
-    m = vals.max()
-    out = []
-    for delta in (1e-12, 1e-9, 1e-6, 1e-3):
-        mask = vals >= (1.0 - delta) * m
-        k = int(mask.sum())
-        if k > 1:
-            out.append(mask.astype(float) / k)
-    return out
+    With s the dual exponent of p, substitute u = h^beta: the ball becomes
+    ||u||_{s/beta} <= 1, and Hölder's equality case gives h ~ a^(1/(s-beta)).
+    """
+    s = conjugate_exponent(p)
+    h = (a / a.max()) ** (1.0 / (s - beta))  # h = 1 for s = inf
+    return h / np.linalg.norm(h, s)
 
 
 class _Solve:
     """One Calderon solve: its state while it runs, its result once it has.
 
     The solver works at unit scale, v = z / max z (homogeneity).  Side 0 is
-    X and side 1 is Y: each keeps a pool of its newest 48 norming
-    functionals, the candidates of the certified lower bound, and the set
-    of every functional it ever pooled, so an old one never comes back.
-    Each evaluation stores its Kelley cut phi(t) >= phi(s) + grad.(t - s)
-    once, as the LP row [grad, -1] <= grad.s - phi over (t, phi), with
-    the two norming functionals that the LP marginals mix.
+    X and side 1 is Y.  One lp side is solved in closed form (_holder): a
+    smooth one if there is one, and of two smooth ones the larger p (on
+    criterion 03's lp pairs that takes the fewest evaluations).  Each other
+    side keeps atoms, rows of scaled unit vectors and of norming
+    functionals in its dual ball, and weights over them, the warm start of
+    the next hull solve.
     """
 
     def __init__(self, evx: NormEvaluator, evy: NormEvaluator, theta: float,
                  z: np.ndarray, tol: float, budget: int):
         self.evs = (evx, evy)
-        self.theta = theta
-        self.tol = tol
-        self.budget = budget
-        self.z = z
+        self.expo = (1.0 - theta, theta)
+        self.tol, self.budget = tol, budget
         self.zscale = float(z.max())
         self.v = z / self.zscale
-        self.bound = 40.0 / max(theta, 1.0 - theta)  # box on s
-        self.pools: Tuple[List[np.ndarray], List[np.ndarray]] = ([], [])
-        self.seen: Tuple[set, set] = (set(), set())
-        # the Kelley LP of the latest points: (row, rhs, gx, gy)
-        self.cuts: Deque[Tuple[np.ndarray, float, np.ndarray, np.ndarray]] = deque(maxlen=120)
+        ps = {k: ev.impl.p for k, ev in enumerate(self.evs) if isinstance(ev.impl, Lp)}
+        self.closed = min(ps, key=lambda k: (math.isinf(ps[k]), ps[k] == 1.0, -ps[k]), default=None)
+        n = len(z)
+        # e_i / ||e_i||_* lies in the dual ball, and ||e_i||_* = 1 / ||e_1||
+        self.atoms = {k: np.eye(n) * self.evs[k]._cached_norm(np.ones(1))
+                      for k in (0, 1) if k != self.closed}
+        self.weights = {k: np.ones(n) for k in self.atoms}  # of the atoms, see hull_optimum
         self.evals = 0
-        self.best_u = math.inf  # least balanced value seen, at unit scale
-        self.best: Optional[Tuple[np.ndarray, float, float]] = None  # its (s, nx, ny)
+        self.found = 0  # new atoms, duplicates not counted
+        self.best_u = math.inf  # least upper bound K seen, at unit scale
+        self.witness: Optional[Tuple[np.ndarray, np.ndarray]] = None  # its cx/|cx|, cy/|cy|
         self.lower_u = 0.0  # certified lower bound, at unit scale
         self.pair: Optional[Tuple[np.ndarray, np.ndarray]] = None  # certifying (gx, gy)
-        self.converged = False
 
     @property
     def value(self) -> float:
@@ -453,130 +448,127 @@ class _Solve:
     def lower(self) -> float:
         return min(self.zscale * self.lower_u, self.value)  # rounding must not invert it
 
-    def record(self, side: int, g: np.ndarray) -> None:
-        key = np.round(g, 12).tobytes()
-        if key in self.seen[side]:
-            return
-        self.seen[side].add(key)
-        pool = self.pools[side]
-        pool.append(g)
-        if len(pool) > 48:
-            del pool[0]
-
-    def eval_point(self, s: np.ndarray) -> Tuple[float, np.ndarray]:
-        """phi(s) = log of the balanced value at s, and its gradient."""
-        if self.evals >= self.budget:
-            raise _BudgetExhausted
-        self.evals += 2
-        theta, thc = self.theta, 1.0 - self.theta
-        xv = self.v * np.exp(theta * s)
-        yv = self.v * np.exp(-thc * s)
-        nx, gx = self.evs[0].norming_values(xv)
-        ny, gy = self.evs[1].norming_values(yv)
-        for side, w, g in ((0, xv, gx), (1, yv, gy)):
-            self.record(side, g)
-            for cand in _flat_candidates(w, self.evs[side]):
-                self.record(side, cand)
-        phi = thc * math.log(nx) + theta * math.log(ny)
-        u = math.exp(phi)
-        if u < self.best_u:
-            self.best_u = u
-            self.best = (s.copy(), nx, ny)
-        grad = theta * thc * (xv * gx / nx - yv * gy / ny)
-        self.cuts.append((np.append(grad, -1.0), float(grad @ s) - phi, gx, gy))
-        return phi, grad
-
-    def certified(self) -> bool:
-        """Raise the lower bound over the pooled pairs; is the bracket closed?"""
-        px, py = self.pools
-        if px and py:
-            cands_x = px + ([np.mean(px, axis=0)] if len(px) > 1 else [])
-            cands_y = py + ([np.mean(py, axis=0)] if len(py) > 1 else [])
-            ax = np.asarray(cands_x) ** (1.0 - self.theta) * self.v  # rows scaled by |z|
-            by = np.asarray(cands_y) ** self.theta
-            lb = ax @ by.T
-            i, j = np.unravel_index(int(np.argmax(lb)), lb.shape)
-            if lb[i, j] > self.lower_u or self.pair is None:
-                self.lower_u = max(self.lower_u, float(lb[i, j]))
-                self.pair = (cands_x[i], cands_y[j])
+    @property
+    def converged(self) -> bool:
         return self.best_u - self.lower_u <= self.tol * self.best_u
 
-    def kelley(self) -> None:
-        """Cutting-plane descent with an adaptive trust box.
+    def rate(self, gs: Dict[int, np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(gx, gy, m), m = v gx^(1-t) gy^t, from atom mixtures gs.
 
-        This is the box-proximal bundle method.  The LP duals give convex
-        mixtures of recent norming functionals, fed back into the pools:
-        at a kinked optimum the certifying pair is such a mixture.
+        The sum of m is a lower bound, and it raises the certified one.
+        The closed side takes its best answer to the other side; that
+        makes m / gx and m / gy the gradient directions.
         """
-        n = len(self.v)
-        c_lp = np.zeros(n + 1)
-        c_lp[n] = 1.0
-        radius = 4.0
-        for k in itertools.count(1):
-            s_best = self.best[0]
-            lo = np.maximum(s_best - radius, -self.bound)
-            hi = np.minimum(s_best + radius, self.bound)
-            rows, rhs, gxs, gys = zip(*self.cuts)
-            res = _sciopt.linprog(c_lp, A_ub=np.array(rows), b_ub=np.array(rhs),
-                                  bounds=[*zip(lo, hi), (None, None)], method="highs")
-            if res.status != 0:
+        c = self.closed
+        if c is not None:
+            o = 1 - c
+            gs = {o: gs[o], c: _holder(self.v * gs[o] ** self.expo[o],
+                                       self.evs[c].impl.p, self.expo[c])}
+        gx, gy = gs[0], gs[1]
+        m = self.v * gx ** self.expo[0] * gy ** self.expo[1]
+        low = float(m.sum())
+        if low > self.lower_u:
+            self.lower_u, self.pair = low, (gx, gy)
+        return gx, gy, m
+
+    def point(self, cx: np.ndarray, cy: np.ndarray) -> None:
+        """Norm cx and cy: the upper bound K with its witness, and new atoms."""
+        self.evals += 2
+        (nx, ax), (ny, ay) = (ev.norming_values(c) for ev, c in zip(self.evs, (cx, cy)))
+        u = nx ** self.expo[0] * ny ** self.expo[1]
+        if u < self.best_u:
+            self.best_u = u
+            self.witness = (cx / nx, cy / ny)
+        for k in self.atoms:
+            self.add_atom(k, (ax, ay)[k])
+        self.rate({k: (ax, ay)[k] for k in self.atoms})  # the witness's own functionals
+
+    def add_atom(self, k: int, a: np.ndarray) -> None:
+        """Append a norming functional to side k's atoms unless it is one already."""
+        atoms = self.atoms[k]
+        if np.max(np.abs(atoms - a), axis=1).min() > 1e-12 * a.max():
+            self.atoms[k] = np.vstack([atoms, a])
+            self.weights[k] = np.append(self.weights[k], self.weights[k].mean())
+            self.found += 1
+
+    def hull_optimum(self) -> Dict[int, np.ndarray]:
+        """Maximize the pairing over the convex hulls of the atoms.
+
+        A side mixes its atoms as u / sum(u), with weights u in
+        [WEIGHT_FLOOR, 1].  L-BFGS-B can stop short of the optimum where
+        an atom's slope still beats the mixture's, the optimality
+        condition on the simplex; such atoms get the mean weight back and
+        the solve restarts from there.
+        """
+        sides = list(self.atoms)
+        cut = len(self.weights[sides[0]])
+
+        def mix(u: np.ndarray):
+            us = dict(zip(sides, np.split(u, [cut])))
+            gx, gy, m = self.rate({k: us[k] @ self.atoms[k] / us[k].sum() for k in sides})
+            low = float(m.sum())
+            # per unit of exponent, each atom's slope less the mixture's
+            slope = {k: self.atoms[k] @ (m / (gx, gy)[k]) - low for k in sides}
+            return us, (gx, gy), low, slope
+
+        def neg(u: np.ndarray) -> Tuple[float, np.ndarray]:
+            us, _, low, slope = mix(u)
+            grad = [slope[k] * self.expo[k] / us[k].sum() for k in sides]
+            return -low, -np.concatenate(grad)
+
+        for _ in range(RESTARTS):
+            start = np.concatenate([self.weights[k] for k in sides])
+            res = _sciopt.minimize(neg, start, jac=True, method="L-BFGS-B",
+                                   bounds=[(WEIGHT_FLOOR, 1.0)] * len(start),
+                                   options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-13})
+            us, g, low, slope = mix(res.x)
+            stuck = False
+            for k in sides:
+                u = us[k] / us[k].max()
+                up = (slope[k] > KKT_SLACK * low) & (u < u.mean())
+                u[up] = u.mean()
+                self.weights[k], stuck = u, stuck or up.any()
+            if not stuck:
+                break
+        return {k: g[k] for k in sides}
+
+    def run(self) -> None:
+        """Fully-corrective Frank-Wolfe rounds until the bracket closes.
+
+        A spent budget stops the solve unclosed, and so does a round that
+        adds no atom and moves neither bound by more than ROUNDING.
+        """
+        self.point(self.v, self.v)  # x = y = z: the interpolation bound
+        while True:
+            upper, lower, found = self.best_u, self.lower_u, self.found
+            gs = self.hull_optimum()
+            if self.converged:
                 return
-            if res.ineqlin is not None:
-                lam = np.abs(np.asarray(res.ineqlin.marginals))
-                tot = lam.sum()
-                if tot > 0:
-                    lam = lam / tot
-                    self.record(0, sum(l * g for l, g in zip(lam, gxs)))
-                    self.record(1, sum(l * g for l, g in zip(lam, gys)))
-            prev_best = self.best_u
-            phi_new, _ = self.eval_point(np.asarray(res.x[:n]))
-            if math.exp(phi_new) < prev_best - 1e-14 * prev_best:
-                radius = min(radius * 1.6, 16.0)
-            else:
-                radius = max(radius * 0.5, 1e-3)
-            if k % 5 == 0 and self.certified():
+            mean = {k: atoms.mean(axis=0) for k, atoms in self.atoms.items()}
+            for eta in (0.0, *HULL_SHIFTS):
+                if self.evals >= self.budget:
+                    return
+                gx, gy, m = self.rate({k: (1.0 - eta) * g + eta * mean[k] for k, g in gs.items()})
+                self.point(m / gx, m / gy)
+            if self.converged or (self.found == found
+                                  and self.best_u >= upper * (1.0 - ROUNDING)
+                                  and self.lower_u <= lower * (1.0 + ROUNDING)):
                 return
 
     def factorization(self, support: Tuple[int, ...]) -> Factorization:
-        """The witness at the best point, rebalanced so both norms equal the value."""
-        s, nx, ny = self.best
-        nx, ny = self.zscale * nx, self.zscale * ny
-        theta = self.theta
-        c = math.log(ny / nx) if nx > 0 and ny > 0 else 0.0
-        xv = self.z * np.exp(theta * s) * math.exp(theta * c)
-        yv = self.z * np.exp(-(1.0 - theta) * s) * math.exp(-(1.0 - theta) * c)
+        """The witness at the least upper bound; both norms equal the value."""
+        ux, uy = self.witness
         return Factorization(
-            SeqVector(zip(support, xv)), SeqVector(zip(support, yv)), self.value, self.lower
+            SeqVector(zip(support, self.value * ux)), SeqVector(zip(support, self.value * uy)),
+            self.value, self.lower,
         )
 
 
-def _calderon_solve(
-    evx: NormEvaluator,
-    evy: NormEvaluator,
-    theta: float,
-    v: np.ndarray,
-    tol: float,
-    budget: int,
-) -> _Solve:
-    """Run s = 0, then L-BFGS-B, then Kelley until the bracket closes."""
+def _calderon_solve(evx: NormEvaluator, evy: NormEvaluator, theta: float, v: np.ndarray,
+                    tol: float, budget: int) -> _Solve:
+    """Run simplicial decomposition over the dual balls until it stops."""
     solve = _Solve(evx, evy, theta, v, tol, budget)
-    s0 = np.zeros(len(v))
-    try:
-        solve.eval_point(s0)
-        if not solve.certified():
-            _sciopt.minimize(
-                solve.eval_point,
-                s0,
-                jac=True,
-                method="L-BFGS-B",
-                bounds=[(-solve.bound, solve.bound)] * len(v),
-                options={"maxiter": 80, "ftol": 1e-15, "gtol": 1e-12},
-            )
-            if not solve.certified():
-                solve.kelley()
-    except _BudgetExhausted:
-        pass
-    solve.converged = solve.certified()
+    solve.run()
     return solve
 
 

@@ -49,6 +49,13 @@ class SeqVector:
     # -- constructors -------------------------------------------------
 
     @classmethod
+    def _adopt(cls, store: Dict[int, float]) -> "SeqVector":
+        """A vector on a dict whose indices are already checked; drops zeros."""
+        out = cls.__new__(cls)
+        out._entries = {i: v for i, v in store.items() if v != 0.0}
+        return out
+
+    @classmethod
     def from_values(cls, values: Sequence[float], start: int = 1) -> "SeqVector":
         """Dense constructor: values occupy coordinates start, start+1, ..."""
         return cls((start + k, v) for k, v in enumerate(values))
@@ -103,14 +110,14 @@ class SeqVector:
         out = dict(self._entries)
         for i, v in other._entries.items():
             out[i] = out.get(i, 0.0) + v
-        return SeqVector(out)
+        return SeqVector._adopt(out)
 
     def __sub__(self, other: "SeqVector") -> "SeqVector":
         return self + (-1.0) * other
 
     def __mul__(self, scalar: float) -> "SeqVector":
         s = float(scalar)
-        return SeqVector((i, s * v) for i, v in self._entries.items())
+        return SeqVector._adopt({i: s * v for i, v in self._entries.items()})
 
     __rmul__ = __mul__
 

@@ -15,6 +15,7 @@ from banachlab import (
     get_evaluator,
     lp_norm,
     lp_product_oracle,
+    parse_space,
     pointwise_power,
     space_spr,
     spr_summing_identity,
@@ -100,17 +101,35 @@ class TestCalderonNorm:
         assert "the budget ran out after 12 of 12 norm evaluations" in str(err.value)
         assert "relative gap" in str(err.value)
 
-    def test_lp_failure_is_reported(self, monkeypatch):
-        class Failed:
-            status = 2
-
+    def test_stall_is_reported(self, monkeypatch):
+        # an oracle that repeats its first functional adds no atom, so the
+        # second round improves neither bound
         z = SeqVector.from_values([1.0, 0.7, 0.3, 1.2, 0.5])
         ev = NormEvaluator(CalderonProduct(Lp(1), S, 0.5), tol=1e-13)
-        monkeypatch.setattr(engine._sciopt, "linprog", lambda *a, **k: Failed())
+        oracle = ev._child(S)
+        real, stale = oracle.norming_values, {}
+
+        def norming_values(v):
+            value, w = real(v)
+            return value, stale.setdefault(len(v), w)
+
+        monkeypatch.setattr(oracle, "norming_values", norming_values)
         with pytest.raises(ConvergenceError) as err:
             ev.norm(z)
-        assert "the cutting-plane LP failed after" in str(err.value)
+        assert "a round improved neither bound after" in str(err.value)
         assert err.value.upper >= err.value.lower > 0
+
+    def test_no_linprog_in_the_solver(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("linprog called")
+
+        monkeypatch.setattr(engine._sciopt, "linprog", fail)
+        z = SeqVector.from_values([0.3, -1.2, 0.5, 0.8])
+        value, fac = NormEvaluator(space_spr(4 / 3, 4, F), tol=1e-6).factorize(z)
+        assert 0.0 <= fac.relative_gap <= 1e-6
+        value, fac = calderon_norm(Lp(1), Lp(math.inf), 0.5, z, tol=1e-7)
+        assert value == pytest.approx(lp_norm(z, 2.0), rel=1e-6)
+        assert 0.0 <= fac.relative_gap <= 1e-7
 
 
 class TestSprCertification:
@@ -133,7 +152,8 @@ class TestSprCertification:
         ev = NormEvaluator(space_spr(4 / 3, 4, F), tol=1e-6)
         value, fac = ev.factorize(z)
         assert fac.achieved_value == value
-        assert 0.0 <= fac.relative_gap <= 1e-6
+        # a tenth of the tolerance: certification must not hinge on the last bits
+        assert 0.0 <= fac.relative_gap <= 1e-7
 
     def test_bracket_never_inverted(self):
         z = SeqVector.from_values([0.6758160930140471, -0.9098447725352661,
@@ -230,6 +250,14 @@ class TestSummingIdentity:
         value = NormEvaluator(Convexified(spr, 2.0)).norm(z)
         expected = NormEvaluator(spr).norm(pointwise_power(z, 2.0)) ** 0.5
         assert value == pytest.approx(expected, rel=1e-6)
+
+    def test_convexified_product_certifies(self):
+        # the product factor must certify this vector within the default budget
+        rng = np.random.default_rng(np.random.SeedSequence([77, 4]))
+        z = SeqVector.from_values(rng.uniform(-1, 1, int(rng.integers(2, 6))))
+        value = NormEvaluator(parse_space("conv:cal:l2:s:log2p1:0.5:2")).norm(z)
+        inner = NormEvaluator(CalderonProduct(Lp(2), S, 0.5)).norm(pointwise_power(z, 2.0))
+        assert value == pytest.approx(inner**0.5, rel=1e-6)
 
     def test_convexified_spot_values(self):
         ev = get_evaluator(space_spr(2, math.inf, F))

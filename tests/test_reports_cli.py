@@ -141,7 +141,7 @@ class TestCliCommands:
         assert "in class: False" in out
 
     def test_convergence_error_exits_3(self, capsys):
-        # an impossible tolerance with a starved budget cannot certify
+        # a tolerance below the rounding level cannot certify: a round stalls
         code = entrypoint(
             ["calderon", "--x", "l1", "--y", "s:log2p1", "--theta", "0.5",
              "--vec", "0.3,1.2,0.5,0.8,1.1", "--tol", "1e-14"]

@@ -68,6 +68,22 @@ class TestSeqVector:
         with pytest.raises(ValidationError):
             SeqVector({0: 1.0})
 
+    @pytest.mark.parametrize("bad", [0, -3, 1.5])
+    def test_public_constructors_reject_bad_indices(self, bad):
+        with pytest.raises(ValidationError):
+            SeqVector({bad: 1.0})
+        with pytest.raises(ValidationError):
+            SeqVector([(bad, 1.0)])
+        with pytest.raises(ValidationError):
+            SeqVector.basis(bad)
+
+    def test_arithmetic_drops_zeros(self):
+        x = SeqVector({1: 1.0, 3: -2.0})
+        assert (x - x).support == ()
+        assert (x + SeqVector({1: -1.0})) == SeqVector({3: -2.0})
+        assert (0.0 * x).support == ()
+        assert (2.0 * x) == SeqVector({1: 2.0, 3: -4.0})
+
 
 class TestIntervals:
     def test_ordering_is_strict_gap(self):
