@@ -50,7 +50,12 @@ Its norm (and, generically, the dual norm of any space with an exact
 norming oracle) is computed by a cutting-plane LP over the polyhedral
 unit ball: maximize <g, x> subject to lazily generated partition-tree
 constraints; the separation oracle is the DP itself, and the cut pool
-is kept by the evaluator of the ball it cuts.
+is kept by the evaluator of the ball it cuts.  The LPs are small (one
+variable per support point, up to CUT_POOL_SIZE pooled rows plus the
+call's own cuts), so one dense simplex tableau in numpy serves a whole
+call: each new cut is one more row, and dual simplex pivots restart
+from the previous optimal basis.  The LP's upper end comes from its
+dual multipliers by weak duality.
 """
 
 from __future__ import annotations
@@ -284,6 +289,115 @@ def _signed(x: SeqVector, w: np.ndarray) -> SeqVector:
 
 # -- cutting-plane dual norm ------------------------------------------------
 
+LP_TOL = 1e-12  # a right-hand side or reduced cost this far below 0 counts as negative
+LP_PIVOT_TOL = 1e-9  # least magnitude of a pivot element
+LP_PIVOTS_PER_LABEL = 20  # a solve fails after this many pivots per tableau row and column
+
+
+class _LPFailure(Exception):
+    """The simplex could not finish; _cutting_plane_dual adds the bracket."""
+
+
+class _Tableau:
+    """max c.x subject to cut.x <= 1 for every cut and 0 <= x <= u, by simplex.
+
+    A condensed (Tucker) tableau: row 0 is the objective, row i >= 1 reads
+    basic_i = t[i, -1] - sum_k t[i, k] nonbasic_k, and t[0] has -c in the
+    x = 0 basis.  Variables are labelled x_j -> j, the slack of x_j <= u
+    -> n + j and the slack of cut k -> 2n + k.  x = 0 is feasible, so the
+    primal simplex needs no phase 1.  A new cut is appended as one row in
+    the current nonbasic variables; the objective row stays nonnegative,
+    so dual-simplex pivots from the previous optimal basis restore
+    feasibility (the warm start).  Both pivot rules take the lowest label
+    among ties (Bland), which rules out cycling.
+    """
+
+    def __init__(self, c: np.ndarray, u: float, cuts):
+        n = len(c)
+        self.c, self.u, self.cuts = c, u, list(cuts)
+        top = np.append(-c, 0.0)
+        box = np.hstack([np.eye(n), np.full((n, 1), u)])
+        rows = [np.append(a, 1.0) for a in self.cuts]
+        self.t = np.vstack([top, box, *rows])
+        self.basic = np.arange(n, 2 * n + len(self.cuts))  # labels of rows 1..m
+        self.nonbasic = np.arange(n)  # labels of the columns
+
+    def add(self, a: np.ndarray) -> None:
+        """Append the cut a.x <= 1, written in the current nonbasic variables."""
+        n = len(self.c)
+        on_row = np.zeros(len(self.t))
+        xrows = self.basic < n
+        on_row[1:][xrows] = a[self.basic[xrows]]
+        row = -(on_row @ self.t)
+        xcols = self.nonbasic < n
+        row[:-1][xcols] += a[self.nonbasic[xcols]]
+        row[-1] += 1.0
+        self.t = np.vstack([self.t, row])
+        self.basic = np.append(self.basic, 2 * n + len(self.cuts))
+        self.cuts.append(a)
+
+    def _pivot(self, r: int, s: int) -> None:
+        t = self.t
+        p = t[r, s]
+        t[r] /= p
+        col = t[:, s].copy()
+        col[r] = 0.0
+        t -= col[:, None] * t[r]
+        t[:, s] = -col / p
+        t[r, s] = 1.0 / p
+        self.basic[r - 1], self.nonbasic[s] = self.nonbasic[s], self.basic[r - 1]
+
+    def _step(self) -> bool:
+        """One pivot; False once the basis is optimal.  Raises on failure."""
+        t = self.t
+        bad = np.nonzero(t[1:, -1] < -LP_TOL)[0]
+        if bad.size:  # dual simplex: the lowest infeasible row leaves
+            r = 1 + bad[self.basic[bad].argmin()]
+            cand = np.nonzero(t[r, :-1] < -LP_PIVOT_TOL)[0]
+            if not cand.size:
+                raise _LPFailure("no pivot restores a cut")
+            ratio = np.maximum(t[0, cand], 0.0) / -t[r, cand]
+            tie = cand[ratio <= ratio.min() + LP_TOL]
+            self._pivot(r, tie[self.nonbasic[tie].argmin()])
+            return True
+        enter = np.nonzero(t[0, :-1] < -LP_TOL)[0]
+        if not enter.size:
+            return False
+        s = enter[self.nonbasic[enter].argmin()]  # primal simplex
+        cand = np.nonzero(t[1:, s] > LP_PIVOT_TOL)[0]
+        if not cand.size:
+            raise _LPFailure("unbounded ray")
+        ratio = np.maximum(t[1 + cand, -1], 0.0) / t[1 + cand, s]
+        tie = cand[ratio <= ratio.min() + LP_TOL]
+        self._pivot(1 + tie[self.basic[tie].argmin()], s)
+        return True
+
+    def solve(self) -> Tuple[np.ndarray, float]:
+        """The optimal x and an upper bound on the LP value from its multipliers.
+
+        The bound is weak duality, sum(y) + u sum(max(c - A^T y, 0)) with
+        y >= 0 read from the objective row, so it holds whether or not the
+        basis is optimal.
+        """
+        t = self.t
+        cap = LP_PIVOTS_PER_LABEL * sum(t.shape)
+        for _ in range(cap):
+            if not self._step():
+                break
+        else:
+            raise _LPFailure(f"no optimum after {cap} pivots")
+        n = len(self.c)
+        x = np.zeros(n)
+        xrows = self.basic < n
+        x[self.basic[xrows]] = t[1:, -1][xrows]
+        x[x < LP_TOL] = 0.0  # a degenerate zero; the oracle sees positive coordinates only
+        cutcols = self.nonbasic >= 2 * n
+        y = np.maximum(t[0, :-1][cutcols], 0.0)
+        ay = np.zeros(n)
+        for k, yk in zip(self.nonbasic[cutcols] - 2 * n, y):
+            ay += yk * self.cuts[k]
+        return x, float(y.sum() + self.u * np.maximum(self.c - ay, 0.0).sum())
+
 
 def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np.ndarray]:
     """max { <x, c> : ||x||_oracle <= 1 } for a positive c, with lazy cuts.
@@ -295,6 +409,13 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     a certified two-sided bracket: width DUAL_FEAS_TOL on polyhedral
     balls, where the LP vertex itself turns out feasible, and DUAL_GAP_TOL
     on smooth ones, where the bracket closes gradually.
+
+    The LP is max c.x subject to cut.x <= 1 and 0 <= x <= 1/||e_1||,
+    solved by one _Tableau per call: built from the pooled rows and
+    solved by primal simplex, then warm-started by dual simplex after
+    each new cut.  Its upper end is the weak-duality bound of the
+    tableau's multipliers, not c.x*, so it does not rest on the solver
+    having reached the optimum.
 
     Separation is stabilized by in-out separation (Ben-Ameur & Neto
     2007).  While the rescaled LP vertex is the best feasible point, the
@@ -315,9 +436,8 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     n = len(c)
     scale = float(c.max())  # dual norms are homogeneous; keep the LP well scaled
     c = c / scale
-    unit = oracle._cached_norm(np.ones(1))
-    bounds = [(0.0, 1.0 / unit)] * n
-    cuts = list(oracle._dual_cuts.get(n, ()))
+    box = 1.0 / oracle._cached_norm(np.ones(1))  # no coordinate of the ball exceeds it
+    tab = _Tableau(c, box, oracle._dual_cuts.get(n, ()))
 
     def probe(x: np.ndarray) -> Tuple[float, np.ndarray]:
         # LP points have zero coordinates; the oracle norms the positive ones
@@ -331,33 +451,29 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
         return lpval - best_val <= DUAL_GAP_TOL * max(lpval, 1.0)
 
     best_val, best_x = 0.0, np.zeros(n)
-    lpval = math.inf
+    lpval = box * float(c.sum())  # weak duality with zero multipliers
     healed = False
     try:
         for _ in range(DUAL_MAX_ROUNDS):
-            a_ub = np.vstack(cuts) if cuts else None
-            b_ub = np.ones(len(cuts)) if cuts else None
-            res = _sciopt.linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-            if res.status != 0:
-                raise ConvergenceError(
-                    f"dual-norm LP failed with status {res.status}",
-                    scale * best_val, scale * lpval,
-                )
-            xstar = np.maximum(res.x, 0.0)
-            if not healed and cuts and float(c @ xstar) < best_val * (1 - 1e-9):
+            try:
+                xstar, lpval = tab.solve()
+            except _LPFailure as err:
+                raise ConvergenceError(f"dual-norm LP failed ({err})",
+                                       scale * best_val, scale * lpval) from None
+            if not healed and tab.cuts and lpval < best_val * (1 - 1e-9):
                 # a relaxation value below a feasible value means a pooled
                 # cut is numerically invalid; rebuild this call's rows once
-                cuts = []
+                tab = _Tableau(c, box, ())
                 healed = True
                 continue
-            lpval = float(c @ xstar)
+            val = float(c @ xstar)
             nv = oracle._cached_norm(xstar[xstar > 0.0])  # warm LPs often repeat a vertex
             if nv <= 1.0 + DUAL_FEAS_TOL:
                 fix = 1.0 / nv if nv > 1.0 else 1.0
-                return scale * lpval * fix, xstar * fix
+                return scale * val * fix, xstar * fix
             row = None
-            if best_val < lpval / nv:
-                best_val, best_x = lpval / nv, xstar / nv
+            if best_val < val / nv:
+                best_val, best_x = val / nv, xstar / nv
             else:
                 while not closed():
                     q = 0.5 * (xstar + best_x)
@@ -377,11 +493,11 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
             if float(row @ xstar) <= 1.0 + 0.5 * DUAL_FEAS_TOL:
                 raise ConvergenceError("dual-norm LP stalled (oracle cut did not separate)",
                                        scale * best_val, scale * lpval)
-            cuts.append(row)
+            tab.add(row)
         raise ConvergenceError("dual-norm LP exceeded round limit",
                                scale * best_val, scale * lpval)
     finally:
-        oracle._dual_cuts[n] = cuts[-CUT_POOL_SIZE:]
+        oracle._dual_cuts[n] = tab.cuts[-CUT_POOL_SIZE:]
 
 
 # -- Calderon product solver --------------------------------------------------

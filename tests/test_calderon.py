@@ -6,6 +6,7 @@ import pytest
 from banachlab import (
     CalderonProduct,
     Convexified,
+    Dual,
     LOG2P1,
     Lp,
     NormEvaluator,
@@ -130,6 +131,11 @@ class TestCalderonNorm:
         value, fac = calderon_norm(Lp(1), Lp(math.inf), 0.5, z, tol=1e-7)
         assert value == pytest.approx(lp_norm(z, 2.0), rel=1e-6)
         assert 0.0 <= fac.relative_gap <= 1e-7
+        # the dual LP of Dual(S), alone and inside Lozanovskii's S x Dual(S) = l2
+        assert NormEvaluator(Dual(S)).norm(SeqVector.from_values([1.0, 1.0])) == pytest.approx(
+            math.log2(3), rel=1e-9)
+        value, fac = calderon_norm(S, Dual(S), 0.5, z, tol=1e-5)
+        assert value == pytest.approx(lp_norm(z, 2.0), rel=1e-4)
 
 
 class TestSprCertification:

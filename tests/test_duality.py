@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from banachlab import (
     Convexified,
@@ -23,7 +24,7 @@ from banachlab import (
 from banachlab import engine
 from banachlab.calderon import lp_product_oracle
 from banachlab.descriptors import CalderonProduct, FunctionalFamily, YDistortion
-from banachlab.errors import UnsupportedSpaceError, ValidationError
+from banachlab.errors import ConvergenceError, UnsupportedSpaceError, ValidationError
 
 F = LOG2P1
 S = Schlumprecht(F)
@@ -138,6 +139,89 @@ class TestWarmCutPool:
         for x, a, b in zip(vectors, first, again):
             assert b == pytest.approx(a, abs=1e-6)
             assert b == pytest.approx(ev.norm(x), rel=1e-5)
+
+
+def dual_shaped_lp(rng, degenerate):
+    """c, u and cut rows shaped like the dual LP's: c scaled to max 1, rows >= 0."""
+    n = int(rng.integers(1, 13))
+    c = rng.uniform(0.05, 1.0, n)
+    c /= c.max()
+    u = float(rng.choice([0.5, 1.0, 2.0]))
+    rows = []
+    for _ in range(int(rng.integers(0, engine.CUT_POOL_SIZE + 1))):
+        a = rng.uniform(0.0, 1.0, n) * (rng.random(n) < 0.7)
+        if degenerate and rows and rng.random() < 0.3:
+            a = rows[int(rng.integers(len(rows)))].copy()  # a duplicated row
+        elif degenerate and rng.random() < 0.3:
+            a = np.zeros(n)  # tight where x sits on its bound u
+            on = rng.random(n) < 0.5
+            a[on] = 1.0 / (u * max(on.sum(), 1))
+        elif a.max() > 0.0:
+            a /= a @ rng.uniform(0.3, 1.0, n) * u  # about as tight as a cut
+        rows.append(a)
+    return c, u, rows
+
+
+class TestDualSimplex:
+    """The dual LP's tableau against scipy's linprog (HiGHS) as reference."""
+
+    def check(self, c, u, rows, x, bound):
+        a = np.array(rows).reshape(len(rows), len(c))
+        ref = linprog(-c, A_ub=a if rows else None, b_ub=np.ones(len(rows)) if rows else None,
+                      bounds=[(0.0, u)] * len(c), method="highs")
+        assert ref.status == 0
+        assert float(c @ x) == pytest.approx(-ref.fun, rel=1e-9)
+        assert x.min() >= 0.0 and x.max() <= u + 1e-12
+        assert (a @ x).max(initial=0.0) <= 1.0 + 1e-12
+        # weak duality; HiGHS's value carries its own rounding
+        assert bound >= -ref.fun * (1.0 - 1e-14)
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    def test_fresh_and_warm_agree_with_linprog(self, degenerate):
+        rng = np.random.default_rng(21 + degenerate)
+        for _ in range(12):
+            c, u, rows = dual_shaped_lp(rng, degenerate)
+            self.check(c, u, rows, *engine._Tableau(c, u, rows).solve())
+            tab = engine._Tableau(c, u, ())
+            tab.solve()
+            for a in rows:
+                tab.add(a)
+                tab.solve()
+            self.check(c, u, rows, *tab.solve())
+
+    def test_pivot_cap_raises_with_bracket(self, monkeypatch):
+        z = SeqVector.from_values([1.0, 0.5, 0.3, 0.8])
+        value = NormEvaluator(Dual(S)).norm(z)
+        monkeypatch.setattr(engine, "LP_PIVOTS_PER_LABEL", 0)
+        with pytest.raises(ConvergenceError, match="dual-norm LP failed") as err:
+            NormEvaluator(Dual(S)).norm(z)
+        assert 0.0 <= err.value.lower <= value <= err.value.upper
+
+
+class TestCuttingPlaneFailures:
+    z = SeqVector.from_values([1.0, 0.5, 0.3, 0.8])
+
+    def test_round_limit(self, monkeypatch):
+        monkeypatch.setattr(engine, "DUAL_MAX_ROUNDS", 1)
+        with pytest.raises(ConvergenceError, match="exceeded round limit") as err:
+            NormEvaluator(Dual(S)).norm(self.z)
+        assert err.value.lower == pytest.approx(1.509, abs=1e-3)
+        assert err.value.upper == pytest.approx(2.6, rel=1e-12)
+
+    def test_stall(self, monkeypatch):
+        # an oracle that repeats its first functional per size cuts nothing new
+        ev = NormEvaluator(Dual(S))
+        oracle = ev._child(S)
+        real, stale = oracle.norming_values, {}
+
+        def norming_values(v):
+            value, w = real(v)
+            return value, stale.setdefault(len(v), w)
+
+        monkeypatch.setattr(oracle, "norming_values", norming_values)
+        with pytest.raises(ConvergenceError, match="oracle cut did not separate") as err:
+            ev.norm(self.z)
+        assert 0.0 < err.value.lower <= err.value.upper
 
 
 class TestBidual:
