@@ -467,7 +467,7 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
                 healed = True
                 continue
             val = float(c @ xstar)
-            nv = oracle._cached_norm(xstar[xstar > 0.0])  # warm LPs often repeat a vertex
+            nv, vrow = probe(xstar)  # the vertex's norming row is its Kelley cut
             if nv <= 1.0 + DUAL_FEAS_TOL:
                 fix = 1.0 / nv if nv > 1.0 else 1.0
                 return scale * val * fix, xstar * fix
@@ -489,7 +489,7 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
             if closed():
                 return scale * best_val, best_x
             if row is None:
-                row = probe(xstar)[1]
+                row = vrow
             if float(row @ xstar) <= 1.0 + 0.5 * DUAL_FEAS_TOL:
                 raise ConvergenceError("dual-norm LP stalled (oracle cut did not separate)",
                                        scale * best_val, scale * lpval)

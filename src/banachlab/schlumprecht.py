@@ -19,20 +19,20 @@ exhaustive reference evaluator below:
   absorbed into a neighboring block without decreasing any term, by
   lattice monotonicity), so splits are covering partitions.
 
-The pass fills one table, `_dp_core`'s (best, bp, split), read by every
-consumer: the norm, the certificate tree and the best n-way partition.
-One walk of the extremal tree, `_tree_weights`, gives both the weights of
-`s_norm_weights` and the norming functional stored in the certificate.
+The pass fills one table, `_dp_core`'s `best`: per interval and block
+count the largest sum of block norms, with the norm itself at count 1.
+It stores maxima only.  Every consumer reads it: the norm, the best
+n-way partition, whose block ends `_blocks_of` recovers, and the
+extremal tree, which one walk, `_tree`, derives from it and which gives
+both the weights of `s_norm_weights` and the certificate of `s_norm`.
 
 The table has two implementations with equal entries.  Below
-`DP_NUMPY_MIN` (16) positions a pure-Python loop fills it: the Calderon
+`DP_NUMPY_MIN` (11) positions a pure-Python loop fills it: the Calderon
 solver and the dual LP call the DP tens of thousands of times at N <= 12,
-where numpy's per-call overhead makes it about 4x slower (0.17 ms against
-0.04 ms at N = 5 on a 2-CPU host).  From 16 on a numpy wavefront over
-interval length fills it, O(N^4) work in O(N) array steps, about 11x
-faster at N = 64 (13 ms against 146 ms).  `BENCH_8.json` has the table.
-Readers convert what they take out of the table to Python `float` and
-`int`, so no numpy scalar reaches a caller.
+where numpy's per-call overhead costs more (0.03 against 0.08 ms at N = 5
+on a 2-CPU host).  From 11 on a numpy wavefront over interval length
+fills it, O(N^4) work in O(N) array steps (11.5 against 180 ms at N = 64).
+`BENCH_13.json` has the per-N times.  Both read out Python floats.
 
 The reference evaluator makes neither reduction over block placement:
 it enumerates every sequence of two or more disjoint runs, gaps
@@ -44,6 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, mul
 from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
@@ -69,7 +70,7 @@ __all__ = [
 
 DEFAULT_DP_CAP = 64
 # support size from which `_dp_core` runs the numpy wavefront (see there)
-DP_NUMPY_MIN = 16
+DP_NUMPY_MIN = 11
 
 
 # -- certificates -------------------------------------------------------
@@ -139,72 +140,56 @@ class PartitionCertificate:
 # -- the DP table --------------------------------------------------------
 
 
-def _dp_core(vals: Sequence[float], f: GaugeFunction):
-    """The DP table (best, bp, split) over positions a..b (0-based, inclusive).
+def _dp_core(vals: Sequence[float], f: GaugeFunction) -> Sequence[float]:
+    """The flat DP table best[(m * N + a) * N + b] over positions a..b.
 
-    * best[m][a][b], m >= 2: the maximal sum of block norms over covering
-      partitions of a..b into m blocks; best[1][a][b]: the norm of a..b.
-    * bp[m][a][b], m >= 2: the end of the first block of the earliest such
-      partition; bp[1][a][b]: the leaf, the position of the largest value
-      in a..b, earliest on ties.
-    * split[a][b]: the block count attaining best[1][a][b], 1 for the leaf;
-      a split must beat the leaf strictly, the smallest m winning ties.
-
-    Below DP_NUMPY_MIN positions, where numpy's per-call overhead costs
-    more than it saves, the tables are nested lists from `_dp_loop`; from
-    there on they are numpy arrays from `_dp_numpy`.  The two agree entry
-    by entry wherever m <= b - a + 1; the other entries (no such
-    partition) are unspecified, 0.0 in the lists and -inf in the arrays.
-    Readers convert what they take out with `float` and `int`.
+    For m >= 2 a cell holds the maximal sum of block norms over covering
+    partitions of a..b into m blocks, for m = 1 the norm of a..b.  Below
+    DP_NUMPY_MIN positions it is a list from `_dp_loop`, from there on a
+    memoryview of the array from `_dp_numpy`; both read out Python floats
+    and agree wherever m <= b - a + 1 (elsewhere 0.0 and -inf).
     """
     if len(vals) >= DP_NUMPY_MIN:
         return _dp_numpy(vals, f)
     return _dp_loop(vals, f)
 
 
-def _dp_loop(vals: Sequence[float], f: GaugeFunction):
+@lru_cache(maxsize=256)
+def _finv(f: GaugeFunction, n: int) -> Tuple[float, ...]:
+    """1/f(m) for m = 2..n: the split weights that the DP and `_tree` apply."""
+    return tuple(1.0 / f(float(m)) for m in range(2, n + 1))
+
+
+def _dp_loop(vals: Sequence[float], f: GaugeFunction) -> List[float]:
     """`_dp_core` in pure Python: the small-N path, and the reference for
-    the numpy tables."""
+    the numpy table."""
     n = len(vals)
-    split = [[1] * n for _ in range(n)]
-    best = [[[0.0] * n for _ in range(n)] for _ in range(n + 1)]
-    bp = [[[0] * n for _ in range(n)] for _ in range(n + 1)]
-    norms, leaves = best[1], bp[1]
-
-    finv = [0.0, 1.0] + [1.0 / f(float(m)) for m in range(2, n + 1)]
-
+    nn = n * n
+    best = [0.0] * ((n + 1) * nn)
+    finv = _finv(f, n)
     for a in range(n):
-        norms[a][a] = vals[a]
-        leaves[a][a] = a
+        best[nn + a * (n + 1)] = vals[a]
+    vmax = list(vals)  # vmax[a]: the largest value in a..b
 
     for length in range(2, n + 1):
         for a in range(n - length + 1):
             b = a + length - 1
+            row = nn + a * n  # best[row + k]: the norm of a..k
+            top = vmax[a] = max(vmax[a], vals[b])
             # covering partitions into m blocks; first block a..k
             for m in range(2, length + 1):
-                rows_prev = best[m - 1]
-                ga = norms[a]
-                top = -1.0
-                arg = a
+                col = (m - 1) * nn + b  # best[col + c * n]: m - 1 blocks of c..b
+                s = -1.0
                 for k in range(a, b - m + 2):
-                    cand = ga[k] + rows_prev[k + 1][b]
-                    if cand > top:
-                        top = cand
-                        arg = k
-                best[m][a][b] = top
-                bp[m][a][b] = arg
-            # leaf candidate: largest value, earliest on ties
-            arg = leaves[a][b - 1]
-            leaves[a][b] = arg = b if vals[b] > vals[arg] else arg
-            top = vals[arg]
-            for m in range(2, length + 1):
-                cand = best[m][a][b] * finv[m]
-                if cand > top:
-                    top = cand
-                    split[a][b] = m
-            norms[a][b] = top
-
-    return best, bp, split
+                    cand = best[row + k] + best[col + (k + 1) * n]
+                    if cand > s:
+                        s = cand
+                best[m * nn + a * n + b] = s
+                s *= finv[m - 2]
+                if s > top:
+                    top = s
+            best[row + b] = top
+    return best
 
 
 def _strided(table: np.ndarray, offset: int, shape, strides) -> np.ndarray:
@@ -213,110 +198,122 @@ def _strided(table: np.ndarray, offset: int, shape, strides) -> np.ndarray:
     return np.ndarray(shape, table.dtype, table, offset * size, [t * size for t in strides])
 
 
-def _dp_numpy(vals: Sequence[float], f: GaugeFunction):
+def _dp_numpy(vals: Sequence[float], f: GaugeFunction) -> memoryview:
     """`_dp_core` as a numpy wavefront: one length L at a time, all (m, a, k).
 
     With j = k - a, both terms of best[1][a][k] + best[m-1][k+1][b] are
     affine in (m, a, j) on the flat table, so two strided views give the
-    (L-1, N-L+1, L-1) block of candidates, and the cells (m, a, a+L-1)
-    written back are one strided view per table.  A cell with no partition
-    of k+1..b into m-1 blocks reads -inf and never wins.  The first
-    arg-max over j is the earliest k, over m the smallest count, as the
-    loop's strict `>` picks them; the same float operations give the same
-    bits, so the tables equal the loop's entry by entry.
+    (L-1, N-L+1, L-1) block of candidates, whose max over j is written
+    into the strided view of the cells (m, a, a+L-1).  A cell with no
+    partition of k+1..b into m-1 blocks reads -inf and never wins.  The
+    loop's float operations give the loop's bits.
     """
     n = len(vals)
     nn = n * n
     v = np.asarray(vals, dtype=float)
-    best = np.full((n + 1, n, n), -np.inf)
-    bp = np.zeros((n + 1, n, n), dtype=np.intp)
-    split = np.ones((n, n), dtype=np.intp)
-    finv = np.array([1.0 / f(float(m)) for m in range(2, n + 1)])
+    best = np.full((n + 1) * nn, -np.inf)
+    finv = np.array(_finv(f, n))
 
-    pos = np.arange(n)
-    best[1, pos, pos] = v
-    bp[1, pos, pos] = pos
+    _strided(best, nn, v.shape, (n + 1,))[...] = v
+    vmax = v  # vmax[a]: the largest value in a..a+L-1
     for length in range(2, n + 1):
-        a, b = pos[: n - length + 1], pos[length - 1 :]
-        shape = (length - 1, len(a), length - 1)  # (m - 2, a, j)
+        width = n - length + 1  # intervals of this length
+        shape = (length - 1, width, length - 1)  # (m - 2, a, j)
         cand = _strided(best, nn, shape, (0, n + 1, 1)) + _strided(
             best, nn + n + length - 1, shape, (nn, n + 1, n)
         )
-        first = cand.argmax(axis=2)
-        top = np.take_along_axis(cand, first[..., None], 2)[..., 0]
-        cells = (2 * nn + length - 1, top.shape, (nn, n + 1))  # m >= 2, a, b
-        _strided(best, *cells)[...] = top
-        _strided(bp, *cells)[...] = first + a
-
-        # leaf: largest value, earliest on ties; a split must beat it strictly
-        prev = _strided(bp, nn + length - 2, a.shape, (n + 1,))
-        leaf = np.where(v[b] > v[prev], b, prev)
-        scaled = top * finv[: length - 1, None]
-        m = scaled.argmax(axis=0)
-        split_val, leaf_val = scaled[m, a], v[leaf]
-        wins = split_val > leaf_val
-        cells = (nn + length - 1, a.shape, (n + 1,))  # m = 1, a, b
-        _strided(bp, *cells)[...] = leaf
-        _strided(best, *cells)[...] = np.where(wins, split_val, leaf_val)
-        _strided(split, length - 1, a.shape, (n + 1,))[...] = np.where(wins, m + 2, 1)
-
-    return best, bp, split
+        top = cand.max(axis=2, out=_strided(best, 2 * nn + length - 1, shape[:2], (nn, n + 1)))
+        vmax = np.maximum(vmax[:-1], v[length - 1 :])
+        norms = _strided(best, nn + length - 1, vmax.shape, (n + 1,))  # m = 1
+        np.maximum((top * finv[: length - 1, None]).max(axis=0), vmax, out=norms)
+    return memoryview(best)
 
 
-def _blocks_of(bp: List[List[List[int]]], a: int, b: int, m: int) -> List[Tuple[int, int]]:
+def _blocks_of(best: Sequence[float], n: int, a: int, b: int, m: int) -> List[Tuple[int, int]]:
     """The m blocks of the earliest maximizing partition of positions a..b."""
+    nn = n * n
     blocks = []
     while m > 1:
-        k = bp[m][a][b]
+        # first block a..k: the norm of a..k plus m - 1 blocks of k+1..b
+        firsts = best[nn + a * n + a : nn + a * n + b - m + 2]
+        col = (m - 1) * nn + b
+        rests = best[col + (a + 1) * n : col + (b - m + 3) * n : n]
+        sums = list(map(add, firsts, rests))
+        k = a + sums.index(best[(m * n + a) * n + b])  # the earliest k attaining the max
         blocks.append((a, k))
         a, m = k + 1, m - 1
     blocks.append((a, b))
     return blocks
 
 
-def _tree_weights(bp, split, f: GaugeFunction, n: int) -> List[float]:
-    """Per-position products of 1/f(m) down the extremal tree to each leaf.
+def _tree(best: Sequence[float], vals: List[float], f: GaugeFunction) -> List[Tuple[int, int, int]]:
+    """The extremal tree of the DP table over `vals`, in preorder.
 
-    A loop, not a recursive closure: a closure cycle would keep the O(N^3)
-    tables alive until a full GC.  No position is the leaf of two nodes.
+    A node (a, b, m) splits a..b into the m blocks of `_blocks_of`, whose
+    subtrees follow it; a leaf at position i is (i, i, 1).  The leaf is
+    the largest value, earliest on ties; a split must beat it strictly,
+    the smallest m winning ties.  A loop, not a recursive closure, whose
+    cycle would keep the table alive until a full GC.
     """
-    weights = [0.0] * n
-    stack = [(0, n - 1, 1.0)]
+    n = len(vals)
+    nn = n * n
+    finv = _finv(f, n)
+    nodes = []
+    stack = [(0, n - 1)]
     while stack:
-        a, b, w = stack.pop()
-        m = split[a][b]
-        if m == 1:
-            weights[bp[1][a][b]] += w
+        a, b = stack.pop()
+        if a == b:
+            nodes.append((a, a, 1))
+            continue
+        largest = max(vals[a : b + 1])
+        scaled = list(map(mul, best[2 * nn + a * n + b :: nn], finv[: b - a]))  # m = 2, 3, ...
+        top = max(scaled)
+        if top > largest:
+            m = scaled.index(top) + 2
+            nodes.append((a, b, m))
+            stack.extend(reversed(_blocks_of(best, n, a, b, m)))
         else:
-            wm = w / f(float(m))
-            for s, e in _blocks_of(bp, a, b, m):
-                stack.append((s, e, wm))
+            leaf = vals.index(largest, a)
+            nodes.append((leaf, leaf, 1))
+    return nodes
+
+
+def _tree_weights(nodes: List[Tuple[int, int, int]], f: GaugeFunction, n: int) -> List[float]:
+    """Per-position products of 1/f(m) down the extremal tree to each leaf."""
+    weights = [0.0] * n
+    pending = [1.0]  # the weight of each subtree still to be entered
+    for a, _, m in nodes:
+        w = pending.pop()
+        if m == 1:
+            weights[a] += w
+        else:
+            pending.extend([w / f(float(m))] * m)
     return weights
 
 
-def _build_cert(coords, signs, bp, split, f: GaugeFunction, a: int, b: int) -> CertNode:
-    m = int(split[a][b])
-    if m == 1:
-        i = bp[1][a][b]
-        return Leaf(coords[i], signs[i])
-    children = tuple(
-        _build_cert(coords, signs, bp, split, f, s, e) for s, e in _blocks_of(bp, a, b, m)
-    )
-    return Split(Interval(coords[a], coords[b]), m, 1.0 / f(float(m)), children)
+def _build_cert(coords, signs, nodes: List[Tuple[int, int, int]], f: GaugeFunction) -> CertNode:
+    built: List[CertNode] = []  # roots of the subtrees after the current node
+    for a, b, m in reversed(nodes):
+        if m == 1:
+            built.append(Leaf(coords[a], signs[a]))
+        else:
+            children = tuple(built.pop() for _ in range(m))
+            built.append(Split(Interval(coords[a], coords[b]), m, 1.0 / f(float(m)), children))
+    return built[0]
 
 
-def s_norm_weights(vals: Sequence[float], f: GaugeFunction) -> Tuple[float, List[float]]:
+def s_norm_weights(vals: List[float], f: GaugeFunction) -> Tuple[float, List[float]]:
     """Array fast path: norm and norming-functional weights by position.
 
-    Assumes strictly positive values (callers pass only the positive
-    entries); returns the DP value and per-position weights of the
-    extremal partition tree, skipping certificate construction.
+    Assumes a list of strictly positive values (callers pass only the
+    positive entries); returns the DP value and per-position weights of
+    the extremal partition tree, skipping certificate construction.
     """
     n = len(vals)
     if n == 1:
         return vals[0], [1.0]
-    best, bp, split = _dp_core(vals, f)
-    return float(best[1][0][n - 1]), _tree_weights(bp, split, f, n)
+    best = _dp_core(vals, f)
+    return best[n * n + n - 1], _tree_weights(_tree(best, vals, f), f, n)
 
 
 def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]:
@@ -336,10 +333,11 @@ def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]
     signs = [1.0 if v >= 0 else -1.0 for _, v in entries]
     vals = [abs(v) for _, v in entries]
     if n <= DEFAULT_DP_CAP:
-        best, bp, split = _dp_core(vals, f)
-        value = float(best[1][0][n - 1])
-        weights = _tree_weights(bp, split, f, n)
-        root = _build_cert(coords, signs, bp, split, f, 0, n - 1)
+        best = _dp_core(vals, f)
+        value = best[n * n + n - 1]
+        nodes = _tree(best, vals, f)
+        weights = _tree_weights(nodes, f, n)
+        root = _build_cert(coords, signs, nodes, f)
     elif max(vals) - min(vals) <= 1e-15 * max(vals):
         weights = [1.0 / f(float(n))] * n
         value = vals[0] * n / f(float(n))
@@ -387,10 +385,10 @@ def best_partition(
     # every run is a single support point.
     if size:
         coords = [i for i, _ in entries]
-        best, bp, _ = _dp_core([abs(v) for _, v in entries], f)
+        best = _dp_core([abs(v) for _, v in entries], f)
         m = min(n, size)
-        total = float(best[m][0][size - 1])
-        runs = [(coords[s], coords[t]) for s, t in _blocks_of(bp, 0, size - 1, m)]
+        total = best[m * size * size + size - 1]
+        runs = [(coords[s], coords[t]) for s, t in _blocks_of(best, size, 0, size - 1, m)]
         gaps = [(runs[-1][1], e.hi - runs[-1][1]), (e.lo, runs[0][0] - e.lo)]
         gaps += [(t + 1, s - t - 1) for (_, t), (s, _) in zip(runs, runs[1:])]
         ends = [t for _, t in runs[:-1]]
@@ -449,9 +447,9 @@ def summing_norm_table(n_max: int, f: GaugeFunction) -> ExperimentReport:
         ["n", "dp_value", "closed_form", "abs_diff"],
         metadata={"gauge": f.name, "dp_cap": DEFAULT_DP_CAP},
     )
-    norms = _dp_core([1.0] * n_max, f)[0][1]
+    best = _dp_core([1.0] * n_max, f)
     for n in range(1, n_max + 1):
-        dp = float(norms[0][n - 1])
+        dp = best[n_max * n_max + n - 1]
         ref = n / f(float(n))
         report.add_row(n, dp, ref, abs(dp - ref))
     return report

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 
@@ -23,11 +24,14 @@ from banachlab import (
 )
 from banachlab import schlumprecht
 from banachlab.errors import SizeCapError, ValidationError
+from banachlab.gauges import IDENTITY, SQRT
 from banachlab.schlumprecht import (
     DP_NUMPY_MIN,
+    _blocks_of,
     _dp_core,
     _dp_loop,
     _dp_numpy,
+    _tree,
     iterate_defining_map,
     s_norm_weights,
 )
@@ -154,7 +158,7 @@ class TestTies:
 
 
 class TestDpPaths:
-    """The numpy wavefront and the pure-Python loop fill the same tables."""
+    """The numpy wavefront and the pure-Python loop fill the same table."""
 
     @staticmethod
     def inputs(n):
@@ -167,20 +171,24 @@ class TestDpPaths:
     def test_tables_equal_entry_by_entry(self, f):
         for n in range(1, 41):
             m, a, b = np.ogrid[: n + 1, :n, :n]
-            cells = (m >= 1) & (m <= b - a + 1)  # the entries the tables define
+            cells = ((m >= 1) & (m <= b - a + 1)).ravel()  # the cells the table defines
+            for kind, vals in self.inputs(n):
+                loop, wave = np.asarray(_dp_loop(vals, f)), np.asarray(_dp_numpy(vals, f))
+                assert (loop[cells] == wave[cells]).all(), (f.name, kind, n)
+
+    @pytest.mark.parametrize("f", [LOG2P1, ONE, IDENTITY], ids=lambda f: f.name)
+    def test_trees_equal(self, f):
+        for n in range(1, 41):
             for kind, vals in self.inputs(n):
                 loop, wave = _dp_loop(vals, f), _dp_numpy(vals, f)
-                for name, lt, wt, mask in zip(
-                    ("best", "bp", "split"), loop, wave, (cells, cells, cells[1])
-                ):
-                    same = np.asarray(lt)[mask] == wt[mask]
-                    assert same.all(), (f.name, kind, n, name)
+                assert _tree(loop, vals, f) == _tree(wave, vals, f), (f.name, kind, n)
+                for m in range(2, n + 1):
+                    assert _blocks_of(loop, n, 0, n - 1, m) == _blocks_of(wave, n, 0, n - 1, m)
 
     def test_dispatch_on_support_size(self):
-        below = _dp_core([1.0] * (DP_NUMPY_MIN - 1), F)
-        at = _dp_core([1.0] * DP_NUMPY_MIN, F)
-        assert all(isinstance(t, list) for t in below)
-        assert all(isinstance(t, np.ndarray) for t in at)
+        assert DP_NUMPY_MIN == 11
+        assert type(_dp_core([1.0] * (DP_NUMPY_MIN - 1), F)) is list
+        assert type(_dp_core([1.0] * DP_NUMPY_MIN, F)) is memoryview
 
     def test_readers_return_python_numbers(self):
         rng = np.random.default_rng(47)
@@ -198,6 +206,38 @@ class TestDpPaths:
         assert all(type(e.lo) is int and type(e.hi) is int for e in blocks)
         for row in summing_norm_table(20, F).rows:
             assert [type(c) for c in row] == [int, float, float, float]
+
+
+def golden_lines():
+    """Reprs of every DP reader on seeded vectors with ties, N up to 64."""
+    for f in (LOG2P1, ONE, SQRT, IDENTITY):  # f(n) = n ties leaves with splits
+        for n in (*range(1, 6), *range(7, 14), 15, 16, 17, 20, 24, 31, 32, 40, 48, 57, 64):
+            rng = np.random.default_rng(np.random.SeedSequence([52, n]))
+            signs = rng.choice([-1.0, 1.0], n)
+            for vals in (
+                rng.uniform(0.05, 2.0, n),
+                rng.integers(1, 5, n) / 4.0,  # dyadic: exact sums tie
+                np.ones(n),  # every partition ties
+            ):
+                coords = np.cumsum(rng.integers(1, 3, n)).tolist()
+                x = SeqVector(zip(coords, (vals * signs).tolist()))
+                value, cert = s_norm(x, f)
+                yield repr((value, cert.render(), list(cert.functional())))
+                yield repr(s_norm_weights(vals.tolist(), f))
+                e = Interval(1, coords[-1] + 2)
+                for k in sorted({2, 3, max(n, 2), n + 2}):
+                    yield repr(best_partition(x, f, e, k))
+        for n_max in (12, 64):
+            yield repr(summing_norm_table(n_max, f).rows)
+
+
+def test_golden_digest():
+    # every value, certificate, weight, partition and summing row, bit for
+    # bit as the DP with back-pointer tables computed them
+    text = "\n".join(golden_lines())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "0af8ee527b7fa5adb537e7ed545f5ae82d9831033e634874b0f07419c9b07cc6"
+    )
 
 
 class TestBestPartition:
