@@ -14,9 +14,11 @@ It is the only place that dispatches on the descriptor kind of a lattice
 norm, and its recursion across the descriptor tree stays on arrays.
 ``norm``, ``norming`` and ``factorize`` are boundary wrappers: they pass
 |x| in support order to the core and put the coordinates and signs back.
-``norm`` keeps two exceptions, the exact closed form of lp and the
-non-lattice distorted norm.  The caches are keyed by position too, so a
-vector with gaps hits the entry of its compressed twin.
+``norm`` keeps three exceptions: the exact closed form of lp, the
+non-lattice distorted norm and the Schlumprecht norm, which reads the
+DP table's top cell (`s_norm_top`) and builds no norming functional.
+The caches are keyed by position too, so a vector with gaps hits the
+entry of its compressed twin.
 
 Each piece of state has one owner and one bound.  An evaluator owns its
 norm cache (NORM_CACHE_SIZE norms), the cut pool of its unit ball
@@ -84,7 +86,7 @@ from .errors import (
     UnsupportedSpaceError,
     ValidationError,
 )
-from .schlumprecht import DEFAULT_DP_CAP, s_norm, s_norm_weights
+from .schlumprecht import DEFAULT_DP_CAP, s_norm, s_norm_top, s_norm_weights
 from .vectors import SeqVector, lp_norm, pairing
 
 __all__ = [
@@ -227,9 +229,14 @@ class NormEvaluator:
             return sol.value, gx ** (1.0 - d.theta) * gy**d.theta
         raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
 
-    def _cached_norm(self, v: np.ndarray) -> float:
-        return _memo(self._norm_cache, tuple(v.tolist()),
-                     lambda: self.norming_values(v)[0], NORM_CACHE_SIZE)
+    def _cached_norm(self, v: Tuple[float, ...]) -> float:
+        """The norm of positive values in support order, cached by them."""
+        d = self.impl
+        if isinstance(d, Schlumprecht):  # the DP's top cell, no extremal tree
+            return _memo(self._norm_cache, v, lambda: s_norm_top(list(v), d.gauge),
+                         NORM_CACHE_SIZE)
+        return _memo(self._norm_cache, v, lambda: self.norming_values(np.array(v))[0],
+                     NORM_CACHE_SIZE)
 
     # -- boundary wrappers on SeqVectors ------------------------------------
 
@@ -243,7 +250,7 @@ class NormEvaluator:
             fam = d.family
             hit = max(abs(pairing(x, z)) for z in fam.members)
             return max(lp_norm(x, 2.0), fam.r * hit)
-        return self._cached_norm(_positive(x))
+        return self._cached_norm(tuple(map(abs, x.values_in_order())))
 
     def norming(self, x: SeqVector) -> NormingResult:
         if not x:
@@ -436,7 +443,7 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     n = len(c)
     scale = float(c.max())  # dual norms are homogeneous; keep the LP well scaled
     c = c / scale
-    box = 1.0 / oracle._cached_norm(np.ones(1))  # no coordinate of the ball exceeds it
+    box = 1.0 / oracle._cached_norm((1.0,))  # no coordinate of the ball exceeds it
     tab = _Tableau(c, box, oracle._dual_cuts.get(n, ()))
 
     def probe(x: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -545,7 +552,7 @@ class _Solve:
         self.closed = min(ps, key=lambda k: (math.isinf(ps[k]), ps[k] == 1.0, -ps[k]), default=None)
         n = len(z)
         # e_i / ||e_i||_* lies in the dual ball, and ||e_i||_* = 1 / ||e_1||
-        self.atoms = {k: np.eye(n) * self.evs[k]._cached_norm(np.ones(1))
+        self.atoms = {k: np.eye(n) * self.evs[k]._cached_norm((1.0,))
                       for k in (0, 1) if k != self.closed}
         self.weights = {k: np.ones(n) for k in self.atoms}  # of the atoms, see hull_optimum
         self.evals = 0

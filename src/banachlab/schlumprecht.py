@@ -25,6 +25,7 @@ It stores maxima only.  Every consumer reads it: the norm, the best
 n-way partition, whose block ends `_blocks_of` recovers, and the
 extremal tree, which one walk, `_tree`, derives from it and which gives
 both the weights of `s_norm_weights` and the certificate of `s_norm`.
+A norm alone, `s_norm_top`, reads the top cell and walks no tree.
 
 The table has two implementations with equal entries.  Below
 `DP_NUMPY_MIN` (11) positions a pure-Python loop fills it: the Calderon
@@ -302,6 +303,24 @@ def _build_cert(coords, signs, nodes: List[Tuple[int, int, int]], f: GaugeFuncti
     return built[0]
 
 
+def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
+    """The norm alone of positive values in support order.
+
+    Up to DEFAULT_DP_CAP values it is the DP table's top cell, the float
+    that `s_norm_weights` and `s_norm` return, with no extremal tree.
+    Beyond it, constant values take the analytic path of `s_norm` and
+    anything else raises SizeCapError.
+    """
+    n = len(vals)
+    if n == 1:
+        return vals[0]
+    if n <= DEFAULT_DP_CAP:
+        return _dp_core(vals, f)[n * n + n - 1]
+    if max(vals) - min(vals) <= 1e-15 * max(vals):
+        return vals[0] * n / f(float(n))
+    raise SizeCapError("support exceeds DP cap", needed=n, cap=DEFAULT_DP_CAP)
+
+
 def s_norm_weights(vals: List[float], f: GaugeFunction) -> Tuple[float, List[float]]:
     """Array fast path: norm and norming-functional weights by position.
 
@@ -338,21 +357,20 @@ def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]
         nodes = _tree(best, vals, f)
         weights = _tree_weights(nodes, f, n)
         root = _build_cert(coords, signs, nodes, f)
-    elif max(vals) - min(vals) <= 1e-15 * max(vals):
+    else:  # the analytic path, or SizeCapError
+        value = s_norm_top(vals, f)
         weights = [1.0 / f(float(n))] * n
-        value = vals[0] * n / f(float(n))
         leaves = tuple(map(Leaf, coords, signs))
         root = Split(Interval(coords[0], coords[-1]), n, weights[0], leaves)
-    else:
-        raise SizeCapError("support exceeds DP cap", needed=n, cap=DEFAULT_DP_CAP)
     func = SeqVector(zip(coords, [w * s for w, s in zip(weights, signs)]))
     return value, PartitionCertificate(root, value, func, analytic=n > DEFAULT_DP_CAP)
 
 
 def s_norm_value(x: SeqVector, f: GaugeFunction) -> float:
+    """The norm of x without its certificate; 0.0 on the empty vector."""
     if not x:
         return 0.0
-    return s_norm(x, f)[0]
+    return s_norm_top([abs(v) for v in x.values_in_order()], f)
 
 
 def best_partition(

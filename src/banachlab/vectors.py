@@ -50,9 +50,9 @@ class SeqVector:
 
     @classmethod
     def _adopt(cls, store: Dict[int, float]) -> "SeqVector":
-        """A vector on a dict whose indices are already checked; drops zeros."""
+        """A vector on a dict of checked indices and nonzero values, not copied."""
         out = cls.__new__(cls)
-        out._entries = {i: v for i, v in store.items() if v != 0.0}
+        out._entries = store
         return out
 
     @classmethod
@@ -106,18 +106,26 @@ class SeqVector:
 
     # -- arithmetic ----------------------------------------------------
 
-    def __add__(self, other: "SeqVector") -> "SeqVector":
+    def _plus(self, terms: Iterable[Tuple[int, float]]) -> "SeqVector":
+        """self plus nonzero terms (index, value), in one pass."""
         out = dict(self._entries)
-        for i, v in other._entries.items():
-            out[i] = out.get(i, 0.0) + v
+        for i, v in terms:
+            w = out.get(i, 0.0) + v
+            if w != 0.0:
+                out[i] = w
+            else:  # only an index of self can cancel
+                del out[i]
         return SeqVector._adopt(out)
 
+    def __add__(self, other: "SeqVector") -> "SeqVector":
+        return self._plus(other._entries.items())
+
     def __sub__(self, other: "SeqVector") -> "SeqVector":
-        return self + (-1.0) * other
+        return self._plus((i, -1.0 * v) for i, v in other._entries.items())
 
     def __mul__(self, scalar: float) -> "SeqVector":
         s = float(scalar)
-        return SeqVector._adopt({i: s * v for i, v in self._entries.items()})
+        return SeqVector._adopt({i: w for i, v in self._entries.items() if (w := s * v) != 0.0})
 
     __rmul__ = __mul__
 

@@ -12,6 +12,8 @@ from banachlab import (
     Interval,
     LOG2P1,
     ONE,
+    NormEvaluator,
+    Schlumprecht,
     SeqVector,
     best_partition,
     fixed_point_check,
@@ -208,25 +210,34 @@ class TestDpPaths:
             assert [type(c) for c in row] == [int, float, float, float]
 
 
+GOLDEN_GAUGES = (LOG2P1, ONE, SQRT, IDENTITY)  # f(n) = n ties leaves with splits
+
+
+def golden_vectors():
+    """(|values|, vector) pairs seeded per N, with ties and gaps, N up to 64."""
+    for n in (*range(1, 6), *range(7, 14), 15, 16, 17, 20, 24, 31, 32, 40, 48, 57, 64):
+        rng = np.random.default_rng(np.random.SeedSequence([52, n]))
+        signs = rng.choice([-1.0, 1.0], n)
+        for vals in (
+            rng.uniform(0.05, 2.0, n),
+            rng.integers(1, 5, n) / 4.0,  # dyadic: exact sums tie
+            np.ones(n),  # every partition ties
+        ):
+            coords = np.cumsum(rng.integers(1, 3, n)).tolist()
+            yield vals, SeqVector(zip(coords, (vals * signs).tolist()))
+
+
 def golden_lines():
-    """Reprs of every DP reader on seeded vectors with ties, N up to 64."""
-    for f in (LOG2P1, ONE, SQRT, IDENTITY):  # f(n) = n ties leaves with splits
-        for n in (*range(1, 6), *range(7, 14), 15, 16, 17, 20, 24, 31, 32, 40, 48, 57, 64):
-            rng = np.random.default_rng(np.random.SeedSequence([52, n]))
-            signs = rng.choice([-1.0, 1.0], n)
-            for vals in (
-                rng.uniform(0.05, 2.0, n),
-                rng.integers(1, 5, n) / 4.0,  # dyadic: exact sums tie
-                np.ones(n),  # every partition ties
-            ):
-                coords = np.cumsum(rng.integers(1, 3, n)).tolist()
-                x = SeqVector(zip(coords, (vals * signs).tolist()))
-                value, cert = s_norm(x, f)
-                yield repr((value, cert.render(), list(cert.functional())))
-                yield repr(s_norm_weights(vals.tolist(), f))
-                e = Interval(1, coords[-1] + 2)
-                for k in sorted({2, 3, max(n, 2), n + 2}):
-                    yield repr(best_partition(x, f, e, k))
+    """Reprs of every DP reader on the golden vectors."""
+    for f in GOLDEN_GAUGES:
+        for vals, x in golden_vectors():
+            value, cert = s_norm(x, f)
+            yield repr((value, cert.render(), list(cert.functional())))
+            yield repr(s_norm_weights(vals.tolist(), f))
+            e = Interval(1, x.max_index() + 2)
+            n = len(vals)
+            for k in sorted({2, 3, max(n, 2), n + 2}):
+                yield repr(best_partition(x, f, e, k))
         for n_max in (12, 64):
             yield repr(summing_norm_table(n_max, f).rows)
 
@@ -238,6 +249,35 @@ def test_golden_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "0af8ee527b7fa5adb537e7ed545f5ae82d9831033e634874b0f07419c9b07cc6"
     )
+
+
+class TestValueOnlyNorm:
+    def test_bit_identical_to_the_certificate(self):
+        for f in GOLDEN_GAUGES:
+            ev = NormEvaluator(Schlumprecht(f))
+            for _, x in golden_vectors():
+                assert ev.norm(x) == s_norm(x, f)[0] == s_norm_value(x, f)
+
+    def test_walks_no_tree(self, monkeypatch):
+        xs = [x for _, x in golden_vectors()][::7]
+        assert {len(x) < DP_NUMPY_MIN for x in xs} == {True, False}
+        expected = [s_norm(x, F)[0] for x in xs]
+
+        def no_tree(*args):
+            raise AssertionError("a norm alone walked the extremal tree")
+
+        monkeypatch.setattr(schlumprecht, "_tree", no_tree)
+        ev = NormEvaluator(Schlumprecht(F))
+        assert [ev.norm(x) for x in xs] == [s_norm_value(x, F) for x in xs] == expected
+
+    def test_beyond_the_cap(self):
+        ev = NormEvaluator(Schlumprecht(F))
+        flat = SeqVector.from_values([-0.5] * 80)
+        assert ev.norm(flat) == s_norm_value(flat, F) == s_norm(flat, F)[0] == 0.5 * 80 / F(80.0)
+        bumpy = SeqVector.from_values([1.0] * 64 + [2.0])
+        for norm in (ev.norm, lambda x: s_norm_value(x, F)):
+            with pytest.raises(SizeCapError):
+                norm(bumpy)
 
 
 class TestBestPartition:

@@ -83,6 +83,13 @@ class TestSeqVector:
         assert (x + SeqVector({1: -1.0})) == SeqVector({3: -2.0})
         assert (0.0 * x).support == ()
         assert (2.0 * x) == SeqVector({1: 2.0, 3: -4.0})
+        assert list(1e-300 * SeqVector({1: 1e-300, 2: 1.0})) == [(2, 1e-300)]  # underflow
+
+    def test_subtraction_adds_the_negative(self):
+        x = SeqVector({1: 0.3, 2: -1.7, 5: 2.5})
+        for y in (SeqVector({2: 0.1, 5: 2.5, 7: -4.0}), SeqVector({3: 1.1, 9: -0.2})):
+            assert list(x - y) == list(x + (-1.0) * y)
+        assert list(x - SeqVector({3: 1.1})) == [(1, 0.3), (2, -1.7), (3, -1.1), (5, 2.5)]
 
 
 class TestIntervals:
@@ -133,3 +140,12 @@ def test_restrict_commutes_with_power(x, e, alpha):
 @given(vectors, vectors, st.sampled_from([1.0, 1.5, 2.0, 3.0, math.inf]))
 def test_lp_triangle_inequality(x, y, p):
     assert lp_norm(x + y, p) <= lp_norm(x, p) + lp_norm(y, p) + 1e-10
+
+
+@settings(max_examples=80, deadline=None)
+@given(vectors, vectors, st.floats(min_value=-4, max_value=4, allow_nan=False))
+def test_arithmetic_entry_for_entry(x, y, s):
+    assert list(x - y) == list(x + (-1.0) * y)
+    assert list(x + y) == sorted((i, x[i] + y[i]) for i in set(x.support) | set(y.support)
+                                 if x[i] + y[i] != 0.0)
+    assert list(s * x) == [(i, s * v) for i, v in x if s * v != 0.0]
