@@ -61,7 +61,7 @@ def _default_seed() -> int:
         value: Any = int(raw)
     except ValueError:
         value = raw  # _num rejects it
-    return int(_num({"BANACHLAB_SEED": value}, "BANACHLAB_SEED", 0))
+    return _int({"BANACHLAB_SEED": value}, "BANACHLAB_SEED", 0)
 
 
 def _fmt(v: float) -> str:
@@ -177,13 +177,20 @@ def _num(
     v = _field(cfg, key, default)
     if isinstance(v, str) and v == "inf":
         v = math.inf
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:  # v != v: NaN
         raise ValidationError(f"config field {key!r} must be numeric, got {v!r}")
     if lo is not None and v < lo:
         raise ValidationError(f"config field {key!r} must be >= {lo}, got {v}")
     if hi is not None and v > hi:
         raise ValidationError(f"config field {key!r} must be <= {hi}, got {v}")
     return v
+
+
+def _int(cfg: Dict[str, Any], key: str, lo: float | None = None, default: int | None = None) -> int:
+    v = _num(cfg, key, lo, default=default)
+    if abs(v) == math.inf:
+        raise ValidationError(f"config field {key!r} must be finite, got {v}")
+    return int(v)
 
 
 def _text(cfg: Dict[str, Any], key: str, default: str | None = None) -> str:
@@ -195,23 +202,23 @@ def _text(cfg: Dict[str, Any], key: str, default: str | None = None) -> str:
 
 def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
     """Validate the config for one driver and produce its report."""
-    seed = int(_num(cfg, "seed", 0)) if "seed" in cfg else _default_seed()
+    seed = _int(cfg, "seed", 0) if "seed" in cfg else _default_seed()
     gauge = gauge_by_name(_text(cfg, "gauge", "log2p1"))
     t0 = time.perf_counter()
 
     if name == "summing":
-        report = schlumprecht.summing_norm_table(int(_num(cfg, "n_max", 1)), gauge)
+        report = schlumprecht.summing_norm_table(_int(cfg, "n_max", 1), gauge)
     elif name == "block-growth":
         desc = parse_space(_text(cfg, "space"))
         p = _num(cfg, "p", 1.0)
-        m = int(_num(cfg, "m", 1))
-        count = int(_num(cfg, "count", 1))
+        m = _int(cfg, "m", 1)
+        count = _int(cfg, "count", 1)
         blocks = BlockSequence(tuple(l1_average(m, m * k, desc) for k in range(count)))
         report = block_sum_growth(desc, p, blocks)
     elif name == "vn":
         desc = parse_space(_text(cfg, "space"))
         p = _num(cfg, "p", 1.0)
-        n_max = int(_num(cfg, "n_max", 1))
+        n_max = _int(cfg, "n_max", 1)
         basis = BlockSequence.basis(2 ** (n_max + 1))
         report = vn_averages(desc, p, basis, n_max)
     elif name == "beta":
@@ -220,17 +227,17 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
             desc,
             _num(cfg, "p", 1.0),
             gauge,
-            int(_num(cfg, "n", 1)),
-            budget=int(_num(cfg, "budget", default=50)),
+            _int(cfg, "n", 1),
+            budget=_int(cfg, "budget", default=50),
             seed=seed,
         )
         report = ExperimentReport(["lower", "upper", "best_found"])
         report.add_row(lower, upper, best)
     elif name == "projection":
         desc = parse_space(_text(cfg, "space"))
-        count = int(_num(cfg, "count", 1))
-        m = int(_num(cfg, "m", default=1))
-        samples = int(_num(cfg, "samples", 1, default=100))
+        count = _int(cfg, "count", 1)
+        m = _int(cfg, "m", default=1)
+        samples = _int(cfg, "samples", 1, default=100)
         if m == 1:
             w = g = BlockSequence.basis(count)
         else:
@@ -245,16 +252,16 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         report = ExperimentReport(["projection_norm_lower", "dual_bound_M"])
         report.add_row(norm_lower, m_bound)
     elif name == "distortion":
-        count = int(_num(cfg, "count", 2))
-        r = int(_num(cfg, "r", 1))
+        count = _int(cfg, "count", 2)
+        r = _int(cfg, "r", 1)
         fam = FunctionalFamily((SeqVector.from_values([1.0] * count),), r)
         plus, minus, ratio = unconditionality_ratio(fam, BlockSequence.basis(count))
         report = ExperimentReport(["plus", "minus", "ratio"])
         report.add_row(plus, minus, ratio)
     elif name == "moduli":
         desc = parse_space(_text(cfg, "space"))
-        samples = int(_num(cfg, "samples", 0, default=10_000))
-        dim = int(_num(cfg, "dim", 1, default=4))
+        samples = _int(cfg, "samples", 0, default=10_000)
+        dim = _int(cfg, "dim", 1, default=4)
         eps = _num(cfg, "eps", 0.0, 2.0, default=1.0)
         tau = _num(cfg, "tau", 0.0, 1.0, default=1.0)
         delta = modulus_convexity_estimate(desc, eps, samples, dim=dim, seed=seed)
@@ -270,7 +277,7 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
             _num(cfg, "p", 1.0),
             _num(cfg, "r", 1.0),
             gauge,
-            int(_num(cfg, "samples", 1, default=500)),
+            _int(cfg, "samples", 1, default=500),
             seed=seed,
             tol=float(_num(cfg, "tolerance", 0.0, default=1e-8)),
         )

@@ -23,9 +23,13 @@ The pass fills one table, `_dp_core`'s `best`: per interval and block
 count the largest sum of block norms, with the norm itself at count 1.
 It stores maxima only.  Every consumer reads it: the norm, the best
 n-way partition, whose block ends `_blocks_of` recovers, and the
-extremal tree, which one walk, `_tree`, derives from it and which gives
-both the weights of `s_norm_weights` and the certificate of `s_norm`.
-A norm alone, `s_norm_top`, reads the top cell and walks no tree.
+extremal tree, which one walk, `_tree`, derives from it as a preorder
+node list, the tree's only format: it gives the weights of
+`s_norm_weights` and is kept by `s_norm`'s certificate.  A norm alone,
+`s_norm_top`, reads the top cell and walks no tree.  Beyond
+DEFAULT_DP_CAP positions only constant values are accepted, on the
+analytic path; `s_norm_top` and `_extremal` hold that rule, and no other
+module reads the cap.
 
 The table has two implementations with equal entries.  Below
 `DP_NUMPY_MIN` (11) positions a pure-Python loop fills it: the Calderon
@@ -43,22 +47,19 @@ included, at every recursion level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, mul
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .errors import SizeCapError, ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
-from .vectors import Interval, SeqVector, lp_norm, restrict
+from .vectors import Interval, SeqVector, lp_norm, pairing, restrict
 
 __all__ = [
     "DEFAULT_DP_CAP",
-    "Leaf",
-    "Split",
     "PartitionCertificate",
     "s_norm",
     "s_norm_value",
@@ -77,29 +78,14 @@ DP_NUMPY_MIN = 11
 # -- certificates -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Leaf:
-    """A single coordinate with its sign; functional value sign * x_i."""
-
-    index: int
-    sign: float
-
-
-@dataclass(frozen=True)
-class Split:
-    """An n-way split over successive subintervals, weighted 1/f(n)."""
-
-    interval: Interval
-    count: int
-    weight: float
-    children: Tuple["CertNode", ...]
-
-
-CertNode = Union[Leaf, Split]
-
-
 class PartitionCertificate:
     """The extremal partition tree witnessing a norm value.
+
+    The tree is the list `nodes` of the DP's extremal tree in preorder,
+    over coordinates: a node (lo, hi, m) with m >= 2 splits lo..hi into
+    m blocks, whose subtrees follow it, and a leaf at coordinate i is
+    (i, i, 1).  `signs` maps each coordinate to the sign of x there, and
+    `split_weights[m - 2]` is the weight 1/f(m) of an m-way split.
 
     Doubles as a norming functional: the induced linear functional is
     the product of split weights down each root-leaf path times the sign
@@ -108,8 +94,12 @@ class PartitionCertificate:
     stores that functional, computed by the same walk as `s_norm_weights`.
     """
 
-    def __init__(self, root: CertNode, value: float, functional: SeqVector, analytic: bool = False):
-        self.root = root
+    def __init__(self, nodes: List[Tuple[int, int, int]], signs: Dict[int, float],
+                 split_weights: Sequence[float], value: float, functional: SeqVector,
+                 analytic: bool = False):
+        self.nodes = nodes
+        self.signs = signs
+        self.split_weights = split_weights
         self.value = value
         self.analytic = analytic
         self._functional = functional
@@ -118,23 +108,20 @@ class PartitionCertificate:
         return self._functional
 
     def evaluate(self, x: SeqVector) -> float:
-        return math.fsum(v * x[i] for i, v in self.functional())
+        return pairing(self.functional(), x)
 
     def render(self, indent: str = "  ") -> str:
         lines: List[str] = []
-        stack: List[Tuple[CertNode, int]] = [(self.root, 0)]
-        while stack:
-            node, depth = stack.pop()
+        depths = [0]  # the depth of each subtree still to be entered
+        for lo, hi, m in self.nodes:
+            depth = depths.pop()
             pad = indent * depth
-            if isinstance(node, Leaf):
-                sgn = "+" if node.sign >= 0 else "-"
-                lines.append(f"{pad}leaf [{node.index}] sign={sgn}")
+            if m == 1:
+                sgn = "+" if self.signs[lo] >= 0 else "-"
+                lines.append(f"{pad}leaf [{lo}] sign={sgn}")
             else:
-                lines.append(
-                    f"{pad}split n={node.count} w={node.weight:.6g} "
-                    f"[{node.interval.lo}..{node.interval.hi}]"
-                )
-                stack.extend((child, depth + 1) for child in reversed(node.children))
+                lines.append(f"{pad}split n={m} w={self.split_weights[m - 2]:.6g} [{lo}..{hi}]")
+                depths.extend([depth + 1] * m)
         return "\n".join(lines)
 
 
@@ -292,24 +279,13 @@ def _tree_weights(nodes: List[Tuple[int, int, int]], f: GaugeFunction, n: int) -
     return weights
 
 
-def _build_cert(coords, signs, nodes: List[Tuple[int, int, int]], f: GaugeFunction) -> CertNode:
-    built: List[CertNode] = []  # roots of the subtrees after the current node
-    for a, b, m in reversed(nodes):
-        if m == 1:
-            built.append(Leaf(coords[a], signs[a]))
-        else:
-            children = tuple(built.pop() for _ in range(m))
-            built.append(Split(Interval(coords[a], coords[b]), m, 1.0 / f(float(m)), children))
-    return built[0]
-
-
 def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
     """The norm alone of positive values in support order.
 
     Up to DEFAULT_DP_CAP values it is the DP table's top cell, the float
     that `s_norm_weights` and `s_norm` return, with no extremal tree.
-    Beyond it, constant values take the analytic path of `s_norm` and
-    anything else raises SizeCapError.
+    Beyond it, constant values take the analytic path (value * N / f(N)
+    by the summing identity) and anything else raises SizeCapError.
     """
     n = len(vals)
     if n == 1:
@@ -321,28 +297,38 @@ def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
     raise SizeCapError("support exceeds DP cap", needed=n, cap=DEFAULT_DP_CAP)
 
 
+def _extremal(vals: List[float], f: GaugeFunction) -> Tuple[float, List[Tuple[int, int, int]]]:
+    """The norm and the extremal tree of positive values in support order.
+
+    Up to DEFAULT_DP_CAP values: the DP table's top cell and `_tree`.
+    Beyond it: `s_norm_top`, the analytic value or SizeCapError, witnessed
+    by the N-way split into singletons.
+    """
+    n = len(vals)
+    if n == 1:
+        return vals[0], [(0, 0, 1)]
+    if n > DEFAULT_DP_CAP:
+        return s_norm_top(vals, f), [(0, n - 1, n)] + [(i, i, 1) for i in range(n)]
+    best = _dp_core(vals, f)
+    return best[n * n + n - 1], _tree(best, vals, f)
+
+
 def s_norm_weights(vals: List[float], f: GaugeFunction) -> Tuple[float, List[float]]:
     """Array fast path: norm and norming-functional weights by position.
 
     Assumes a list of strictly positive values (callers pass only the
-    positive entries); returns the DP value and per-position weights of
-    the extremal partition tree, skipping certificate construction.
+    positive entries); returns the value of `_extremal` and per-position
+    weights of its tree, skipping certificate construction.
     """
-    n = len(vals)
-    if n == 1:
-        return vals[0], [1.0]
-    best = _dp_core(vals, f)
-    return best[n * n + n - 1], _tree_weights(_tree(best, vals, f), f, n)
+    value, nodes = _extremal(vals, f)
+    return value, _tree_weights(nodes, f, len(vals))
 
 
 def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]:
     """Norm of x with its witnessing partition certificate.
 
-    Supports up to DEFAULT_DP_CAP points run through the DP.  Larger
-    vectors are accepted only on the analytic fast path (all |values|
-    equal, where the norm is value * N / f(N) by the summing identity,
-    witnessed by the N-way singleton split); anything else raises
-    SizeCapError.
+    The value and the tree are those of `_extremal`; beyond the DP cap
+    the certificate is flagged `analytic`.
     """
     if not x:
         raise ValidationError("s_norm requires a nonempty vector")
@@ -350,20 +336,13 @@ def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]
     n = len(entries)
     coords = [i for i, _ in entries]
     signs = [1.0 if v >= 0 else -1.0 for _, v in entries]
-    vals = [abs(v) for _, v in entries]
-    if n <= DEFAULT_DP_CAP:
-        best = _dp_core(vals, f)
-        value = best[n * n + n - 1]
-        nodes = _tree(best, vals, f)
-        weights = _tree_weights(nodes, f, n)
-        root = _build_cert(coords, signs, nodes, f)
-    else:  # the analytic path, or SizeCapError
-        value = s_norm_top(vals, f)
-        weights = [1.0 / f(float(n))] * n
-        leaves = tuple(map(Leaf, coords, signs))
-        root = Split(Interval(coords[0], coords[-1]), n, weights[0], leaves)
+    value, nodes = _extremal([abs(v) for _, v in entries], f)
+    weights = _tree_weights(nodes, f, n)
     func = SeqVector(zip(coords, [w * s for w, s in zip(weights, signs)]))
-    return value, PartitionCertificate(root, value, func, analytic=n > DEFAULT_DP_CAP)
+    tree = [(coords[a], coords[b], m) for a, b, m in nodes]
+    cert = PartitionCertificate(tree, dict(zip(coords, signs)), _finv(f, n), value, func,
+                                analytic=n > DEFAULT_DP_CAP)
+    return value, cert
 
 
 def s_norm_value(x: SeqVector, f: GaugeFunction) -> float:

@@ -219,7 +219,10 @@ def parse_vector(text: str) -> SeqVector:
             for p in parts:
                 idx, _, val = p.partition(":")
                 pairs.append((int(idx), float(val)))
-            return SeqVector(pairs)
-        return SeqVector.from_values([float(p) for p in parts])
+        else:
+            pairs = list(enumerate(map(float, parts), start=1))
     except ValueError as exc:
         raise ValidationError(f"bad vector literal {text!r}: {exc}") from None
+    if not all(math.isfinite(v) for _, v in pairs):
+        raise ValidationError(f"bad vector literal {text!r}: entries must be finite")
+    return SeqVector(pairs)

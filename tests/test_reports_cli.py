@@ -107,6 +107,12 @@ class TestCliCommands:
     def test_empty_vector_exits_2(self, capsys):
         assert entrypoint(["norm", "--space", "s:log2p1", "--vec", ""]) == 2
 
+    @pytest.mark.parametrize("command", ["norm", "dual"])
+    @pytest.mark.parametrize("vec", ["nan,1", "inf,1"])
+    def test_non_finite_vector_exits_2(self, capsys, command, vec):
+        assert entrypoint([command, "--space", "s:log2p1", "--vec", vec]) == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert entrypoint(["frobnicate"]) == 2
 
@@ -215,6 +221,15 @@ class TestExperimentCommand:
             # negative sizes and tolerances
             ("moduli", {"space": "l2", "samples": -5, "dim": 2}),
             ("classx", {"space": "s:log2p1", "p": 1, "r": "inf", "samples": 1, "tolerance": -1}),
+            # NaN in any field, inf in an integer field
+            ("summing", {"n_max": "inf"}),
+            ("summing", {"n_max": 1e400}),
+            ("summing", {"n_max": 3, "seed": "inf"}),
+            ("summing", {"n_max": float("nan")}),
+            ("block-growth", {"space": "s:log2p1", "p": float("nan"), "m": 2, "count": 2}),
+            ("classx", {"space": "s:log2p1", "p": 1, "r": float("nan"), "samples": 1}),
+            ("moduli", {"space": "l2", "samples": 3, "dim": 2, "eps": float("nan")}),
+            ("beta", {"space": "s:log2p1", "p": 1, "n": 2, "budget": "inf"}),
         ],
     )
     def test_bad_config_field_exits_2(self, tmp_path, capsys, name, cfg):
@@ -229,5 +244,6 @@ class TestExperimentCommand:
         monkeypatch.setenv("BANACHLAB_SEED", "7")
         assert entrypoint(["experiment", "summing", "--config", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["metadata"]["seed"] == 7
-        monkeypatch.setenv("BANACHLAB_SEED", "abc")
-        assert entrypoint(["experiment", "summing", "--config", str(path)]) == 2
+        for bad in ("abc", "inf", "nan"):
+            monkeypatch.setenv("BANACHLAB_SEED", bad)
+            assert entrypoint(["experiment", "summing", "--config", str(path)]) == 2

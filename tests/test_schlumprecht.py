@@ -200,7 +200,7 @@ class TestDpPaths:
         value, cert = s_norm(x, F)
         assert type(value) is float
         assert all(type(w) is float for _, w in cert.functional())
-        assert type(cert.root.count) is int
+        assert all(type(c) is int for node in cert.nodes for c in node)
         value, weights = s_norm_weights(list(vals), F)
         assert type(value) is float and all(type(w) is float for w in weights)
         total, blocks = best_partition(x, F, Interval(1, 45), 5)
@@ -270,14 +270,37 @@ class TestValueOnlyNorm:
         ev = NormEvaluator(Schlumprecht(F))
         assert [ev.norm(x) for x in xs] == [s_norm_value(x, F) for x in xs] == expected
 
-    def test_beyond_the_cap(self):
+    def test_beyond_the_cap(self, monkeypatch):
         ev = NormEvaluator(Schlumprecht(F))
         flat = SeqVector.from_values([-0.5] * 80)
         assert ev.norm(flat) == s_norm_value(flat, F) == s_norm(flat, F)[0] == 0.5 * 80 / F(80.0)
+        # equal |values| with mixed signs: the analytic N-way singleton split
+        signed = SeqVector.from_values([0.5 if k % 3 == 0 else -0.5 for k in range(80)])
+        value, cert = s_norm(signed, F)
+        assert cert.analytic
+        assert ev.norming(signed).functional == cert.functional()
+        assert s_norm_weights([0.5] * 80, F) == (value, [1 / F(80.0)] * 80)
+        assert hashlib.sha256(cert.render().encode()).hexdigest() == (
+            "f228f2bd9f28fd58a66dd62f2bad1c6407b57fceb46faa370baacd1fabcf2fd6"
+        )
         bumpy = SeqVector.from_values([1.0] * 64 + [2.0])
-        for norm in (ev.norm, lambda x: s_norm_value(x, F)):
+        for norm in (
+            ev.norm,
+            ev.norming,
+            lambda x: s_norm_value(x, F),
+            lambda x: s_norm(x, F),
+            lambda x: s_norm_weights(x.values_in_order(), F),
+        ):
             with pytest.raises(SizeCapError):
                 norm(bumpy)
+        # the engine reads the cap of the schlumprecht module at call time
+        monkeypatch.setattr(schlumprecht, "DEFAULT_DP_CAP", 8)
+        ev = NormEvaluator(Schlumprecht(F))
+        flat = SeqVector.from_values([0.5, -0.5] * 6)
+        assert ev.norming(flat).functional == s_norm(flat, F)[1].functional()
+        for norm in (ev.norm, ev.norming):
+            with pytest.raises(SizeCapError):
+                norm(SeqVector.from_values([1.0] * 8 + [0.5]))
 
 
 class TestBestPartition:

@@ -113,6 +113,11 @@ class TestParseVector:
         with pytest.raises(ValidationError):
             parse_vector("")
 
+    @pytest.mark.parametrize("text", ["nan,1", "inf,1", "1,-inf", "2:nan", "1:1,3:inf"])
+    def test_non_finite_rejected(self, text):
+        with pytest.raises(ValidationError, match="finite"):
+            parse_vector(text)
+
 
 coords = st.integers(min_value=1, max_value=30)
 values = st.floats(min_value=-10, max_value=10, allow_nan=False).filter(
