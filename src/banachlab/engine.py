@@ -35,17 +35,20 @@ at z is max { sum_i |z_i| gx_i^(1-t) gy_i^t : gx in B(X*), gy in B(Y*) },
 so every pair (gx, gy) gives a certified lower bound.  The solver is
 simplicial decomposition (fully-corrective Frank-Wolfe), whose linear
 oracle over B(X*) is X's norming call.  Each side keeps atoms (scaled
-unit vectors and the norming functionals found so far), and each round
-maximizes the pairing over their convex hulls, then norms the gradient
-directions cx = |z| gx^-t gy^t and cy = |z| gx^(1-t) gy^(t-1).  Since
-cx^(1-t) cy^t = |z|, the factors K cx/||cx|| and K cy/||cy|| witness the
-upper bound K = ||cx||^(1-t) ||cy||^t; the two norming functionals
-become new atoms.  An lp side keeps no atoms: Hölder's equality case
-answers the other side in closed form.  The solver stops when
-upper - lower <= tol * upper, when a round adds no atom and moves
-neither bound (the Frank-Wolfe gap is then at the rounding level) or
-when the budget of norm evaluations runs out; the last two raise a
-ConvergenceError carrying the bracket and the reason.
+unit vectors and the norming functionals found so far); an lp side
+keeps none, as Hölder's equality case answers the other side in closed
+form.  Each round maximizes the pairing over the atoms' convex hulls
+exactly, by an active-set Newton method on the atom weights, then norms
+the gradient directions cx = |z| gx^-t gy^t and cy = |z| gx^(1-t) gy^(t-1):
+since cx^(1-t) cy^t = |z|, they witness the upper bound
+K = ||cx||^(1-t) ||cy||^t, and their norming functionals become atoms
+(a reading that does not lower K is repeated nearer the atoms' mean).
+The solver stops when upper - lower <= tol * upper; it raises a
+ConvergenceError with the bracket when the budget of norm evaluations
+runs out, or when the hull optimum meets the KKT condition (no atom's
+slope beats the mixture's by more than ROUNDING) and the oracle returns
+no new atom, so the lower bound is optimal up to rounding.  No tol at
+or below ROUNDING certifies.
 
 The dual of the Schlumprecht space stays Dual(S) after normalization.
 Its norm (and, generically, the dual norm of any space with an exact
@@ -67,7 +70,6 @@ from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy import optimize as _sciopt
 
 from .descriptors import (
     CalderonProduct,
@@ -506,13 +508,11 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
 
 # -- Calderon product solver --------------------------------------------------
 
-# the upper bound read at the hull optimum g* blows up where g* has tiny
-# coordinates, so it is also read at (1 - eta) g* + eta mean(atoms)
+ROUNDING = 1e-14  # the KKT level of a hull solve, relative to the pairing
+# where the hull optimum g* has tiny coordinates, its gradient can be a poor
+# witness, so the upper bound is also read at (1 - eta) g* + eta mean(atoms)
 HULL_SHIFTS = (1e-8, 1e-6, 1e-4)
-WEIGHT_FLOOR = 1e-12  # least weight of an atom; keeps every coordinate of g positive
-KKT_SLACK = 1e-6  # an atom whose slope beats the mixture's by this much is not optimal
-RESTARTS = 4  # hull solves per round at most
-ROUNDING = 1e-14  # relative moves of a bound this small do not count as progress
+HULL_MAX_STEPS = 200  # trial points per hull solve; guards against a hang only
 
 
 def _holder(a: np.ndarray, p: float, beta: float) -> np.ndarray:
@@ -534,8 +534,8 @@ class _Solve:
     smooth one if there is one, and of two smooth ones the larger p (on
     criterion 03's lp pairs that takes the fewest evaluations).  Each other
     side keeps atoms, rows of scaled unit vectors and of norming
-    functionals in its dual ball, and weights over them, the warm start of
-    the next hull solve.
+    functionals in its dual ball, and weights over them on the simplex,
+    the warm start of the next hull solve.
     """
 
     def __init__(self, evx: NormEvaluator, evy: NormEvaluator, theta: float,
@@ -547,11 +547,14 @@ class _Solve:
         self.v = z / self.zscale
         ps = {k: ev.impl.p for k, ev in enumerate(self.evs) if isinstance(ev.impl, Lp)}
         self.closed = min(ps, key=lambda k: (math.isinf(ps[k]), ps[k] == 1.0, -ps[k]), default=None)
+        if self.closed is not None:  # the pairing is ||v g^e||_q in the other mixture g
+            s = conjugate_exponent(ps[self.closed])
+            self.q = 1.0 if math.isinf(s) else s / (s - self.expo[self.closed])
         n = len(z)
         # e_i / ||e_i||_* lies in the dual ball, and ||e_i||_* = 1 / ||e_1||
         self.atoms = {k: np.eye(n) * self.evs[k]._cached_norm((1.0,))
                       for k in (0, 1) if k != self.closed}
-        self.weights = {k: np.ones(n) for k in self.atoms}  # of the atoms, see hull_optimum
+        self.weights = {k: np.full(n, 1.0 / n) for k in self.atoms}
         self.evals = 0
         self.found = 0  # new atoms, duplicates not counted
         self.best_u = math.inf  # least upper bound K seen, at unit scale
@@ -570,26 +573,28 @@ class _Solve:
 
     @property
     def converged(self) -> bool:
-        return self.best_u - self.lower_u <= self.tol * self.best_u
+        # the hull solve resolves the optimum to ROUNDING, so no finer tol certifies
+        return self.tol > ROUNDING and self.best_u - self.lower_u <= self.tol * self.best_u
 
-    def rate(self, gs: Dict[int, np.ndarray]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(gx, gy, m), m = v gx^(1-t) gy^t, from atom mixtures gs.
+    def rate(self, gs: Dict[int, np.ndarray]):
+        """((gx, gy), m, (m / gx, m / gy)) from atom mixtures gs, m = v gx^(1-t) gy^t.
 
-        The sum of m is a lower bound, and it raises the certified one.
-        The closed side takes its best answer to the other side; that
-        makes m / gx and m / gy the gradient directions.
+        sum(m) raises the certified lower bound.  The closed side takes its best
+        answer to the other side.  The gradient directions m / g are inf or nan
+        where a mixture vanishes.
         """
         c = self.closed
         if c is not None:
             o = 1 - c
             gs = {o: gs[o], c: _holder(self.v * gs[o] ** self.expo[o],
                                        self.evs[c].impl.p, self.expo[c])}
-        gx, gy = gs[0], gs[1]
-        m = self.v * gx ** self.expo[0] * gy ** self.expo[1]
+        g = (gs[0], gs[1])
+        m = self.v * g[0] ** self.expo[0] * g[1] ** self.expo[1]
         low = float(m.sum())
         if low > self.lower_u:
-            self.lower_u, self.pair = low, (gx, gy)
-        return gx, gy, m
+            self.lower_u, self.pair = low, g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return g, m, (m / g[0], m / g[1])
 
     def point(self, cx: np.ndarray, cy: np.ndarray) -> None:
         """Norm cx and cy: the upper bound K with its witness, and new atoms."""
@@ -608,71 +613,112 @@ class _Solve:
         atoms = self.atoms[k]
         if np.max(np.abs(atoms - a), axis=1).min() > 1e-12 * a.max():
             self.atoms[k] = np.vstack([atoms, a])
-            self.weights[k] = np.append(self.weights[k], self.weights[k].mean())
+            self.weights[k] = np.append(self.weights[k], 0.0)
             self.found += 1
 
-    def hull_optimum(self) -> Dict[int, np.ndarray]:
-        """Maximize the pairing over the convex hulls of the atoms.
+    def hull_optimum(self) -> Tuple[Dict[int, np.ndarray], bool]:
+        """Maximize low = sum(m) over the atoms' hulls by active-set Newton steps.
 
-        A side mixes its atoms as u / sum(u), with weights u in
-        [WEIGHT_FLOOR, 1].  L-BFGS-B can stop short of the optimum where
-        an atom's slope still beats the mixture's, the optimality
-        condition on the simplex; such atoms get the mean weight back and
-        the solve restarts from there.
+        Atom j's slope is a_j . c - low, c the gradient direction of its
+        side; the line search keeps the weights nonnegative and c finite, and
+        halves a step until low rises, the largest slope falls (near the
+        optimum a rise is lost in rounding) or an atom drops out at no cost.
+        Returns the mixtures and whether no slope exceeds ROUNDING low.
         """
         sides = list(self.atoms)
-        cut = len(self.weights[sides[0]])
+        a = np.vstack([self.atoms[k] for k in sides])
+        side = np.repeat(np.arange(len(sides)), [len(self.atoms[k]) for k in sides])
+        expo = np.array([self.expo[k] for k in sides])[side]
 
-        def mix(u: np.ndarray):
-            us = dict(zip(sides, np.split(u, [cut])))
-            gx, gy, m = self.rate({k: us[k] @ self.atoms[k] / us[k].sum() for k in sides})
+        def state(w: np.ndarray):  # (g, m, low, slope), or None where c is not finite
+            g, m, c = self.rate({k: w[side == i] @ self.atoms[k] for i, k in enumerate(sides)})
+            if not all(np.isfinite(c[k]).all() for k in sides):
+                return None
             low = float(m.sum())
-            # per unit of exponent, each atom's slope less the mixture's
-            slope = {k: self.atoms[k] @ (m / (gx, gy)[k]) - low for k in sides}
-            return us, (gx, gy), low, slope
+            return g, m, low, (a * np.array([c[k] for k in sides])[side]).sum(axis=1) - low
 
-        def neg(u: np.ndarray) -> Tuple[float, np.ndarray]:
-            us, _, low, slope = mix(u)
-            grad = [slope[k] * self.expo[k] / us[k].sum() for k in sides]
-            return -low, -np.concatenate(grad)
+        w = np.concatenate([self.weights[k] for k in sides])
+        now = state(w)
+        top, t, optimal = now[3].max() / now[2], 0.0, False
+        for _ in range(HULL_MAX_STEPS):
+            if t == 0.0:  # a new Newton direction
+                optimal = top <= ROUNDING
+                if optimal:
+                    break
+                d = self.newton(w, a, side, expo, now)
+                down = np.nonzero(d < 0.0)[0]
+                ratio = w[down] / -d[down]
+                t = min(1.0, ratio.min()) if down.size else 1.0
+            wt = np.maximum(w + t * d, 0.0)
+            face = down.size and t == ratio.min()  # the step drops an atom
+            if face:
+                wt[down[ratio.argmin()]] = 0.0
+            wt /= np.bincount(side, wt)[side]
+            new = state(wt)
+            if new is not None and (new[2] > now[2] or new[3].max() / new[2] < top
+                                    or face and new[2] == now[2]):
+                w, now, top, t = wt, new, new[3].max() / new[2], 0.0
+            else:
+                t *= 0.5
+        self.weights = {k: w[side == i] for i, k in enumerate(sides)}
+        return {k: now[0][k] for k in sides}, optimal
 
-        for _ in range(RESTARTS):
-            start = np.concatenate([self.weights[k] for k in sides])
-            res = _sciopt.minimize(neg, start, jac=True, method="L-BFGS-B",
-                                   bounds=[(WEIGHT_FLOOR, 1.0)] * len(start),
-                                   options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-13})
-            us, g, low, slope = mix(res.x)
-            stuck = False
-            for k in sides:
-                u = us[k] / us[k].max()
-                up = (slope[k] > KKT_SLACK * low) & (u < u.mean())
-                u[up] = u.mean()
-                self.weights[k], stuck = u, stuck or up.any()
-            if not stuck:
-                break
-        return {k: g[k] for k in sides}
+    def newton(self, w: np.ndarray, a: np.ndarray, side: np.ndarray, expo: np.ndarray,
+               now) -> np.ndarray:
+        """The Newton step on the face of the atoms with weight or a positive slope.
+
+        Each side's weights keep their sum.  With both sides mixed, coordinate
+        i adds -t(1-t) m_i u u^T to the Hessian, u stacking column i of X's
+        atoms over gx_i and of Y's over -gy_i; with a closed side, low is
+        ||v g^e||_q, whose Hessian in g is e(qe-1) diag(m/g^2) + (1-q) e^2
+        (m/g)(m/g)^T / low.  The system is scaled to a unit diagonal and
+        regularized by the norm of its right-hand side: moves along which
+        low is linear run to the face boundary.
+        """
+        g, m, low, slope = now
+        if self.closed is None:
+            u = a / np.array(g)[side] * (1 - 2 * side)[:, None]
+            neg_h = expo[0] * expo[-1] * (u * m) @ u.T
+        else:
+            e, u = expo[0], a / g[1 - self.closed]
+            neg_h = (self.q - 1.0) * e * e * np.outer(slope + low, slope + low) / low
+            neg_h -= e * (self.q * e - 1.0) * (u * m) @ u.T
+        diag = np.diag(neg_h)  # 0 on an atom where m underflows to 0
+        scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
+        play = (w > 0.0) | (slope > 0.0)
+        while True:  # an idle atom that the step pushes below 0 leaves play
+            idx = np.nonzero(play)[0]
+            sc = scale[idx]
+            same = side[idx, None] == side[None, idx]
+            p = np.eye(len(idx)) - same * np.outer(sc, sc) / (same * sc * sc).sum(axis=1)[:, None]
+            r = p @ (sc * expo[idx] * slope[idx])
+            lam, q = np.linalg.eigh(p @ (sc[:, None] * neg_h[idx][:, idx] * sc) @ p)
+            d = np.zeros(len(w))
+            d[idx] = sc * (q @ ((q.T @ r) / (np.maximum(lam, 0.0) + math.sqrt(r @ r))))
+            if not (d[w == 0.0] < 0.0).any():
+                return d
+            play &= (w > 0.0) | (d >= 0.0)
 
     def run(self) -> None:
         """Fully-corrective Frank-Wolfe rounds until the bracket closes.
 
-        A spent budget stops the solve unclosed, and so does a round that
-        adds no atom and moves neither bound by more than ROUNDING.
+        A spent budget stops the solve unclosed, and so does a round whose hull
+        optimum meets the KKT condition while the oracle adds no atom.
         """
         self.point(self.v, self.v)  # x = y = z: the interpolation bound
-        while True:
-            upper, lower, found = self.best_u, self.lower_u, self.found
-            gs = self.hull_optimum()
-            if self.converged:
-                return
+        while not self.converged and self.evals < self.budget:
+            found = self.found
+            gs, optimal = self.hull_optimum()
             mean = {k: atoms.mean(axis=0) for k, atoms in self.atoms.items()}
-            for eta in (0.0, *HULL_SHIFTS):
-                if self.evals >= self.budget:
+            for eta in (0.0, *HULL_SHIFTS):  # until a reading lowers the upper bound
+                upper = self.best_u
+                if self.converged or self.evals >= self.budget:
                     return
-                gx, gy, m = self.rate({k: (1.0 - eta) * g + eta * mean[k] for k, g in gs.items()})
-                self.point(m / gx, m / gy)
-            if self.converged or (self.found == found
-                                  and self.best_u >= upper * (1.0 - ROUNDING)
-                                  and self.lower_u <= lower * (1.0 + ROUNDING)):
+                self.point(*self.rate({k: (1.0 - eta) * g + eta * mean[k]
+                                       for k, g in gs.items()})[2])
+                if self.best_u < upper:
+                    break
+            if optimal and self.found == found:
                 return
 
     def factorization(self, support: Tuple[int, ...]) -> Factorization:

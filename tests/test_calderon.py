@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from banachlab import (
     space_spr,
     spr_summing_identity,
 )
-from banachlab import engine
 from banachlab.errors import (
     ConvergenceError,
     UnsupportedSpaceError,
@@ -31,6 +33,7 @@ from banachlab.descriptors import FunctionalFamily, YDistortion
 
 F = LOG2P1
 S = Schlumprecht(F)
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def rand_vec(rng, lo, hi, dmin=1, dmax=8):
@@ -95,11 +98,13 @@ class TestCalderonNorm:
             calderon_norm(Lp(1), S, 0.5, SeqVector.from_values([1, 1]), budget=budget)
 
     def test_budget_exhaustion_carries_bracket(self):
+        # the first round ends at 4 evaluations with a gap near 1e-2; the
+        # exact hull solve closes this bracket at the second round (6)
         z = SeqVector.from_values([1.0, 0.7, 0.3, 1.2, 0.5])
         with pytest.raises(ConvergenceError) as err:
-            calderon_norm(Lp(1), S, 0.5, z, tol=1e-13, budget=12)
+            calderon_norm(Lp(1), S, 0.5, z, tol=1e-13, budget=4)
         assert err.value.upper >= err.value.lower > 0
-        assert "the budget ran out after 12 of 12 norm evaluations" in str(err.value)
+        assert "the budget ran out after 4 of 4 norm evaluations" in str(err.value)
         assert "relative gap" in str(err.value)
 
     def test_stall_is_reported(self, monkeypatch):
@@ -120,11 +125,13 @@ class TestCalderonNorm:
         assert "a round improved neither bound after" in str(err.value)
         assert err.value.upper >= err.value.lower > 0
 
-    def test_no_linprog_in_the_solver(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("linprog called")
-
-        monkeypatch.setattr(engine._sciopt, "linprog", fail)
+    def test_no_linprog_in_the_solver(self):
+        # the package runs without scipy: a fresh interpreter that imports it
+        # and its CLI has not loaded scipy
+        probe = "import sys, banachlab, banachlab.cli; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             check=True, env={**os.environ, "PYTHONPATH": SRC})
+        assert out.stdout.strip() == "False"
         z = SeqVector.from_values([0.3, -1.2, 0.5, 0.8])
         value, fac = NormEvaluator(space_spr(4 / 3, 4, F), tol=1e-6).factorize(z)
         assert 0.0 <= fac.relative_gap <= 1e-6
@@ -136,6 +143,63 @@ class TestCalderonNorm:
             math.log2(3), rel=1e-9)
         value, fac = calderon_norm(S, Dual(S), 0.5, z, tol=1e-5)
         assert value == pytest.approx(lp_norm(z, 2.0), rel=1e-4)
+
+
+class TestExactHull:
+    """Solves that once stopped as stalls: an inexact hull solve left a gap
+    that no new atom could close."""
+
+    @pytest.mark.parametrize("tol", [1e-5, 1e-6, 1e-7])
+    def test_s153_vector_certifies_cold(self, tol):
+        z = SeqVector.from_values(
+            [1.1511297751479348, 0.9548323592404372, 0.7053044916321193, 0.9567752011640045,
+             0.6625185919840687, 0.1258638494489136, 0.8763399930294086, 0.9309263718197578])
+        value, fac = NormEvaluator(parse_space("cal:l2:s:log2p1:0.333333"), tol).factorize(z)
+        assert 0.0 <= fac.relative_gap <= tol
+
+    def test_tiny_mixture_coordinates(self):
+        # the hull optimum puts about 1e-30 on the smallest coordinate; the
+        # gradient there does not lower the upper bound, a shifted point does
+        z = SeqVector.from_values(
+            [-0.1443573750038485, 0.1828267043813463, 0.40291545146217533, -0.8933095590050459,
+             -0.015087708588095383, -0.6178480936938919, -0.7926367573159803,
+             -0.49248987361320506, -0.7909623040099509, 0.0032355112631285987])
+        value, fac = NormEvaluator(CalderonProduct(Lp(3), S, 0.8), tol=1e-6,
+                                   budget=400).factorize(z)
+        assert 0.0 <= fac.relative_gap <= 1e-6
+
+    def test_dropping_an_atom_of_no_weight(self):
+        # an inner product's hull optimum moves all weight off a unit atom
+        # that keeps about 1e-17; only dropping it lets the step go on
+        z = SeqVector.from_values(
+            [0.05579619066319369, 0.0001548734535690946, -0.008643493717604452,
+             -0.7464331312064092, -0.11504752050043492, -0.062412468720513134,
+             -0.013677056314384392, -0.027196238788307618, 0.10699213353622483])
+        nested = CalderonProduct(CalderonProduct(Lp(2), S, 0.5), S, 0.5)
+        assert NormEvaluator(nested, tol=1e-6, budget=400).norm(z) > 0.0
+
+    @staticmethod
+    def spread(k):
+        r = np.random.default_rng(np.random.SeedSequence([99, k]))
+        return r.uniform(10 ** r.uniform(-3, 0), 1, 6) * r.choice([-1, 1], 6)
+
+    @staticmethod
+    def uniform(k):
+        r = np.random.default_rng(np.random.SeedSequence([7, k]))
+        return r.uniform(0.1, 2, int(r.integers(1, 7)))
+
+    @pytest.mark.parametrize(
+        "p0, p1, theta, gen, k",
+        [(math.inf, 6.0, 0.5065, "spread", k) for k in (2, 19, 30)]
+        + [(1.0, math.inf, 0.5, "uniform", k) for k in (112, 179)]
+        + [(math.inf, 6.0, 0.5065, "uniform", k) for k in (65, 67, 134, 195)],
+    )
+    def test_lp_products_at_tol_1e_8(self, p0, p1, theta, gen, k):
+        # the l-infinity side's atoms span its whole dual ball, so the hull
+        # optimum is the product norm itself
+        z = SeqVector.from_values(getattr(self, gen)(k))
+        value = NormEvaluator(CalderonProduct(Lp(p0), Lp(p1), theta), tol=1e-8).norm(z)
+        assert value == pytest.approx(lp_norm(z, lp_product_oracle(p0, p1, theta)), rel=1e-12)
 
 
 class TestSprCertification:
