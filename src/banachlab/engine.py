@@ -42,13 +42,13 @@ exactly, by an active-set Newton method on the atom weights, then norms
 the gradient directions cx = |z| gx^-t gy^t and cy = |z| gx^(1-t) gy^(t-1):
 since cx^(1-t) cy^t = |z|, they witness the upper bound
 K = ||cx||^(1-t) ||cy||^t, and their norming functionals become atoms
-(a reading that does not lower K is repeated nearer the atoms' mean).
-The solver stops when upper - lower <= tol * upper; it raises a
-ConvergenceError with the bracket when the budget of norm evaluations
-runs out, or when the hull optimum meets the KKT condition (no atom's
-slope beats the mixture's by more than ROUNDING) and the oracle returns
-no new atom, so the lower bound is optimal up to rounding.  No tol at
-or below ROUNDING certifies.
+(a reading that moves neither bound and adds no atom is repeated nearer
+the atoms' mean).  The solver stops when upper - lower <= tol * upper;
+it raises a ConvergenceError with the bracket when the budget of norm
+evaluations runs out, or when the hull optimum meets the KKT condition
+(no atom's slope beats the mixture's by more than ROUNDING) and the
+oracle returns no new atom, so the lower bound is optimal up to
+rounding.  A tol at or below ROUNDING is refused before the solve.
 
 The dual of the Schlumprecht space stays Dual(S) after normalization.
 Its norm (and, generically, the dual norm of any space with an exact
@@ -259,6 +259,10 @@ class NormEvaluator:
 
     def _solve_product(self, v: np.ndarray) -> "_Solve":
         d = self.impl
+        if self.tol <= ROUNDING:
+            raise ConvergenceError(
+                f"Calderon solver cannot certify {space_to_str(d)}: tol {self.tol:g} is at or "
+                f"below the rounding level {ROUNDING:g}", lower=0.0, upper=math.inf)
         sol = _calderon_solve(self._child(d.x), self._child(d.y), d.theta, v, self.tol, self.budget)
         if not sol.converged:
             budget_out = sol.evals >= self.budget
@@ -508,11 +512,12 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
 
 # -- Calderon product solver --------------------------------------------------
 
-ROUNDING = 1e-14  # the KKT level of a hull solve, relative to the pairing
+ROUNDING = 1e-14  # KKT level and line-search slack of a hull solve; no finer tol is accepted
 # where the hull optimum g* has tiny coordinates, its gradient can be a poor
 # witness, so the upper bound is also read at (1 - eta) g* + eta mean(atoms)
 HULL_SHIFTS = (1e-8, 1e-6, 1e-4)
-HULL_MAX_STEPS = 200  # trial points per hull solve; guards against a hang only
+HULL_MAX_STEPS = 200  # trial points per hull solve: a hang guard; it also ends the rare
+# solve whose optimum leaves an atom a tiny weight, which halving only creeps to
 
 
 def _holder(a: np.ndarray, p: float, beta: float) -> np.ndarray:
@@ -548,8 +553,9 @@ class _Solve:
         ps = {k: ev.impl.p for k, ev in enumerate(self.evs) if isinstance(ev.impl, Lp)}
         self.closed = min(ps, key=lambda k: (math.isinf(ps[k]), ps[k] == 1.0, -ps[k]), default=None)
         if self.closed is not None:  # the pairing is ||v g^e||_q in the other mixture g
-            s = conjugate_exponent(ps[self.closed])
-            self.q = 1.0 if math.isinf(s) else s / (s - self.expo[self.closed])
+            s, b = conjugate_exponent(ps[self.closed]), self.expo[self.closed]
+            self.q = 1.0 if math.isinf(s) else s / (s - b)
+            self.k = -b if math.isinf(s) else b * (1.0 - s) / (s - b)  # e q - 1, 0 for l-infinity
         n = len(z)
         # e_i / ||e_i||_* lies in the dual ball, and ||e_i||_* = 1 / ||e_1||
         self.atoms = {k: np.eye(n) * self.evs[k]._cached_norm((1.0,))
@@ -573,17 +579,18 @@ class _Solve:
 
     @property
     def converged(self) -> bool:
-        # the hull solve resolves the optimum to ROUNDING, so no finer tol certifies
-        return self.tol > ROUNDING and self.best_u - self.lower_u <= self.tol * self.best_u
+        return self.best_u - self.lower_u <= self.tol * self.best_u
 
     def rate(self, gs: Dict[int, np.ndarray]):
-        """((gx, gy), m, (m / gx, m / gy)) from atom mixtures gs, m = v gx^(1-t) gy^t.
+        """((gx, gy), m, (cx, cy)) from atom mixtures gs, m = v gx^(1-t) gy^t.
 
-        sum(m) raises the certified lower bound.  The closed side takes its best
-        answer to the other side.  The gradient directions m / g are inf or nan
-        where a mixture vanishes.
+        sum(m) raises the certified lower bound.  The closed side takes its
+        best answer to the other side.  The gradient directions c = m / g,
+        with cx^(1-t) cy^t = v, are inf or nan where a mixture vanishes; the
+        closed side's partner has c = v^q g^(eq-1) low^(1-q), finite at 0
+        when the closed side is l-infinity (eq = 1).
         """
-        c = self.closed
+        o, c = 0, self.closed
         if c is not None:
             o = 1 - c
             gs = {o: gs[o], c: _holder(self.v * gs[o] ** self.expo[o],
@@ -594,7 +601,11 @@ class _Solve:
         if low > self.lower_u:
             self.lower_u, self.pair = low, g
         with np.errstate(divide="ignore", invalid="ignore"):
-            return g, m, (m / g[0], m / g[1])
+            cs = [m / g[0], m / g[1]]
+            if c is not None:
+                cs[o] = self.v ** self.q * g[o] ** self.k * low ** (1.0 - self.q)
+                cs[c] = (self.v / cs[o] ** self.expo[o]) ** (1.0 / self.expo[c])
+        return g, m, cs
 
     def point(self, cx: np.ndarray, cy: np.ndarray) -> None:
         """Norm cx and cy: the upper bound K with its witness, and new atoms."""
@@ -620,81 +631,79 @@ class _Solve:
         """Maximize low = sum(m) over the atoms' hulls by active-set Newton steps.
 
         Atom j's slope is a_j . c - low, c the gradient direction of its
-        side; the line search keeps the weights nonnegative and c finite, and
-        halves a step until low rises, the largest slope falls (near the
-        optimum a rise is lost in rounding) or an atom drops out at no cost.
-        Returns the mixtures and whether no slope exceeds ROUNDING low.
+        side: the rate at which weight moved onto atom j raises low.  A step
+        ends at the first weight it takes to 0, which drops that atom, and is
+        halved until c stays finite and low does not fall by more than
+        ROUNDING.  Returns the mixtures and whether no slope exceeds ROUNDING
+        low, the KKT condition on the simplices.
         """
         sides = list(self.atoms)
         a = np.vstack([self.atoms[k] for k in sides])
         side = np.repeat(np.arange(len(sides)), [len(self.atoms[k]) for k in sides])
-        expo = np.array([self.expo[k] for k in sides])[side]
 
-        def state(w: np.ndarray):  # (g, m, low, slope), or None where c is not finite
+        def state(w: np.ndarray):  # (g, m, c, low, slope), or None where c is not finite
             g, m, c = self.rate({k: w[side == i] @ self.atoms[k] for i, k in enumerate(sides)})
-            if not all(np.isfinite(c[k]).all() for k in sides):
+            c = np.array([c[k] for k in sides])
+            if not np.isfinite(c).all():
                 return None
             low = float(m.sum())
-            return g, m, low, (a * np.array([c[k] for k in sides])[side]).sum(axis=1) - low
+            return g, m, c, low, (a * c[side]).sum(axis=1) - low
 
         w = np.concatenate([self.weights[k] for k in sides])
-        now = state(w)
-        top, t, optimal = now[3].max() / now[2], 0.0, False
+        now, t, optimal = state(w), 0.0, False
         for _ in range(HULL_MAX_STEPS):
             if t == 0.0:  # a new Newton direction
-                optimal = top <= ROUNDING
+                optimal = now[4].max() <= ROUNDING * now[3]
                 if optimal:
                     break
-                d = self.newton(w, a, side, expo, now)
-                down = np.nonzero(d < 0.0)[0]
-                ratio = w[down] / -d[down]
-                t = min(1.0, ratio.min()) if down.size else 1.0
-            wt = np.maximum(w + t * d, 0.0)
-            face = down.size and t == ratio.min()  # the step drops an atom
-            if face:
-                wt[down[ratio.argmin()]] = 0.0
+                d = self.newton(w, a, side, now)
+                down = d < 0.0
+                ratio = np.where(down, w, math.inf) / np.where(down, -d, 1.0)
+                t = min(1.0, ratio.min())
+            wt = np.where(ratio <= t, 0.0, np.maximum(w + t * d, 0.0))
             wt /= np.bincount(side, wt)[side]
             new = state(wt)
-            if new is not None and (new[2] > now[2] or new[3].max() / new[2] < top
-                                    or face and new[2] == now[2]):
-                w, now, top, t = wt, new, new[3].max() / new[2], 0.0
+            if new is not None and new[3] >= now[3] * (1.0 - ROUNDING):
+                w, now, t = wt, new, 0.0
             else:
                 t *= 0.5
         self.weights = {k: w[side == i] for i, k in enumerate(sides)}
         return {k: now[0][k] for k in sides}, optimal
 
-    def newton(self, w: np.ndarray, a: np.ndarray, side: np.ndarray, expo: np.ndarray,
-               now) -> np.ndarray:
-        """The Newton step on the face of the atoms with weight or a positive slope.
+    def newton(self, w: np.ndarray, a: np.ndarray, side: np.ndarray, now) -> np.ndarray:
+        """The Newton direction on the atoms with weight or a positive slope.
 
-        Each side's weights keep their sum.  With both sides mixed, coordinate
-        i adds -t(1-t) m_i u u^T to the Hessian, u stacking column i of X's
-        atoms over gx_i and of Y's over -gy_i; with a closed side, low is
-        ||v g^e||_q, whose Hessian in g is e(qe-1) diag(m/g^2) + (1-q) e^2
-        (m/g)(m/g)^T / low.  The system is scaled to a unit diagonal and
-        regularized by the norm of its right-hand side: moves along which
-        low is linear run to the face boundary.
+        The Hessian of low is U D U^T: with both sides mixed, D_i = -t(1-t) m_i
+        and U's column i stacks X's atoms over gx_i and Y's over -gy_i; with a
+        closed side, low = ||v g^e||_q, D_i = e(eq-1) m_i and U = atoms / g,
+        plus the rank-one e^2(1-q) (a c)(a c)^T / low.  Each side's weights
+        keep their sum.  The system is scaled by the curvature plus the slope
+        of each atom (an atom along which low is linear runs to its face) and
+        regularized by the norm of its right-hand side.
         """
-        g, m, low, slope = now
+        g, m, c, low, slope = now
+        e = np.array([self.expo[k] for k in self.atoms])[side]
         if self.closed is None:
             u = a / np.array(g)[side] * (1 - 2 * side)[:, None]
-            neg_h = expo[0] * expo[-1] * (u * m) @ u.T
+            neg_h = e[0] * e[-1] * (u * m) @ u.T
         else:
-            e, u = expo[0], a / g[1 - self.closed]
-            neg_h = (self.q - 1.0) * e * e * np.outer(slope + low, slope + low) / low
-            neg_h -= e * (self.q * e - 1.0) * (u * m) @ u.T
-        diag = np.diag(neg_h)  # 0 on an atom where m underflows to 0
+            neg_h = (self.q - 1.0) * e[0] ** 2 * np.outer(slope + low, slope + low) / low
+            if self.k:  # 0 for l-infinity, whose pairing is linear in g under a power
+                neg_h -= e[0] * self.k * (a * c[0] / g[1 - self.closed]) @ a.T
+        grad = e * slope
+        diag = np.diag(neg_h) + np.abs(grad)
         scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
         play = (w > 0.0) | (slope > 0.0)
         while True:  # an idle atom that the step pushes below 0 leaves play
             idx = np.nonzero(play)[0]
-            sc = scale[idx]
-            same = side[idx, None] == side[None, idx]
-            p = np.eye(len(idx)) - same * np.outer(sc, sc) / (same * sc * sc).sum(axis=1)[:, None]
-            r = p @ (sc * expo[idx] * slope[idx])
-            lam, q = np.linalg.eigh(p @ (sc[:, None] * neg_h[idx][:, idx] * sc) @ p)
+            sc, n = scale[idx], len(idx)
+            r = np.append(sc * grad[idx], np.zeros(side[-1] + 1))
+            kkt = np.zeros((len(r), len(r)))  # each side's sum is a constraint row
+            kkt[:n, :n] = sc[:, None] * neg_h[idx][:, idx] * sc + math.sqrt(r @ r) * np.eye(n)
+            kkt[n:, :n] = (side[idx] == np.arange(side[-1] + 1)[:, None]) * sc
+            kkt[:n, n:] = kkt[n:, :n].T
             d = np.zeros(len(w))
-            d[idx] = sc * (q @ ((q.T @ r) / (np.maximum(lam, 0.0) + math.sqrt(r @ r))))
+            d[idx] = sc * np.linalg.solve(kkt, r)[:n]
             if not (d[w == 0.0] < 0.0).any():
                 return d
             play &= (w > 0.0) | (d >= 0.0)
@@ -710,13 +719,13 @@ class _Solve:
             found = self.found
             gs, optimal = self.hull_optimum()
             mean = {k: atoms.mean(axis=0) for k, atoms in self.atoms.items()}
-            for eta in (0.0, *HULL_SHIFTS):  # until a reading lowers the upper bound
-                upper = self.best_u
+            for eta in (0.0, *HULL_SHIFTS):  # until a reading moves a bound or adds an atom
+                before = self.best_u, self.lower_u, self.found
                 if self.converged or self.evals >= self.budget:
                     return
                 self.point(*self.rate({k: (1.0 - eta) * g + eta * mean[k]
                                        for k, g in gs.items()})[2])
-                if self.best_u < upper:
+                if (self.best_u, self.lower_u, self.found) != before:
                     break
             if optimal and self.found == found:
                 return

@@ -24,6 +24,7 @@ from banachlab import (
     space_spr,
     spr_summing_identity,
 )
+from banachlab import engine
 from banachlab.errors import (
     ConvergenceError,
     UnsupportedSpaceError,
@@ -98,13 +99,11 @@ class TestCalderonNorm:
             calderon_norm(Lp(1), S, 0.5, SeqVector.from_values([1, 1]), budget=budget)
 
     def test_budget_exhaustion_carries_bracket(self):
-        # the first round ends at 4 evaluations with a gap near 1e-2; the
-        # exact hull solve closes this bracket at the second round (6)
-        z = SeqVector.from_values([1.0, 0.7, 0.3, 1.2, 0.5])
+        z = SeqVector.from_values([1.0, 0.7, 0.3, 1.2, 0.5, 0.9, 0.2, 1.1, 0.6, 0.4, 0.8, 1.3])
         with pytest.raises(ConvergenceError) as err:
-            calderon_norm(Lp(1), S, 0.5, z, tol=1e-13, budget=4)
+            calderon_norm(Lp(2), S, 1 / 3, z, tol=1e-13, budget=12)
         assert err.value.upper >= err.value.lower > 0
-        assert "the budget ran out after 4 of 4 norm evaluations" in str(err.value)
+        assert "the budget ran out after 12 of 12 norm evaluations" in str(err.value)
         assert "relative gap" in str(err.value)
 
     def test_stall_is_reported(self, monkeypatch):
@@ -158,15 +157,42 @@ class TestExactHull:
         assert 0.0 <= fac.relative_gap <= tol
 
     def test_tiny_mixture_coordinates(self):
-        # the hull optimum puts about 1e-30 on the smallest coordinate; the
-        # gradient there does not lower the upper bound, a shifted point does
+        # the hull optimum puts almost no weight on the second coordinate; the
+        # gradient there lowers neither bound, a shifted point closes the gap
         z = SeqVector.from_values(
-            [-0.1443573750038485, 0.1828267043813463, 0.40291545146217533, -0.8933095590050459,
-             -0.015087708588095383, -0.6178480936938919, -0.7926367573159803,
-             -0.49248987361320506, -0.7909623040099509, 0.0032355112631285987])
+            [0.05579619066319369, 0.0001548734535690946, -0.008643493717604452,
+             -0.7464331312064092, -0.11504752050043492, -0.062412468720513134,
+             -0.013677056314384392, -0.027196238788307618, 0.10699213353622483])
         value, fac = NormEvaluator(CalderonProduct(Lp(3), S, 0.8), tol=1e-6,
                                    budget=400).factorize(z)
         assert 0.0 <= fac.relative_gap <= 1e-6
+
+    @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
+    def test_closed_linf_side_meets_kkt(self, theta, monkeypatch):
+        # with l-infinity solved in closed form the pairing is a power of a
+        # linear function of the mixture, so the hull optimum is a vertex
+        # with zero coordinates; every hull solve must meet the KKT test
+        flags = []
+        hull = engine._Solve.hull_optimum
+
+        def record(solve):
+            gs, optimal = hull(solve)
+            flags.append(optimal)
+            return gs, optimal
+
+        monkeypatch.setattr(engine._Solve, "hull_optimum", record)
+        for k in range(12):
+            rng = np.random.default_rng(np.random.SeedSequence([5, k]))
+            z = SeqVector.from_values(rng.uniform(-1, 1, int(rng.integers(2, 11))))
+            for desc in (CalderonProduct(Lp(math.inf), S, theta),
+                         CalderonProduct(S, Lp(math.inf), theta)):
+                NormEvaluator(desc, tol=1e-8).norm(z)
+        assert flags and all(flags)
+
+    def test_tol_at_rounding_is_refused(self):
+        z = SeqVector.from_values([0.3, 1.2, 0.5])
+        with pytest.raises(ConvergenceError, match="at or below the rounding level"):
+            NormEvaluator(CalderonProduct(Lp(1), S, 0.5), tol=1e-14).norm(z)
 
     def test_dropping_an_atom_of_no_weight(self):
         # an inner product's hull optimum moves all weight off a unit atom
