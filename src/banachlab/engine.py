@@ -21,14 +21,12 @@ The caches are keyed by position too, so a vector with gaps hits the
 entry of its compressed twin.
 
 Each piece of state has one owner and one bound.  An evaluator owns its
-norm cache (NORM_CACHE_SIZE norms), the cut pool of its unit ball
-(CUT_POOL_SIZE rows per support size) and the evaluators of its factors,
+norm cache (NORM_CACHE_SIZE entries) and the evaluators of its factors,
 built on first use, so a new NormEvaluator is cold all the way down.
 ``get_evaluator`` is the only place evaluators are shared; its module
 registry keeps REGISTRY_SIZE of them.  Every bound drops the oldest
-entries first.  None changes a norm: cached norms are recomputed on a
-miss.  Pooled cuts only warm-start the dual LP, so they move a dual
-value only within DUAL_GAP_TOL.
+entries first.  A cache entry holds what a cold call computes, so a hit
+returns the same bits: no value depends on what was computed before.
 
 The core drives the Calderon-product solver.  The norm of X^(1-t) Y^t
 at z is max { sum_i |z_i| gx_i^(1-t) gy_i^t : gx in B(X*), gy in B(Y*) },
@@ -54,20 +52,21 @@ The dual of the Schlumprecht space stays Dual(S) after normalization.
 Its norm (and, generically, the dual norm of any space with an exact
 norming oracle) is computed by a cutting-plane LP over the polyhedral
 unit ball: maximize <g, x> subject to lazily generated partition-tree
-constraints; the separation oracle is the DP itself, and the cut pool
-is kept by the evaluator of the ball it cuts.  The LPs are small (one
-variable per support point, up to CUT_POOL_SIZE pooled rows plus the
-call's own cuts), so one dense simplex tableau in numpy serves a whole
-call: each new cut is one more row, and dual simplex pivots restart
-from the previous optimal basis.  The LP's upper end comes from its
-dual multipliers by weak duality.
+constraints; the separation oracle is the DP itself.  Each call starts
+from the box alone, so the LP is a function of its input; the Dual
+evaluator caches its whole results (value and maximizer) like norms.
+The LPs are small (one variable per support point plus the call's own
+cuts), so one dense simplex tableau in numpy serves a whole call: each
+new cut is one more row, and dual simplex pivots restart from the
+previous optimal basis.  The LP's upper end comes from its dual
+multipliers by weak duality.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -106,9 +105,8 @@ TOL_ITERATIVE = 1e-6
 DEFAULT_BUDGET = 10_000
 
 # bounds on evaluator state; each drops its oldest entries first
-NORM_CACHE_SIZE = 1 << 14  # norms cached per evaluator
+NORM_CACHE_SIZE = 1 << 14  # norms (dual results on Dual) cached per evaluator
 REGISTRY_SIZE = 64  # evaluators shared by get_evaluator
-CUT_POOL_SIZE = 256  # cut rows kept per support size of a ball
 
 # stopping rules of the dual cutting-plane LP
 DUAL_FEAS_TOL = 1e-9  # an LP vertex this close to the ball counts as feasible
@@ -174,12 +172,13 @@ class NormEvaluator:
     ):
         if budget < 1:
             raise ValidationError(f"the evaluation budget must be at least 1, got {budget}")
+        if not 0.0 < tol < math.inf:
+            raise ValidationError(f"the tolerance must be positive and finite, got {tol}")
         self.descriptor = descriptor
         self.impl = _normalize(descriptor)
         self.budget = budget
         self.tol = tol
-        self._norm_cache: Dict[tuple, float] = {}
-        self._dual_cuts: Dict[int, List[np.ndarray]] = {}  # cuts of this unit ball
+        self._norm_cache: Dict[tuple, object] = {}  # a norm, or (value, weights) on Dual
         self._children: Dict[SpaceDescriptor, NormEvaluator] = {}
 
     # -- configuration ----------------------------------------------------
@@ -215,7 +214,9 @@ class NormEvaluator:
             nv, w = s_norm_weights(v.tolist(), d.gauge)
             return nv, np.array(w)
         if isinstance(d, Dual):
-            return _cutting_plane_dual(self._child(d.base), v)
+            return _memo(self._norm_cache, tuple(v.tolist()),
+                         lambda: _frozen(_cutting_plane_dual(self._child(d.base), v)),
+                         NORM_CACHE_SIZE)
         if isinstance(d, Convexified):
             nb, wb = self._child(d.base).norming_values(v**d.p)
             nv = nb ** (1.0 / d.p)
@@ -234,6 +235,8 @@ class NormEvaluator:
         if isinstance(d, Schlumprecht):  # the DP's top cell, no extremal tree
             return _memo(self._norm_cache, v, lambda: s_norm_top(list(v), d.gauge),
                          NORM_CACHE_SIZE)
+        if isinstance(d, Dual):  # the entry norming_values keeps
+            return self.norming_values(np.array(v))[0]
         return _memo(self._norm_cache, v, lambda: self.norming_values(np.array(v))[0],
                      NORM_CACHE_SIZE)
 
@@ -292,6 +295,12 @@ def _positive(x: SeqVector) -> np.ndarray:
     return np.abs(np.array(x.values_in_order()))
 
 
+def _frozen(result: Tuple[float, np.ndarray]) -> Tuple[float, np.ndarray]:
+    """A cached (value, weights) whose weights no caller can change."""
+    result[1].flags.writeable = False
+    return result
+
+
 def _signed(x: SeqVector, w: np.ndarray) -> SeqVector:
     """Put the support and the signs of x back on positional weights w."""
     return SeqVector(zip(x.support, np.copysign(w, x.values_in_order()).tolist()))
@@ -314,22 +323,22 @@ class _Tableau:
     A condensed (Tucker) tableau: row 0 is the objective, row i >= 1 reads
     basic_i = t[i, -1] - sum_k t[i, k] nonbasic_k, and t[0] has -c in the
     x = 0 basis.  Variables are labelled x_j -> j, the slack of x_j <= u
-    -> n + j and the slack of cut k -> 2n + k.  x = 0 is feasible, so the
-    primal simplex needs no phase 1.  A new cut is appended as one row in
-    the current nonbasic variables; the objective row stays nonnegative,
-    so dual-simplex pivots from the previous optimal basis restore
-    feasibility (the warm start).  Both pivot rules take the lowest label
-    among ties (Bland), which rules out cycling.
+    -> n + j and the slack of cut k -> 2n + k.  It starts with the box rows
+    alone; x = 0 is feasible, so the primal simplex needs no phase 1.  A
+    new cut is appended as one row in the current nonbasic variables; the
+    objective row stays nonnegative, so dual-simplex pivots from the
+    previous optimal basis restore feasibility (the warm start).  Both
+    pivot rules take the lowest label among ties (Bland), which rules out
+    cycling.
     """
 
-    def __init__(self, c: np.ndarray, u: float, cuts):
+    def __init__(self, c: np.ndarray, u: float):
         n = len(c)
-        self.c, self.u, self.cuts = c, u, list(cuts)
+        self.c, self.u, self.cuts = c, u, []
         top = np.append(-c, 0.0)
         box = np.hstack([np.eye(n), np.full((n, 1), u)])
-        rows = [np.append(a, 1.0) for a in self.cuts]
-        self.t = np.vstack([top, box, *rows])
-        self.basic = np.arange(n, 2 * n + len(self.cuts))  # labels of rows 1..m
+        self.t = np.vstack([top, box])
+        self.basic = np.arange(n, 2 * n)  # labels of rows 1..m
         self.nonbasic = np.arange(n)  # labels of the columns
 
     def add(self, a: np.ndarray) -> None:
@@ -421,9 +430,9 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     on smooth ones, where the bracket closes gradually.
 
     The LP is max c.x subject to cut.x <= 1 and 0 <= x <= 1/||e_1||,
-    solved by one _Tableau per call: built from the pooled rows and
-    solved by primal simplex, then warm-started by dual simplex after
-    each new cut.  Its upper end is the weak-duality bound of the
+    solved by one _Tableau per call: built from the box rows and solved
+    by primal simplex, then warm-started by dual simplex after each new
+    cut.  Its upper end is the weak-duality bound of the
     tableau's multipliers, not c.x*, so it does not rest on the solver
     having reached the optimum.
 
@@ -435,19 +444,12 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     If the midpoint lies outside the ball, its norming functional still
     cuts the vertex off, since the best point satisfies the cut; if it
     lies inside, the lower bound gains at least half the gap.
-
-    The cut pool belongs to the ball it cuts, oracle._dual_cuts, and maps
-    a support size to cut rows by position (all implemented spaces are
-    spreading invariant).  It is a warm start only: the call copies the
-    rows for its size, works on the copy and writes the newest
-    CUT_POOL_SIZE rows back when it ends, so no call sees a pool that
-    changes under it.
     """
     n = len(c)
     scale = float(c.max())  # dual norms are homogeneous; keep the LP well scaled
     c = c / scale
     box = 1.0 / oracle._cached_norm((1.0,))  # no coordinate of the ball exceeds it
-    tab = _Tableau(c, box, oracle._dual_cuts.get(n, ()))
+    tab = _Tableau(c, box)
 
     def probe(x: np.ndarray) -> Tuple[float, np.ndarray]:
         # LP points have zero coordinates; the oracle norms the positive ones
@@ -462,52 +464,42 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
 
     best_val, best_x = 0.0, np.zeros(n)
     lpval = box * float(c.sum())  # weak duality with zero multipliers
-    healed = False
-    try:
-        for _ in range(DUAL_MAX_ROUNDS):
-            try:
-                xstar, lpval = tab.solve()
-            except _LPFailure as err:
-                raise ConvergenceError(f"dual-norm LP failed ({err})",
-                                       scale * best_val, scale * lpval) from None
-            if not healed and tab.cuts and lpval < best_val * (1 - 1e-9):
-                # a relaxation value below a feasible value means a pooled
-                # cut is numerically invalid; rebuild this call's rows once
-                tab = _Tableau(c, box, ())
-                healed = True
-                continue
-            val = float(c @ xstar)
-            nv, vrow = probe(xstar)  # the vertex's norming row is its Kelley cut
-            if nv <= 1.0 + DUAL_FEAS_TOL:
-                fix = 1.0 / nv if nv > 1.0 else 1.0
-                return scale * val * fix, xstar * fix
-            row = None
-            if best_val < val / nv:
-                best_val, best_x = val / nv, xstar / nv
-            else:
-                while not closed():
-                    q = 0.5 * (xstar + best_x)
-                    nq, qrow = probe(q)
-                    gain = float(c @ q) / nq > best_val
-                    if gain:
-                        best_val, best_x = float(c @ q) / nq, q / nq
-                    if float(qrow @ xstar) > 1.0 + 0.5 * DUAL_FEAS_TOL:
-                        row = qrow
-                        break
-                    if not gain:
-                        break
-            if closed():
-                return scale * best_val, best_x
-            if row is None:
-                row = vrow
-            if float(row @ xstar) <= 1.0 + 0.5 * DUAL_FEAS_TOL:
-                raise ConvergenceError("dual-norm LP stalled (oracle cut did not separate)",
-                                       scale * best_val, scale * lpval)
-            tab.add(row)
-        raise ConvergenceError("dual-norm LP exceeded round limit",
-                               scale * best_val, scale * lpval)
-    finally:
-        oracle._dual_cuts[n] = tab.cuts[-CUT_POOL_SIZE:]
+    for _ in range(DUAL_MAX_ROUNDS):
+        try:
+            xstar, lpval = tab.solve()
+        except _LPFailure as err:
+            raise ConvergenceError(f"dual-norm LP failed ({err})",
+                                   scale * best_val, scale * lpval) from None
+        val = float(c @ xstar)
+        nv, vrow = probe(xstar)  # the vertex's norming row is its Kelley cut
+        if nv <= 1.0 + DUAL_FEAS_TOL:
+            fix = 1.0 / nv if nv > 1.0 else 1.0
+            return scale * val * fix, xstar * fix
+        row = None
+        if best_val < val / nv:
+            best_val, best_x = val / nv, xstar / nv
+        else:
+            while not closed():
+                q = 0.5 * (xstar + best_x)
+                nq, qrow = probe(q)
+                gain = float(c @ q) / nq > best_val
+                if gain:
+                    best_val, best_x = float(c @ q) / nq, q / nq
+                if float(qrow @ xstar) > 1.0 + 0.5 * DUAL_FEAS_TOL:
+                    row = qrow
+                    break
+                if not gain:
+                    break
+        if closed():
+            return scale * best_val, best_x
+        if row is None:
+            row = vrow
+        if float(row @ xstar) <= 1.0 + 0.5 * DUAL_FEAS_TOL:
+            raise ConvergenceError("dual-norm LP stalled (oracle cut did not separate)",
+                                   scale * best_val, scale * lpval)
+        tab.add(row)
+    raise ConvergenceError("dual-norm LP exceeded round limit",
+                           scale * best_val, scale * lpval)
 
 
 # -- Calderon product solver --------------------------------------------------

@@ -400,6 +400,18 @@ def modulus_smoothness_estimate(
 # -- class membership verifier ---------------------------------------------
 
 
+def _lattice_sum(xs: List[SeqVector], s: float) -> SeqVector:
+    """(sum_j |x_j|^s)^(1/s) coordinatewise; the max of the |x_j| at s = inf."""
+    acc: dict = {}
+    for x in xs:
+        for i, v in x:
+            a = acc.get(i, 0.0)
+            acc[i] = max(a, abs(v)) if math.isinf(s) else a + abs(v) ** s
+    if math.isinf(s):
+        return SeqVector(acc)
+    return SeqVector((i, a ** (1.0 / s)) for i, a in acc.items())
+
+
 def classX_verify(
     x_space: SpaceDescriptor,
     p: float,
@@ -428,28 +440,15 @@ def classX_verify(
 
     def check_convexity(tup: List[SeqVector]) -> None:
         # p-convexity with constant one
-        acc: dict = {}
-        for xj in tup:
-            for i, v in xj:
-                acc[i] = acc.get(i, 0.0) + abs(v) ** p
-        lhs = ev.norm(SeqVector((i, a ** (1.0 / p)) for i, a in acc.items()))
+        lhs = ev.norm(_lattice_sum(tup, p))
         rhs = math.fsum(ev.norm(xj) ** p for xj in tup) ** (1.0 / p)
         worst["convexity"] = max(worst["convexity"], lhs - rhs)
         # r-concavity with constant one
         if math.isinf(r):
-            accr: dict = {}
-            for xj in tup:
-                for i, v in xj:
-                    accr[i] = max(accr.get(i, 0.0), abs(v))
             lhs_c = max(ev.norm(xj) for xj in tup)
-            rhs_c = ev.norm(SeqVector(accr))
         else:
-            accr = {}
-            for xj in tup:
-                for i, v in xj:
-                    accr[i] = accr.get(i, 0.0) + abs(v) ** r
             lhs_c = math.fsum(ev.norm(xj) ** r for xj in tup) ** (1.0 / r)
-            rhs_c = ev.norm(SeqVector((i, a ** (1.0 / r)) for i, a in accr.items()))
+        rhs_c = ev.norm(_lattice_sum(tup, r))
         worst["convexity"] = max(worst["convexity"], lhs_c - rhs_c)
 
     def check_lower_estimate(x: SeqVector, intervals: List[Interval]) -> None:

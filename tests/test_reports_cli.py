@@ -155,6 +155,16 @@ class TestCliCommands:
         assert code == 3
         assert "bracket" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["norm", "calderon"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
+    def test_malformed_tolerance_exits_2(self, capsys, command, tol):
+        args = {"norm": ["--space", "cal:l2:s:log2p1:0.5"],
+                "calderon": ["--x", "l2", "--y", "s", "--theta", "0.5"]}[command]
+        code = entrypoint([command, *args, "--vec", "1,0.5,0.3,0.8", "--tol", tol])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == "" and "tolerance" in captured.err
+
     def test_size_cap_exits_4(self, capsys):
         vec = ",".join(str(0.5 + (k % 3) * 0.25) for k in range(80))
         code = entrypoint(["norm", "--space", "s:log2p1", "--vec", vec])
