@@ -272,10 +272,13 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         report.add_row(eps, delta, tau, rho)
     elif name == "classx":
         desc = parse_space(_text(cfg, "space"))
+        p, r = _num(cfg, "p", 1.0), _num(cfg, "r", 1.0)
+        if not p < r:  # the class S_{p,r}: p-convexity is vacuous at p = inf
+            raise ValidationError(f"config field 'p' must be below 'r', got p={p}, r={r}")
         report = classX_verify(
             desc,
-            _num(cfg, "p", 1.0),
-            _num(cfg, "r", 1.0),
+            p,
+            r,
             gauge,
             _int(cfg, "samples", 1, default=500),
             seed=seed,

@@ -36,17 +36,18 @@ oracle over B(X*) is X's norming call.  Each side keeps atoms (scaled
 unit vectors and the norming functionals found so far); an lp side
 keeps none, as Hölder's equality case answers the other side in closed
 form.  Each round maximizes the pairing over the atoms' convex hulls
-exactly, by an active-set Newton method on the atom weights, then norms
-the gradient directions cx = |z| gx^-t gy^t and cy = |z| gx^(1-t) gy^(t-1):
-since cx^(1-t) cy^t = |z|, they witness the upper bound
-K = ||cx||^(1-t) ||cy||^t, and their norming functionals become atoms
-(a reading that moves neither bound and adds no atom is repeated nearer
-the atoms' mean).  The solver stops when upper - lower <= tol * upper;
-it raises a ConvergenceError with the bracket when the budget of norm
-evaluations runs out, or when the hull optimum meets the KKT condition
-(no atom's slope beats the mixture's by more than ROUNDING) and the
-oracle returns no new atom, so the lower bound is optimal up to
-rounding.  A tol at or below ROUNDING is refused before the solve.
+exactly, by an active-set Newton method on the atom weights (a step that
+would zero a coordinate of a mixture beside a closed side stops where a
+power-law model of the pairing peaks), then norms the gradient directions
+cx = |z| gx^-t gy^t and cy = |z| gx^(1-t) gy^(t-1): since cx^(1-t) cy^t
+= |z|, they witness the upper bound K = ||cx||^(1-t) ||cy||^t, and their
+norming functionals become atoms.  The solver stops when upper - lower
+<= tol * upper; it raises a ConvergenceError with the bracket when the
+budget of norm evaluations runs out, or when the oracle returns no new
+atom and the hull optimum meets the KKT condition (no atom's slope beats
+the mixture's by more than ROUNDING: the lower bound is optimal up to
+rounding) or the hull solve moved no weight.  A tol at or below ROUNDING
+is refused before the solve.
 
 The dual of the Schlumprecht space stays Dual(S) after normalization.
 Its norm (and, generically, the dual norm of any space with an exact
@@ -505,34 +506,21 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
 # -- Calderon product solver --------------------------------------------------
 
 ROUNDING = 1e-14  # KKT level and line-search slack of a hull solve; no finer tol is accepted
-# where the hull optimum g* has tiny coordinates, its gradient can be a poor
-# witness, so the upper bound is also read at (1 - eta) g* + eta mean(atoms)
-HULL_SHIFTS = (1e-8, 1e-6, 1e-4)
-HULL_MAX_STEPS = 200  # trial points per hull solve: a hang guard; it also ends the rare
-# solve whose optimum leaves an atom a tiny weight, which halving only creeps to
-
-
-def _holder(a: np.ndarray, p: float, beta: float) -> np.ndarray:
-    """The maximizer h of sum a h^beta over the positive unit ball of (l_p)*.
-
-    With s the dual exponent of p, substitute u = h^beta: the ball becomes
-    ||u||_{s/beta} <= 1, and Hölder's equality case gives h ~ a^(1/(s-beta)).
-    """
-    s = conjugate_exponent(p)
-    h = (a / a.max()) ** (1.0 / (s - beta))  # h = 1 for s = inf
-    return h / np.linalg.norm(h, s)
+HULL_MAX_STEPS = 200  # trial points per hull solve: a hang guard
 
 
 class _Solve:
     """One Calderon solve: its state while it runs, its result once it has.
 
     The solver works at unit scale, v = z / max z (homogeneity).  Side 0 is
-    X and side 1 is Y.  One lp side is solved in closed form (_holder): a
+    X and side 1 is Y.  One lp side is solved in closed form by Hölder: a
     smooth one if there is one, and of two smooth ones the larger p (on
     criterion 03's lp pairs that takes the fewest evaluations).  Each other
-    side keeps atoms, rows of scaled unit vectors and of norming
-    functionals in its dual ball, and weights over them on the simplex,
-    the warm start of the next hull solve.
+    side, in `sides`, keeps atoms in its dual ball (scaled unit vectors and
+    norming functionals) and weights over them on the simplex, the warm
+    start of the next hull solve.  The atoms are the rows of one block-
+    diagonal matrix, each side's rows contiguous, so w @ atoms stacks the
+    mixtures of `sides`.
     """
 
     def __init__(self, evx: NormEvaluator, evy: NormEvaluator, theta: float,
@@ -544,15 +532,19 @@ class _Solve:
         self.v = z / self.zscale
         ps = {k: ev.impl.p for k, ev in enumerate(self.evs) if isinstance(ev.impl, Lp)}
         self.closed = min(ps, key=lambda k: (math.isinf(ps[k]), ps[k] == 1.0, -ps[k]), default=None)
+        self.sides = (0, 1) if self.closed is None else (1 - self.closed,)
+        self.alpha = 1.0  # low ~ (T - t)^alpha near a face at T; 1: no face model
         if self.closed is not None:  # the pairing is ||v g^e||_q in the other mixture g
             s, b = conjugate_exponent(ps[self.closed]), self.expo[self.closed]
-            self.q = 1.0 if math.isinf(s) else s / (s - b)
+            self.s, self.q = s, 1.0 if math.isinf(s) else s / (s - b)
             self.k = -b if math.isinf(s) else b * (1.0 - s) / (s - b)  # e q - 1, 0 for l-infinity
+            self.vq, self.alpha = self.v**self.q, self.k + 1.0
         n = len(z)
         # e_i / ||e_i||_* lies in the dual ball, and ||e_i||_* = 1 / ||e_1||
-        self.atoms = {k: np.eye(n) * self.evs[k]._cached_norm((1.0,))
-                      for k in (0, 1) if k != self.closed}
-        self.weights = {k: np.full(n, 1.0 / n) for k in self.atoms}
+        self.atoms = np.kron(np.diag([self.evs[k]._cached_norm((1.0,)) for k in self.sides]),
+                             np.eye(n))
+        self.side = np.repeat(np.arange(len(self.sides)), n)  # the place in sides of each atom
+        self.w = np.full(len(self.side), 1.0 / n)
         self.evals = 0
         self.found = 0  # new atoms, duplicates not counted
         self.best_u = math.inf  # least upper bound K seen, at unit scale
@@ -573,31 +565,42 @@ class _Solve:
     def converged(self) -> bool:
         return self.best_u - self.lower_u <= self.tol * self.best_u
 
-    def rate(self, gs: Dict[int, np.ndarray]):
-        """((gx, gy), m, (cx, cy)) from atom mixtures gs, m = v gx^(1-t) gy^t.
+    def rate(self, g: np.ndarray):
+        """(low, c, m) at the stacked mixtures g of `sides`; callers ignore divide warnings.
 
-        sum(m) raises the certified lower bound.  The closed side takes its
-        best answer to the other side.  The gradient directions c = m / g,
-        with cx^(1-t) cy^t = v, are inf or nan where a mixture vanishes; the
-        closed side's partner has c = v^q g^(eq-1) low^(1-q), finite at 0
-        when the closed side is l-infinity (eq = 1).
+        low = sum(m), m = v gx^(1-t) gy^t, raises the certified lower bound.
+        A closed side takes Hölder's answer h to the other mixture g, so
+        low = ||v g^e||_q (m is not formed).  c stacks the gradient directions
+        m / g of `sides`, inf or nan where a mixture vanishes; a closed side's
+        partner has c = v^q g^(eq-1) low^(1-q), finite at 0 when the closed
+        side is l-infinity (eq = 1).
         """
-        o, c = 0, self.closed
-        if c is not None:
-            o = 1 - c
-            gs = {o: gs[o], c: _holder(self.v * gs[o] ** self.expo[o],
-                                       self.evs[c].impl.p, self.expo[c])}
-        g = (gs[0], gs[1])
-        m = self.v * g[0] ** self.expo[0] * g[1] ** self.expo[1]
-        low = float(m.sum())
-        if low > self.lower_u:
-            self.lower_u, self.pair = low, g
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cs = [m / g[0], m / g[1]]
-            if c is not None:
-                cs[o] = self.v ** self.q * g[o] ** self.k * low ** (1.0 - self.q)
-                cs[c] = (self.v / cs[o] ** self.expo[o]) ** (1.0 / self.expo[c])
-        return g, m, cs
+        if self.closed is None:
+            gx, gy = np.split(g, 2)
+            m = self.v * gx ** self.expo[0] * gy ** self.expo[1]
+            low = float(m.sum())
+            if low > self.lower_u:
+                self.lower_u, self.pair = low, (gx, gy)
+            return low, np.concatenate((m, m)) / g, m
+        y = self.v * g ** self.expo[self.sides[0]]
+        top = float(y.max())
+        rq = (y / top) ** self.q
+        total = float(rq.sum())
+        low = top * total ** (1.0 / self.q)
+        if low > self.lower_u:  # h = (y / top)^(q/s) / total^(1/s), so ||h||_s = 1
+            h = (rq / total) ** (1.0 / self.s)
+            self.lower_u, self.pair = low, (g, h) if self.closed else (h, g)
+        return low, self.vq * g ** self.k * low ** (1.0 - self.q), None
+
+    def trial(self, w: np.ndarray):
+        """(g, low, c, m, slope) at atom weights w, None where c is not finite.
+        Atom j's slope a_j . c - low is the rate at which weight on it raises low."""
+        g = w @ self.atoms
+        low, c, m = self.rate(g)
+        slope = self.atoms @ c - low
+        if not math.isfinite(slope.sum()):  # the atoms are non-negative, none is 0
+            return None
+        return g, low, c, m, slope
 
     def point(self, cx: np.ndarray, cy: np.ndarray) -> None:
         """Norm cx and cy: the upper bound K with its witness, and new atoms."""
@@ -607,119 +610,134 @@ class _Solve:
         if u < self.best_u:
             self.best_u = u
             self.witness = (cx / nx, cy / ny)
-        for k in self.atoms:
-            self.add_atom(k, (ax, ay)[k])
-        self.rate({k: (ax, ay)[k] for k in self.atoms})  # the witness's own functionals
+        for i, k in enumerate(self.sides):
+            self.add_atom(i, (ax, ay)[k])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.rate(np.concatenate([(ax, ay)[k] for k in self.sides]))  # the witness's pair
 
-    def add_atom(self, k: int, a: np.ndarray) -> None:
-        """Append a norming functional to side k's atoms unless it is one already."""
-        atoms = self.atoms[k]
-        if np.max(np.abs(atoms - a), axis=1).min() > 1e-12 * a.max():
-            self.atoms[k] = np.vstack([atoms, a])
-            self.weights[k] = np.append(self.weights[k], 0.0)
+    def add_atom(self, i: int, f: np.ndarray) -> None:
+        """Insert functional f after the atoms of sides[i] unless it is one already."""
+        block = slice(i * len(f), (i + 1) * len(f))
+        if np.max(np.abs(self.atoms[self.side == i, block] - f), axis=1).min() > 1e-12 * f.max():
+            row = np.zeros(self.atoms.shape[1])
+            row[block] = f
+            at = np.searchsorted(self.side, i, side="right")
+            self.atoms = np.insert(self.atoms, at, row, axis=0)
+            self.side, self.w = np.insert(self.side, at, i), np.insert(self.w, at, 0.0)
             self.found += 1
 
-    def hull_optimum(self) -> Tuple[Dict[int, np.ndarray], bool]:
-        """Maximize low = sum(m) over the atoms' hulls by active-set Newton steps.
+    def hull_optimum(self):
+        """Maximize low over the atoms' hulls by active-set Newton steps.
 
-        Atom j's slope is a_j . c - low, c the gradient direction of its
-        side: the rate at which weight moved onto atom j raises low.  A step
-        ends at the first weight it takes to 0, which drops that atom, and is
-        halved until c stays finite and low does not fall by more than
-        ROUNDING.  Returns the mixtures and whether no slope exceeds ROUNDING
-        low, the KKT condition on the simplices.
+        A step ends at the first weight it takes to 0, which drops that
+        atom.  Where c is not finite there, a mixture coordinate vanishes at
+        that face T; with a closed side, low ~ low0 + beta t + A (T - t)^alpha
+        along the step with alpha = eq, and the step goes to the maximizer of
+        that model, fitted to low's slope and curvature at t = 0, so the
+        weight stays small but positive.  (Two mixed sides get no model: the
+        one tried left weights so near a face that Newton crept back.)  Other
+        steps are halved until c stays finite and low does not fall by more
+        than ROUNDING.  Returns the gradient directions (cx, cy) and whether
+        no slope exceeds ROUNDING low, the KKT condition on the simplices.
         """
-        sides = list(self.atoms)
-        a = np.vstack([self.atoms[k] for k in sides])
-        side = np.repeat(np.arange(len(sides)), [len(self.atoms[k]) for k in sides])
+        onehot = (self.side == np.arange(len(self.sides))[:, None]).astype(float)  # sides' sums
+        e = np.array([self.expo[k] for k in self.sides])[self.side]
+        w = self.w
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            now, t, optimal = self.trial(w), 0.0, False
+            for _ in range(HULL_MAX_STEPS):
+                if t == 0.0:  # a new Newton direction
+                    optimal = now[4].max() <= ROUNDING * now[1]
+                    step = None if optimal else self.newton(w, onehot, e, now)
+                    if step is None:  # optimal, or a Newton system beyond the float range
+                        break
+                    d, grad, neg_h = step
+                    down = d < 0.0
+                    ratio = np.where(down, w, math.inf) / np.where(down, -d, 1.0)
+                    j = int(ratio.argmin())
+                    face, t = ratio[j], min(1.0, ratio[j])
+                    fit, gap = 0.0 < self.alpha < 1.0, 0.0
+                wt = np.where(ratio <= t, 0.0, np.maximum(w + t * d, 0.0))
+                if gap:  # w + t d would cancel to the rounding level
+                    wt[j] = -d[j] * gap
+                wt /= (onehot @ wt) @ onehot
+                new = self.trial(wt)
+                if new is not None and new[1] >= now[1] * (1.0 - ROUNDING):
+                    w, now, t = wt, new, 0.0
+                elif new is None and t == face and fit:  # the model's maximizer, once
+                    slope, curve, power = grad @ d, d @ neg_h @ d, 1.0 / (1.0 - self.alpha)
+                    gap = 0.5 * face  # halving, where the model has no maximizer
+                    if slope > 0.0 and curve > 0.0:
+                        gap = face * math.exp(-power * math.log1p(slope / (power * curve * face)))
+                    t, fit = face - gap, False
+                else:
+                    t, gap = 0.5 * t, 0.0
+            cs = np.split(now[2], len(self.sides))
+            if self.closed is not None:  # the partner of cs[0], with cx^(1-t) cy^t = v
+                cs.insert(self.closed, (self.v / cs[0] ** self.expo[self.sides[0]])
+                          ** (1.0 / self.expo[self.closed]))
+        self.w = w
+        return cs, optimal
 
-        def state(w: np.ndarray):  # (g, m, c, low, slope), or None where c is not finite
-            g, m, c = self.rate({k: w[side == i] @ self.atoms[k] for i, k in enumerate(sides)})
-            c = np.array([c[k] for k in sides])
-            if not np.isfinite(c).all():
-                return None
-            low = float(m.sum())
-            return g, m, c, low, (a * c[side]).sum(axis=1) - low
+    def newton(self, w: np.ndarray, onehot: np.ndarray, e: np.ndarray, now):
+        """The Newton direction d on the atoms with weight or a positive slope.
 
-        w = np.concatenate([self.weights[k] for k in sides])
-        now, t, optimal = state(w), 0.0, False
-        for _ in range(HULL_MAX_STEPS):
-            if t == 0.0:  # a new Newton direction
-                optimal = now[4].max() <= ROUNDING * now[3]
-                if optimal:
-                    break
-                d = self.newton(w, a, side, now)
-                down = d < 0.0
-                ratio = np.where(down, w, math.inf) / np.where(down, -d, 1.0)
-                t = min(1.0, ratio.min())
-            wt = np.where(ratio <= t, 0.0, np.maximum(w + t * d, 0.0))
-            wt /= np.bincount(side, wt)[side]
-            new = state(wt)
-            if new is not None and new[3] >= now[3] * (1.0 - ROUNDING):
-                w, now, t = wt, new, 0.0
-            else:
-                t *= 0.5
-        self.weights = {k: w[side == i] for i, k in enumerate(sides)}
-        return {k: now[0][k] for k in sides}, optimal
-
-    def newton(self, w: np.ndarray, a: np.ndarray, side: np.ndarray, now) -> np.ndarray:
-        """The Newton direction on the atoms with weight or a positive slope.
-
-        The Hessian of low is U D U^T: with both sides mixed, D_i = -t(1-t) m_i
-        and U's column i stacks X's atoms over gx_i and Y's over -gy_i; with a
-        closed side, low = ||v g^e||_q, D_i = e(eq-1) m_i and U = atoms / g,
-        plus the rank-one e^2(1-q) (a c)(a c)^T / low.  Each side's weights
-        keep their sum.  The system is scaled by the curvature plus the slope
-        of each atom (an atom along which low is linear runs to its face) and
-        regularized by the norm of its right-hand side.
+        The Hessian H of low is U D U^T: with both sides mixed, D_i = -t(1-t)
+        m_i and U's column i stacks X's atoms over gx_i and Y's over -gy_i;
+        with a closed side, low = ||v g^e||_q, D_i = e(eq-1) m_i and
+        U = atoms / g, plus the rank-one e^2(1-q) (a c)(a c)^T / low.  Each
+        side's weights keep their sum (the rows of onehot).  The system is
+        scaled by the curvature plus the slope of each atom (an atom along
+        which low is linear runs to its face) and regularized by the norm of
+        its right-hand side, at least ROUNDING.  Returns d, the gradient and
+        -H, or None where they are not finite.
         """
-        g, m, c, low, slope = now
-        e = np.array([self.expo[k] for k in self.atoms])[side]
+        g, low, c, m, slope = now
+        a = self.atoms
         if self.closed is None:
-            u = a / np.array(g)[side] * (1 - 2 * side)[:, None]
-            neg_h = e[0] * e[-1] * (u * m) @ u.T
+            u = np.subtract(*np.split(a / g, 2, axis=1))
+            neg_h = self.expo[0] * self.expo[1] * (u * m) @ u.T
         else:
-            neg_h = (self.q - 1.0) * e[0] ** 2 * np.outer(slope + low, slope + low) / low
+            ac = (slope + low) * (e[0] * math.sqrt((self.q - 1.0) / low))
+            neg_h = ac[:, None] * ac
             if self.k:  # 0 for l-infinity, whose pairing is linear in g under a power
-                neg_h -= e[0] * self.k * (a * c[0] / g[1 - self.closed]) @ a.T
-        grad = e * slope
-        diag = np.diag(neg_h) + np.abs(grad)
-        scale = 1.0 / np.sqrt(np.where(diag > 0.0, diag, 1.0))
-        play = (w > 0.0) | (slope > 0.0)
+                neg_h -= (a * (e[0] * self.k * c / g)) @ a.T
+        if not np.isfinite(neg_h).all():
+            return None
+        grad, n = e * slope, len(w)
+        diag = neg_h.diagonal() + np.abs(grad)
+        sc = np.where(diag > 0.0, diag, 1.0) ** -0.5
+        kkt = np.zeros((n + len(onehot),) * 2)  # each side's sum is a constraint row
+        kkt[:n, :n] = sc[:, None] * neg_h * sc
+        kkt[n:, :n] = onehot * sc
+        kkt[:n, n:] = kkt[n:, :n].T
+        rhs = np.concatenate((sc * grad, np.zeros(len(onehot))))
+        idle = w == 0.0
+        play = np.concatenate((~idle | (slope > 0.0), np.ones(len(onehot), dtype=bool)))
         while True:  # an idle atom that the step pushes below 0 leaves play
-            idx = np.nonzero(play)[0]
-            sc, n = scale[idx], len(idx)
-            r = np.append(sc * grad[idx], np.zeros(side[-1] + 1))
-            kkt = np.zeros((len(r), len(r)))  # each side's sum is a constraint row
-            kkt[:n, :n] = sc[:, None] * neg_h[idx][:, idx] * sc + math.sqrt(r @ r) * np.eye(n)
-            kkt[n:, :n] = (side[idx] == np.arange(side[-1] + 1)[:, None]) * sc
-            kkt[:n, n:] = kkt[n:, :n].T
-            d = np.zeros(len(w))
-            d[idx] = sc * np.linalg.solve(kkt, r)[:n]
-            if not (d[w == 0.0] < 0.0).any():
-                return d
-            play &= (w > 0.0) | (d >= 0.0)
+            keep = np.flatnonzero(play)
+            sub, r = kkt[keep[:, None], keep], rhs[keep]
+            free = len(keep) - len(onehot)
+            sub.flat[:free * (len(keep) + 1):len(keep) + 1] += max(math.sqrt(r @ r), ROUNDING)
+            d = np.zeros(n)
+            d[keep[:free]] = sc[keep[:free]] * np.linalg.solve(sub, r)[:free]
+            if not (d[idle] < 0.0).any():
+                return (d, grad, neg_h) if np.isfinite(d).all() else None
+            play[:n] &= ~idle | (d >= 0.0)
 
     def run(self) -> None:
         """Fully-corrective Frank-Wolfe rounds until the bracket closes.
 
-        A spent budget stops the solve unclosed, and so does a round whose hull
-        optimum meets the KKT condition while the oracle adds no atom.
+        A spent budget stops the solve unclosed, and so does a round that adds
+        no atom while its hull optimum meets the KKT condition or its hull
+        solve moved no weight: the next round would repeat it.
         """
         self.point(self.v, self.v)  # x = y = z: the interpolation bound
         while not self.converged and self.evals < self.budget:
-            found = self.found
-            gs, optimal = self.hull_optimum()
-            mean = {k: atoms.mean(axis=0) for k, atoms in self.atoms.items()}
-            for eta in (0.0, *HULL_SHIFTS):  # until a reading moves a bound or adds an atom
-                before = self.best_u, self.lower_u, self.found
-                if self.converged or self.evals >= self.budget:
-                    return
-                self.point(*self.rate({k: (1.0 - eta) * g + eta * mean[k]
-                                       for k, g in gs.items()})[2])
-                if (self.best_u, self.lower_u, self.found) != before:
-                    break
-            if optimal and self.found == found:
+            found, w = self.found, self.w
+            cs, optimal = self.hull_optimum()
+            self.point(*cs)
+            if self.found == found and (optimal or self.w is w):
                 return
 
     def factorization(self, support: Tuple[int, ...]) -> Factorization:

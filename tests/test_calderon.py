@@ -157,8 +157,8 @@ class TestExactHull:
         assert 0.0 <= fac.relative_gap <= tol
 
     def test_tiny_mixture_coordinates(self):
-        # the hull optimum puts almost no weight on the second coordinate; the
-        # gradient there lowers neither bound, a shifted point closes the gap
+        # the hull optimum puts almost no weight on the second coordinate; a
+        # new atom there has a positive slope against a huge curvature
         z = SeqVector.from_values(
             [0.05579619066319369, 0.0001548734535690946, -0.008643493717604452,
              -0.7464331312064092, -0.11504752050043492, -0.062412468720513134,
@@ -171,7 +171,9 @@ class TestExactHull:
     def test_closed_linf_side_meets_kkt(self, theta, monkeypatch):
         # with l-infinity solved in closed form the pairing is a power of a
         # linear function of the mixture, so the hull optimum is a vertex
-        # with zero coordinates; every hull solve must meet the KKT test
+        # with zero coordinates; a closed l3 side leaves optima with tiny
+        # coordinates, which the face step reaches; every hull solve must
+        # meet the KKT test
         flags = []
         hull = engine._Solve.hull_optimum
 
@@ -185,9 +187,57 @@ class TestExactHull:
             rng = np.random.default_rng(np.random.SeedSequence([5, k]))
             z = SeqVector.from_values(rng.uniform(-1, 1, int(rng.integers(2, 11))))
             for desc in (CalderonProduct(Lp(math.inf), S, theta),
-                         CalderonProduct(S, Lp(math.inf), theta)):
+                         CalderonProduct(S, Lp(math.inf), theta),
+                         CalderonProduct(Lp(3), S, theta),
+                         CalderonProduct(S, Lp(3), theta)):
                 NormEvaluator(desc, tol=1e-8).norm(z)
         assert flags and all(flags)
+
+    def test_face_step_ends_the_creep(self, monkeypatch):
+        # the first hull optimum gives the small coordinate a mixture weight
+        # of about 2.6e-9; halving toward that face took 56 trial points
+        counts, flags = [], []
+        trial, hull = engine._Solve.trial, engine._Solve.hull_optimum
+
+        def count(solve, *args):
+            counts[-1] += 1
+            return trial(solve, *args)
+
+        def record(solve):
+            counts.append(0)
+            cs, optimal = hull(solve)
+            flags.append(optimal)
+            return cs, optimal
+
+        monkeypatch.setattr(engine._Solve, "trial", count)
+        monkeypatch.setattr(engine._Solve, "hull_optimum", record)
+        z = SeqVector.from_values([-0.00144427511977008, 0.20299671524671492])
+        NormEvaluator(space_spr(4 / 3, 4, F), tol=1e-6).factorize(z)
+        assert flags[0] and counts[0] <= 15
+
+    def test_face_step_keeps_a_small_weight(self, monkeypatch):
+        # over the unit atoms, l3^(1/5) S^(4/5) at v has its hull optimum at
+        # g ~ v^(q / (1 - eq)) = v^15 (q = 15/13, eq = 12/13): the face step
+        # must leave the first atom a weight of 3.3e-11, not drop it
+        v = np.array([0.2, 1.0])
+        solve = engine._Solve(NormEvaluator(Lp(3)), NormEvaluator(S), 0.8, v, 1e-6, 100)
+        calls = []
+        trial = engine._Solve.trial
+        monkeypatch.setattr(engine._Solve, "trial",
+                            lambda solve, *args: calls.append(args) or trial(solve, *args))
+        cs, optimal = solve.hull_optimum()
+        assert optimal and len(calls) <= 15
+        np.testing.assert_allclose(solve.w, v**15 / np.sum(v**15), rtol=1e-9)
+
+    def test_hull_solve_that_cannot_move_stalls(self):
+        # halving toward a two-sided face crept to subnormal weights, where
+        # the Newton system overflows; the solve must stop with its bracket,
+        # neither raising LinAlgError nor spending its budget on equal rounds
+        rng = np.random.default_rng(np.random.SeedSequence([9, 9]))
+        z = SeqVector.from_values(rng.uniform(-1, 1, int(rng.integers(2, 11))))
+        nested = CalderonProduct(CalderonProduct(Lp(2), S, 0.5), S, 0.5)
+        with pytest.raises(ConvergenceError, match="improved neither bound after 26 of"):
+            NormEvaluator(nested, tol=1e-6).norm(z)
 
     def test_tol_at_rounding_is_refused(self):
         z = SeqVector.from_values([0.3, 1.2, 0.5])

@@ -240,6 +240,10 @@ class TestExperimentCommand:
             ("classx", {"space": "s:log2p1", "p": 1, "r": float("nan"), "samples": 1}),
             ("moduli", {"space": "l2", "samples": 3, "dim": 2, "eps": float("nan")}),
             ("beta", {"space": "s:log2p1", "p": 1, "n": 2, "budget": "inf"}),
+            # classx needs 1 <= p < r, as S_{p,r} does
+            ("classx", {"space": "l2", "p": "inf", "r": "inf", "samples": 5, "seed": 1}),
+            ("classx", {"space": "l2", "p": 2, "r": 2, "samples": 5, "seed": 1}),
+            ("classx", {"space": "l2", "p": 3, "r": 2, "samples": 5, "seed": 1}),
         ],
     )
     def test_bad_config_field_exits_2(self, tmp_path, capsys, name, cfg):
