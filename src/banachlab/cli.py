@@ -202,6 +202,8 @@ def _text(cfg: Dict[str, Any], key: str, default: str | None = None) -> str:
 
 def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
     """Validate the config for one driver and produce its report."""
+    if not isinstance(cfg, dict):
+        raise ValidationError("config must be a JSON object")
     seed = _int(cfg, "seed", 0) if "seed" in cfg else _default_seed()
     gauge = gauge_by_name(_text(cfg, "gauge", "log2p1"))
     t0 = time.perf_counter()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 from .errors import UnsupportedSpaceError, ValidationError
-from .gauges import GaugeFunction, gauge_by_name
+from .gauges import GAUGE_TOKENS, GaugeFunction, gauge_by_name
 from .vectors import SeqVector
 
 __all__ = [
@@ -104,8 +104,6 @@ SpaceDescriptor = Union[
     Lp, Schlumprecht, Convexified, CalderonProduct, Dual, YDistortion
 ]
 
-_GAUGE_NAMES = {"log2p1", "sqrt", "one", "identity", "pow"}
-
 
 def _parse_tokens(toks: List[str], pos: int) -> Tuple[SpaceDescriptor, int]:
     if pos >= len(toks):
@@ -120,7 +118,7 @@ def _parse_tokens(toks: List[str], pos: int) -> Tuple[SpaceDescriptor, int]:
         except ValueError:
             raise ValidationError(f"bad lp space {t!r}") from None
     if t == "s":
-        if pos + 1 < len(toks) and toks[pos + 1] in _GAUGE_NAMES:
+        if pos + 1 < len(toks) and toks[pos + 1] in GAUGE_TOKENS:
             gauge, pos = _parse_gauge(toks, pos + 1)
             return Schlumprecht(gauge), pos
         return Schlumprecht(gauge_by_name("log2p1")), pos + 1

@@ -15,7 +15,6 @@ Routing for dual_norm(X, g) = sup { <x, g> : ||x||_X <= 1 }:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -31,7 +30,7 @@ from .engine import _cutting_plane_dual, _positive, _signed, calderon_norm, get_
 from .errors import ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
-from .vectors import SeqVector, lp_norm, pairing
+from .vectors import SeqVector, lp_norm, lp_of, pairing
 
 __all__ = [
     "DualEvaluation",
@@ -120,9 +119,5 @@ def dual_block_bound(
         total = total + u
     lhs = dual_norm(x_space, total, tol=tol).value
     parts = [dual_norm(x_space, u, tol=tol).value for u in blocks]
-    if math.isinf(q):
-        inner = max(parts)
-    else:
-        inner = math.fsum(v**q for v in parts) ** (1.0 / q)
-    rhs = f(float(n)) * inner
+    rhs = f(float(n)) * lp_of(parts, q)
     return lhs, rhs, lhs <= rhs + tol * max(1.0, rhs)

@@ -90,7 +90,7 @@ from .errors import (
 )
 # s_norm stays bound here: perfbench's tracer wraps it by name in this module
 from .schlumprecht import s_norm, s_norm_top, s_norm_weights
-from .vectors import SeqVector, lp_norm, pairing
+from .vectors import SeqVector, lp_norm, lp_of, pairing
 
 __all__ = [
     "NormingResult",
@@ -202,14 +202,9 @@ class NormEvaluator:
         """
         d = self.impl
         if isinstance(d, Lp):
-            if math.isinf(d.p):
-                j = int(np.argmax(v))
-                w = np.zeros(len(v))
-                w[j] = 1.0
-                return float(v[j]), w
-            if d.p == 1.0:
-                return float(v.sum()), np.ones(len(v))
-            nv = float(np.linalg.norm(v, d.p))
+            nv = lp_of(v.tolist(), d.p)
+            if math.isinf(d.p):  # one-hot at the first argmax
+                return nv, (np.arange(len(v)) == np.argmax(v)).astype(float)
             return nv, (v / nv) ** (d.p - 1.0)
         if isinstance(d, Schlumprecht):
             nv, w = s_norm_weights(v.tolist(), d.gauge)
@@ -218,12 +213,11 @@ class NormEvaluator:
             return _memo(self._norm_cache, tuple(v.tolist()),
                          lambda: _frozen(_cutting_plane_dual(self._child(d.base), v)),
                          NORM_CACHE_SIZE)
-        if isinstance(d, Convexified):
-            nb, wb = self._child(d.base).norming_values(v**d.p)
-            nv = nb ** (1.0 / d.p)
-            if nv == 0.0:
-                return 0.0, np.zeros(len(v))
-            return nv, v ** (d.p - 1.0) * wb / nb ** ((d.p - 1.0) / d.p)
+        if isinstance(d, Convexified):  # at unit scale: u has a coordinate 1
+            top = float(v.max())
+            u = v / top
+            nb, wb = self._child(d.base).norming_values(u**d.p)
+            return top * nb ** (1.0 / d.p), u ** (d.p - 1.0) * wb / nb ** ((d.p - 1.0) / d.p)
         if isinstance(d, CalderonProduct):
             sol = self._solve_product(v)
             gx, gy = sol.pair
@@ -583,12 +577,9 @@ class _Solve:
                 self.lower_u, self.pair = low, (gx, gy)
             return low, np.concatenate((m, m)) / g, m
         y = self.v * g ** self.expo[self.sides[0]]
-        top = float(y.max())
-        rq = (y / top) ** self.q
-        total = float(rq.sum())
-        low = top * total ** (1.0 / self.q)
-        if low > self.lower_u:  # h = (y / top)^(q/s) / total^(1/s), so ||h||_s = 1
-            h = (rq / total) ** (1.0 / self.s)
+        low = lp_of(y.tolist(), self.q)
+        if low > self.lower_u:  # Hölder's equality case: ||h||_s = 1
+            h = (y / low) ** (self.q / self.s)
             self.lower_u, self.pair = low, (g, h) if self.closed else (h, g)
         return low, self.vq * g ** self.k * low ** (1.0 - self.q), None
 

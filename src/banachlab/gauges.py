@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, List, Sequence, Tuple
 
 from .errors import ValidationError
@@ -32,10 +33,10 @@ CHECK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class GaugeFunction:
-    """A gauge: evaluator plus a display name (identity for equality)."""
+    """A gauge: evaluator plus a display name; equality takes both, as caches key on it."""
 
     name: str
-    fn: Callable[[float], float] = field(compare=False, repr=False)
+    fn: Callable[[float], float] = field(repr=False)
 
     def __call__(self, x: float) -> float:
         if x < 1.0:
@@ -48,12 +49,15 @@ SQRT = GaugeFunction("sqrt", math.sqrt)
 ONE = GaugeFunction("one", lambda x: 1.0)
 IDENTITY = GaugeFunction("identity", lambda x: x)
 
+_NAMED = {f.name: f for f in (LOG2P1, SQRT, ONE, IDENTITY)}
+GAUGE_TOKENS = frozenset(_NAMED) | {"pow"}  # the first token of each name; pow:<a> has two
 
+
+@lru_cache(maxsize=64)  # one object per name, so parsed descriptors compare equal
 def gauge_by_name(name: str) -> GaugeFunction:
     """Resolve a CLI gauge name: log2p1, sqrt, one, identity, pow:<a>."""
-    table = {"log2p1": LOG2P1, "sqrt": SQRT, "one": ONE, "identity": IDENTITY}
-    if name in table:
-        return table[name]
+    if name in _NAMED:
+        return _NAMED[name]
     if name.startswith("pow:"):
         try:
             a = float(name[4:])

@@ -164,22 +164,30 @@ class Interval:
 # -- elementary operations ---------------------------------------------
 
 
+def lp_of(values: Sequence[float], p: float) -> float:
+    """The lp norm of nonnegative floats, not all 0, at unit scale.
+
+    max at p = inf, fsum at p = 1 and math.hypot at p = 2; any other p divides
+    by the max before the powers, so nothing overflows or flushes to 0 while the
+    norm is representable.  Free of the values' order; pass arrays as .tolist().
+    """
+    if math.isinf(p):
+        return max(values)
+    if p == 1.0:
+        return math.fsum(values)
+    if p == 2.0:
+        return math.hypot(*values)
+    m = max(values)
+    return m * math.fsum([(v / m) ** p for v in values]) ** (1.0 / p)
+
+
 def lp_norm(x: SeqVector, p: float) -> float:
-    """(sum |x_i|^p)^(1/p), or max |x_i| for p = inf; 0 on the empty vector."""
+    """(sum |x_i|^p)^(1/p), or max |x_i| for p = inf, by `lp_of`; 0 on the empty vector."""
     if p < 1.0:
         raise ValidationError(f"lp_norm requires p >= 1, got {p}")
     if not x:
         return 0.0
-    vals = [math.fabs(v) for v in x._entries.values()]
-    if math.isinf(p):
-        return max(vals)
-    if p == 1.0:
-        return math.fsum(vals)
-    if p == 2.0:
-        return math.sqrt(math.fsum(v * v for v in vals))
-    m = max(vals)
-    # scale out the max to dodge overflow for large p
-    return m * math.fsum((v / m) ** p for v in vals) ** (1.0 / p)
+    return lp_of([math.fabs(v) for v in x._entries.values()], p)
 
 
 def pairing(x: SeqVector, g: SeqVector) -> float:

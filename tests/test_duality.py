@@ -18,8 +18,10 @@ from banachlab import (
     lozanovskii_check,
     lp_norm,
     pairing,
+    parse_space,
     s_norm,
     s_norm_value,
+    space_to_str,
 )
 from banachlab import engine
 from banachlab.calderon import lp_product_oracle
@@ -66,6 +68,10 @@ class TestClosedForms:
     def test_linf_dual_is_l1(self):
         res = dual_norm(Lp(math.inf), SeqVector.from_values([1, -2]))
         assert res.value == 3.0
+
+    def test_dual_token_parses(self):
+        assert parse_space("dual:s:log2p1") == Dual(S)
+        assert space_to_str(Dual(S)) == "dual:s:log2p1"
 
     def test_distorted_norm_has_no_dual(self):
         fam = FunctionalFamily((SeqVector.basis(1),), 2)

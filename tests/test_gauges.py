@@ -1,8 +1,21 @@
+import math
+
 import pytest
 
-from banachlab import LOG2P1, ONE, SQRT, check_gauge_class, check_prop5_hypothesis
+from banachlab import (
+    LOG2P1,
+    ONE,
+    SQRT,
+    Schlumprecht,
+    SeqVector,
+    check_gauge_class,
+    check_prop5_hypothesis,
+    get_evaluator,
+    parse_space,
+    s_norm_value,
+)
 from banachlab.errors import ValidationError
-from banachlab.gauges import IDENTITY, default_grid, gauge_by_name
+from banachlab.gauges import IDENTITY, GaugeFunction, default_grid, gauge_by_name
 
 
 class TestEvalGauge:
@@ -79,6 +92,24 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             gauge_by_name("nope")
+
+    def test_one_object_per_name(self):
+        # parsed descriptors compare equal, so they share one evaluator
+        assert gauge_by_name("pow:0.5") is gauge_by_name("pow:0.5")
+        assert parse_space("s:pow:0.5") == parse_space("s:pow:0.5")
+        assert gauge_by_name("log2p1") is LOG2P1
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_same_name_shares_no_results(self, first):
+        # the DP's split weights and the evaluator registry key on the gauge
+        x = SeqVector.from_values([1.0, 1.0, 1.0])
+        gauges = [GaugeFunction("g", lambda t: math.log2(t + 1.0)), GaugeFunction("g", math.sqrt)]
+        expected = [1.5, 3.0 / math.sqrt(3.0)]
+        assert gauges[0] != gauges[1]
+        for k in (first, 1 - first):
+            assert s_norm_value(x, gauges[k]) == pytest.approx(expected[k], rel=1e-12)
+            assert get_evaluator(Schlumprecht(gauges[k])).norm(x) == pytest.approx(expected[k],
+                                                                                   rel=1e-12)
 
     def test_submultiplicativity_check_is_symmetric(self):
         # violations of f(xy) <= f(x) f(y) cannot depend on pair order

@@ -152,6 +152,19 @@ def test_positional_cache_key(desc, tol):
     )
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 8.0, math.inf])
+def test_lp_norm_is_the_norming_value(p):
+    # norm takes lp_norm on the entries in insertion order, norming takes the
+    # core on them in support order; both reach the same lp_of, bit for bit
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        d = int(rng.integers(1, 12))
+        values = rng.uniform(-2.0, 2.0, d)
+        x = SeqVector(zip(rng.permutation(d) + 1, values.tolist()))
+        ev = NormEvaluator(Lp(p))
+        assert ev.norm(x) == ev.norming(x).value
+
+
 class TestConvexifiedNormOp:
     def test_l1_two_convexification_is_l2(self):
         assert convexified_norm(Lp(1), 2.0, SeqVector.from_values([1, 1])) == (

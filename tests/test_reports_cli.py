@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -79,6 +80,32 @@ class TestRunExperiment:
         rep = run_experiment("distortion", {"r": 4, "count": 4})
         assert rep.rows[0] == [16.0, 2.0, 8.0]
 
+    @pytest.mark.parametrize(
+        "name, cfg, columns",
+        [
+            ("summing", {"n_max": 2}, ["n", "dp_value", "closed_form", "abs_diff"]),
+            ("block-growth", {"space": "s:log2p1", "p": 1, "m": 2, "count": 2},
+             ["n", "block_sum_norm", "n_pow_1_over_p", "ratio"]),
+            ("vn", {"space": "s:log2p1", "p": 1, "n_max": 1}, ["n", "vn_norm", "gap"]),
+            ("beta", {"space": "s:log2p1", "p": 1, "n": 2, "budget": 3, "seed": 0},
+             ["lower", "upper", "best_found"]),
+            ("projection", {"space": "s:log2p1", "count": 2, "m": 1, "samples": 2, "seed": 0},
+             ["projection_norm_lower", "dual_bound_M"]),
+            ("projection", {"space": "s:log2p1", "count": 2, "m": 2, "samples": 2, "seed": 0},
+             ["projection_norm_lower", "dual_bound_M"]),
+            ("distortion", {"r": 2, "count": 2}, ["plus", "minus", "ratio"]),
+            ("moduli", {"space": "l2", "samples": 2, "dim": 2, "seed": 0},
+             ["eps", "convexity_upper_estimate", "tau", "smoothness_lower_estimate"]),
+            ("classx", {"space": "s:log2p1", "p": 1, "r": "inf", "samples": 2, "seed": 0},
+             ["condition", "worst_slack", "pass"]),
+        ],
+    )
+    def test_every_driver_reports(self, name, cfg, columns):
+        rep = run_experiment(name, dict(cfg))
+        assert rep.columns == columns
+        assert rep.rows and all(len(row) == len(columns) for row in rep.rows)
+        assert rep.metadata["experiment"] == name
+
     def test_metadata_echoes_config(self):
         rep = run_experiment("summing", {"n_max": 3, "seed": 5})
         assert rep.metadata["config"]["n_max"] == 3
@@ -112,6 +139,27 @@ class TestCliCommands:
     def test_non_finite_vector_exits_2(self, capsys, command, vec):
         assert entrypoint([command, "--space", "s:log2p1", "--vec", vec]) == 2
         assert "finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, expected",
+        [
+            ("dual --space l1.001 --vec 3,1", "3"),
+            ("norm --space l2 --vec 1e-200,1e-200", "1.41421356237e-200"),
+            ("norm --space l2 --vec 1e200,1e200", "1.41421356237e+200"),
+            ("dual --space l1.5 --vec 1e200,1e200", "1.25992104989e+200"),
+            ("dual --space l1.5 --vec 1e-200,1e-200", "1.25992104989e-200"),
+            ("norm --space conv:s:log2p1:50 --vec 1e-7,1e-8", "1e-07"),
+            ("norm --space conv:s:log2p1:50 --vec 1e7,1e6", "10000000"),
+            ("norm --space conv:l2:3 --vec 1e-120,1e-120", "1.12246204831e-120"),
+        ],
+    )
+    def test_closed_forms_at_unit_scale(self, capsys, args, expected):
+        # the powers run on values / max, so no result flushes to 0 or overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = entrypoint(args.split())
+        assert code == 0
+        assert capsys.readouterr().out == expected + "\n"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert entrypoint(["frobnicate"]) == 2
@@ -209,6 +257,13 @@ class TestExperimentCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{nope")
         assert entrypoint(["experiment", "summing", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("body", ["[1, 2]", "5", '"x"', "null"])
+    def test_config_not_an_object_exits_2(self, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(body)
+        assert entrypoint(["experiment", "summing", "--config", str(cfg)]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, cfg",

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banachlab import Interval, SeqVector, lp_norm, parse_vector, pointwise_power, restrict
+from banachlab.vectors import lp_of
 from banachlab.errors import ValidationError
 
 
@@ -28,6 +29,19 @@ class TestLpNorm:
     def test_rejects_p_below_one(self):
         with pytest.raises(ValidationError):
             lp_norm(vec(1), 0.5)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 50.0])
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_unit_scale(self, p, scale):
+        # the powers run on values / max, so neither end of the range flushes
+        expected = 2 ** (1 / p) * scale
+        assert lp_norm(vec(scale, -scale), p) == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_lp_of_closed_forms(self):
+        assert lp_of([3.0, 4.0], 2.0) == 5.0
+        assert lp_of([0.1] * 10, 1.0) == 1.0  # the exactly rounded sum
+        assert lp_of([1.0, 3.0, 2.0], math.inf) == 3.0
+        assert lp_of([1.0, 0.0], 7.0) == 1.0
 
 
 class TestRestrict:
