@@ -103,7 +103,7 @@ __all__ = [
 # default relative tolerance; only the Calderon solver and _child read it
 TOL_ITERATIVE = 1e-6
 
-DEFAULT_BUDGET = 10_000
+DEFAULT_BUDGET = 10_000  # norm evaluations per Calderon solve
 
 # bounds on evaluator state; each drops its oldest entries first
 NORM_CACHE_SIZE = 1 << 14  # norms (dual results on Dual) cached per evaluator
@@ -165,19 +165,11 @@ class NormEvaluator:
     the way down.
     """
 
-    def __init__(
-        self,
-        descriptor: SpaceDescriptor,
-        tol: float = TOL_ITERATIVE,
-        budget: int = DEFAULT_BUDGET,
-    ):
-        if budget < 1:
-            raise ValidationError(f"the evaluation budget must be at least 1, got {budget}")
+    def __init__(self, descriptor: SpaceDescriptor, tol: float = TOL_ITERATIVE):
         if not 0.0 < tol < math.inf:
             raise ValidationError(f"the tolerance must be positive and finite, got {tol}")
         self.descriptor = descriptor
         self.impl = _normalize(descriptor)
-        self.budget = budget
         self.tol = tol
         self._norm_cache: Dict[tuple, object] = {}  # a norm, or (value, weights) on Dual
         self._children: Dict[SpaceDescriptor, NormEvaluator] = {}
@@ -187,7 +179,7 @@ class NormEvaluator:
     def _child(self, desc: SpaceDescriptor) -> "NormEvaluator":
         child = self._children.get(desc)
         if child is None:
-            child = NormEvaluator(desc, tol=max(self.tol * 0.25, 1e-10), budget=self.budget)
+            child = NormEvaluator(desc, tol=max(self.tol * 0.25, 1e-10))
             self._children[desc] = child
         return child
 
@@ -261,14 +253,14 @@ class NormEvaluator:
             raise ConvergenceError(
                 f"Calderon solver cannot certify {space_to_str(d)}: tol {self.tol:g} is at or "
                 f"below the rounding level {ROUNDING:g}", lower=0.0, upper=math.inf)
-        sol = _calderon_solve(self._child(d.x), self._child(d.y), d.theta, v, self.tol, self.budget)
+        sol = _calderon_solve(self._child(d.x), self._child(d.y), d.theta, v, self.tol)
         if not sol.converged:
-            budget_out = sol.evals >= self.budget
+            budget_out = sol.evals >= DEFAULT_BUDGET
             why = "the budget ran out" if budget_out else "a round improved neither bound"
             gap = (sol.value - sol.lower) / sol.value
             raise ConvergenceError(
                 f"Calderon solver did not certify {space_to_str(d)}: {why} after "
-                f"{sol.evals} of {self.budget} norm evaluations at relative gap {gap:.4g}",
+                f"{sol.evals} of {DEFAULT_BUDGET} norm evaluations at relative gap {gap:.4g}",
                 lower=sol.lower,
                 upper=sol.value,
             )
@@ -313,28 +305,31 @@ class _LPFailure(Exception):
 
 
 class _Tableau:
-    """max c.x subject to cut.x <= 1 for every cut and 0 <= x <= u, by simplex.
+    """max c.x subject to cut.x <= 1 for every cut and 0 <= x <= u, by dual simplex.
 
-    A condensed (Tucker) tableau: row 0 is the objective, row i >= 1 reads
-    basic_i = t[i, -1] - sum_k t[i, k] nonbasic_k, and t[0] has -c in the
-    x = 0 basis.  Variables are labelled x_j -> j, the slack of x_j <= u
-    -> n + j and the slack of cut k -> 2n + k.  It starts with the box rows
-    alone; x = 0 is feasible, so the primal simplex needs no phase 1.  A
-    new cut is appended as one row in the current nonbasic variables; the
-    objective row stays nonnegative, so dual-simplex pivots from the
-    previous optimal basis restore feasibility (the warm start).  Both
-    pivot rules take the lowest label among ties (Bland), which rules out
-    cycling.
+    A condensed (Tucker) tableau: row 0 reads c.x = t[0, -1] - sum_k t[0, k]
+    nonbasic_k and row i >= 1 reads basic_i = t[i, -1] - sum_k t[i, k]
+    nonbasic_k.  Variables are labelled x_j -> j, the slack of x_j <= u
+    -> n + j and the slack of cut k -> 2n + k.  With the box rows alone the
+    optimum is known, x_j = u where c_j > LP_TOL and 0 elsewhere, so the
+    tableau starts there: x_j basic in box row j, or its slack, and row 0
+    holds |c|.  A new cut is appended as one row in the current nonbasic
+    variables; the objective row stays nonnegative up to the ratio test's
+    LP_TOL, so dual-simplex pivots from the previous optimal basis restore
+    feasibility (the warm start).  The pivot rule takes the lowest label
+    among ties (Bland), which rules out cycling.
     """
 
     def __init__(self, c: np.ndarray, u: float):
         n = len(c)
         self.c, self.u, self.cuts = c, u, []
-        top = np.append(-c, 0.0)
+        up = c > LP_TOL  # x_j basic at its bound u
+        top = np.append(np.where(up, c, -c), sum((c[up] * u).tolist()))
         box = np.hstack([np.eye(n), np.full((n, 1), u)])
         self.t = np.vstack([top, box])
-        self.basic = np.arange(n, 2 * n)  # labels of rows 1..m
-        self.nonbasic = np.arange(n)  # labels of the columns
+        labels = np.arange(n)
+        self.basic = np.where(up, labels, n + labels)  # labels of rows 1..m
+        self.nonbasic = np.where(up, n + labels, labels)  # labels of the columns
 
     def add(self, a: np.ndarray) -> None:
         """Append the cut a.x <= 1, written in the current nonbasic variables."""
@@ -362,28 +357,18 @@ class _Tableau:
         self.basic[r - 1], self.nonbasic[s] = self.nonbasic[s], self.basic[r - 1]
 
     def _step(self) -> bool:
-        """One pivot; False once the basis is optimal.  Raises on failure."""
+        """One dual-simplex pivot; False once every row is feasible.  Raises on failure."""
         t = self.t
         bad = np.nonzero(t[1:, -1] < -LP_TOL)[0]
-        if bad.size:  # dual simplex: the lowest infeasible row leaves
-            r = 1 + bad[self.basic[bad].argmin()]
-            cand = np.nonzero(t[r, :-1] < -LP_PIVOT_TOL)[0]
-            if not cand.size:
-                raise _LPFailure("no pivot restores a cut")
-            ratio = np.maximum(t[0, cand], 0.0) / -t[r, cand]
-            tie = cand[ratio <= ratio.min() + LP_TOL]
-            self._pivot(r, tie[self.nonbasic[tie].argmin()])
-            return True
-        enter = np.nonzero(t[0, :-1] < -LP_TOL)[0]
-        if not enter.size:
+        if not bad.size:
             return False
-        s = enter[self.nonbasic[enter].argmin()]  # primal simplex
-        cand = np.nonzero(t[1:, s] > LP_PIVOT_TOL)[0]
+        r = 1 + bad[self.basic[bad].argmin()]  # the lowest infeasible row leaves
+        cand = np.nonzero(t[r, :-1] < -LP_PIVOT_TOL)[0]
         if not cand.size:
-            raise _LPFailure("unbounded ray")
-        ratio = np.maximum(t[1 + cand, -1], 0.0) / t[1 + cand, s]
+            raise _LPFailure("no pivot restores a cut")
+        ratio = np.maximum(t[0, cand], 0.0) / -t[r, cand]
         tie = cand[ratio <= ratio.min() + LP_TOL]
-        self._pivot(1 + tie[self.basic[tie].argmin()], s)
+        self._pivot(r, tie[self.nonbasic[tie].argmin()])
         return True
 
     def solve(self) -> Tuple[np.ndarray, float]:
@@ -425,11 +410,10 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     on smooth ones, where the bracket closes gradually.
 
     The LP is max c.x subject to cut.x <= 1 and 0 <= x <= 1/||e_1||,
-    solved by one _Tableau per call: built from the box rows and solved
-    by primal simplex, then warm-started by dual simplex after each new
-    cut.  Its upper end is the weak-duality bound of the
-    tableau's multipliers, not c.x*, so it does not rest on the solver
-    having reached the optimum.
+    solved by one _Tableau per call: it starts at the box's optimum and
+    is warm-started by dual simplex after each new cut.  Its upper end is
+    the weak-duality bound of the tableau's multipliers, not c.x*, so it
+    does not rest on the solver having reached the optimum.
 
     Separation is stabilized by in-out separation (Ben-Ameur & Neto
     2007).  While the rescaled LP vertex is the best feasible point, the
@@ -518,10 +502,10 @@ class _Solve:
     """
 
     def __init__(self, evx: NormEvaluator, evy: NormEvaluator, theta: float,
-                 z: np.ndarray, tol: float, budget: int):
+                 z: np.ndarray, tol: float):
         self.evs = (evx, evy)
         self.expo = (1.0 - theta, theta)
-        self.tol, self.budget = tol, budget
+        self.tol = tol
         self.zscale = float(z.max())
         self.v = z / self.zscale
         ps = {k: ev.impl.p for k, ev in enumerate(self.evs) if isinstance(ev.impl, Lp)}
@@ -724,7 +708,7 @@ class _Solve:
         solve moved no weight: the next round would repeat it.
         """
         self.point(self.v, self.v)  # x = y = z: the interpolation bound
-        while not self.converged and self.evals < self.budget:
+        while not self.converged and self.evals < DEFAULT_BUDGET:
             found, w = self.found, self.w
             cs, optimal = self.hull_optimum()
             self.point(*cs)
@@ -741,9 +725,9 @@ class _Solve:
 
 
 def _calderon_solve(evx: NormEvaluator, evy: NormEvaluator, theta: float, v: np.ndarray,
-                    tol: float, budget: int) -> _Solve:
+                    tol: float) -> _Solve:
     """Run simplicial decomposition over the dual balls until it stops."""
-    solve = _Solve(evx, evy, theta, v, tol, budget)
+    solve = _Solve(evx, evy, theta, v, tol)
     solve.run()
     return solve
 
@@ -754,18 +738,14 @@ def _calderon_solve(evx: NormEvaluator, evy: NormEvaluator, theta: float, v: np.
 _registry: Dict[tuple, NormEvaluator] = {}
 
 
-def get_evaluator(
-    descriptor: SpaceDescriptor,
-    tol: float = TOL_ITERATIVE,
-    budget: int = DEFAULT_BUDGET,
-) -> NormEvaluator:
-    """The shared evaluator of (descriptor, tol, budget).
+def get_evaluator(descriptor: SpaceDescriptor, tol: float = TOL_ITERATIVE) -> NormEvaluator:
+    """The shared evaluator of (descriptor, tol).
 
     Its caches persist across calls; the registry keeps the newest
     REGISTRY_SIZE evaluators.
     """
-    return _memo(_registry, (descriptor, tol, budget),
-                 lambda: NormEvaluator(descriptor, tol=tol, budget=budget), REGISTRY_SIZE)
+    return _memo(_registry, (descriptor, tol), lambda: NormEvaluator(descriptor, tol=tol),
+                 REGISTRY_SIZE)
 
 
 def convexified_norm(base: SpaceDescriptor, p: float, x: SeqVector) -> float:
@@ -781,16 +761,15 @@ def calderon_norm(
     theta: float,
     z: SeqVector,
     tol: float = TOL_ITERATIVE,
-    budget: int = DEFAULT_BUDGET,
 ) -> Tuple[float, Factorization]:
     """The Calderon product norm of z with a balanced witness.
 
     Raises UnsupportedSpaceError for non-lattice factors, ValidationError
     for an empty z, and ConvergenceError (carrying the bracket) if the
-    certified gap cannot be closed within the evaluation budget.
+    certified gap cannot be closed within DEFAULT_BUDGET norm evaluations.
     """
     if not z:
         raise ValidationError("Calderon norm needs a nonzero vector")
     desc = CalderonProduct(x_space, y_space, theta)
-    ev = get_evaluator(desc, tol=tol, budget=budget)
+    ev = get_evaluator(desc, tol=tol)
     return ev.factorize(z)

@@ -31,7 +31,7 @@ from .engine import NormEvaluator, get_evaluator
 from .errors import ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
-from .vectors import Interval, SeqVector, lp_norm, restrict
+from .vectors import Interval, SeqVector, lp_norm, lp_of, restrict
 
 __all__ = [
     "BlockSequence",
@@ -78,8 +78,8 @@ class BlockSequence:
         return self.blocks[k]
 
     @classmethod
-    def basis(cls, count: int, start: int = 1) -> "BlockSequence":
-        return cls(tuple(SeqVector.basis(start + k) for k in range(count)))
+    def basis(cls, count: int) -> "BlockSequence":
+        return cls(tuple(SeqVector.basis(1 + k) for k in range(count)))
 
 
 def l1_average(m: int, offset: int, x_space: SpaceDescriptor) -> SeqVector:
@@ -345,7 +345,7 @@ def modulus_convexity_estimate(
     ev = get_evaluator(x_space)
     best = [math.inf, None]
 
-    def consider(x: SeqVector, y: SeqVector, polish: bool = True) -> None:
+    def consider(x: SeqVector, y: SeqVector) -> None:
         d = ev.norm(x - y)
         if d < eps:
             return
@@ -353,7 +353,7 @@ def modulus_convexity_estimate(
         if raw < best[0]:
             best[0], best[1] = raw, (x, y)
         # pull y toward x until ||x-y|| hits eps; skip hopeless chords
-        if not polish or raw > best[0] + 0.35:
+        if raw > best[0] + 0.35:
             return
         lo, hi, feas = 0.0, 1.0, y
         for _ in range(40):
@@ -399,17 +399,16 @@ def modulus_smoothness_estimate(
 
 # -- class membership verifier ---------------------------------------------
 
+CLASSX_DIM = 8  # the largest support of classX_verify's sample vectors
+
 
 def _lattice_sum(xs: List[SeqVector], s: float) -> SeqVector:
-    """(sum_j |x_j|^s)^(1/s) coordinatewise; the max of the |x_j| at s = inf."""
+    """(sum_j |x_j|^s)^(1/s) coordinatewise by `lp_of`; the max of the |x_j| at s = inf."""
     acc: dict = {}
     for x in xs:
         for i, v in x:
-            a = acc.get(i, 0.0)
-            acc[i] = max(a, abs(v)) if math.isinf(s) else a + abs(v) ** s
-    if math.isinf(s):
-        return SeqVector(acc)
-    return SeqVector((i, a ** (1.0 / s)) for i, a in acc.items())
+            acc.setdefault(i, []).append(abs(v))
+    return SeqVector((i, lp_of(a, s)) for i, a in acc.items())
 
 
 def classX_verify(
@@ -419,7 +418,6 @@ def classX_verify(
     f: GaugeFunction,
     samples: int,
     seed: int = 0,
-    dim: int = 8,
     tol: float = 1e-8,
 ) -> ExperimentReport:
     """Check the squeeze, convexity/concavity, and lower f-estimate.
@@ -439,21 +437,18 @@ def classX_verify(
         )
 
     def check_convexity(tup: List[SeqVector]) -> None:
+        norms = [ev.norm(xj) for xj in tup]
         # p-convexity with constant one
         lhs = ev.norm(_lattice_sum(tup, p))
-        rhs = math.fsum(ev.norm(xj) ** p for xj in tup) ** (1.0 / p)
-        worst["convexity"] = max(worst["convexity"], lhs - rhs)
+        worst["convexity"] = max(worst["convexity"], lhs - lp_of(norms, p))
         # r-concavity with constant one
-        if math.isinf(r):
-            lhs_c = max(ev.norm(xj) for xj in tup)
-        else:
-            lhs_c = math.fsum(ev.norm(xj) ** r for xj in tup) ** (1.0 / r)
         rhs_c = ev.norm(_lattice_sum(tup, r))
-        worst["convexity"] = max(worst["convexity"], lhs_c - rhs_c)
+        worst["convexity"] = max(worst["convexity"], lp_of(norms, r) - rhs_c)
 
     def check_lower_estimate(x: SeqVector, intervals: List[Interval]) -> None:
         n = len(intervals)
-        inner = math.fsum(ev.norm(restrict(x, e)) ** p for e in intervals) ** (1.0 / p)
+        # lp_norm drops the blocks that miss the support of x, all of them at times
+        inner = lp_norm(SeqVector.from_values([ev.norm(restrict(x, e)) for e in intervals]), p)
         bound = inner / f(float(n)) ** q_exp
         worst["lower_estimate"] = max(worst["lower_estimate"], bound - ev.norm(x))
 
@@ -465,13 +460,13 @@ def classX_verify(
 
     for k in range(samples):
         rng = _rng(seed, k)
-        d = int(rng.integers(2, dim + 1))
+        d = int(rng.integers(2, CLASSX_DIM + 1))
         vals = rng.uniform(0.2, 1.5, d) * rng.choice([-1.0, 1.0], d)
         x = SeqVector.from_values(vals)
         check_squeeze(x)
         tup = []
         for _ in range(int(rng.integers(2, 4))):
-            dj = int(rng.integers(1, dim + 1))
+            dj = int(rng.integers(1, CLASSX_DIM + 1))
             tup.append(SeqVector.from_values(rng.uniform(0.1, 1.0, dj)))
         check_convexity(tup)
         n_blocks = int(rng.integers(2, 5))

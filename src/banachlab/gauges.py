@@ -29,6 +29,8 @@ __all__ = [
 
 #: absolute tolerance for every gauge inequality check
 CHECK_TOL = 1e-10
+#: points per doubling of `default_grid`
+GRID_PER_OCTAVE = 8
 
 
 @dataclass(frozen=True)
@@ -69,10 +71,10 @@ def gauge_by_name(name: str) -> GaugeFunction:
     raise ValidationError(f"unknown gauge {name!r}")
 
 
-def default_grid(top_exponent: int = 20, per_octave: int = 8) -> List[float]:
-    """Geometric grid 1 .. 2**top_exponent with ratio 2**(1/per_octave)."""
-    n = top_exponent * per_octave
-    return [1.0] + [2.0 ** (k / per_octave) for k in range(1, n + 1)]
+def default_grid(top_exponent: int = 20) -> List[float]:
+    """Geometric grid 1 .. 2**top_exponent with ratio 2**(1/GRID_PER_OCTAVE)."""
+    n = top_exponent * GRID_PER_OCTAVE
+    return [1.0] + [2.0 ** (k / GRID_PER_OCTAVE) for k in range(1, n + 1)]
 
 
 @dataclass
@@ -95,7 +97,6 @@ def check_gauge_class(
     f: GaugeFunction,
     grid: Sequence[float] | None = None,
     prop5_a: float = 0.1,
-    tol: float = CHECK_TOL,
 ) -> GaugeClassReport:
     """Run the three admissibility checks (plus the decay hypothesis).
 
@@ -117,7 +118,7 @@ def check_gauge_class(
 
     def flag(violation: float, x: float) -> bool:
         nonlocal worst
-        if violation > tol:
+        if violation > CHECK_TOL:
             worst = max(worst, violation)
             if x not in witness:
                 witness.append(x)
@@ -130,7 +131,7 @@ def check_gauge_class(
         cond1 = False
     prev = vals[0]
     for x, fx in zip(grid[1:], vals[1:]):
-        if flag(fx - x + 2 * tol, x):  # strict f(x) < x: equality must fail
+        if flag(fx - x + 2 * CHECK_TOL, x):  # strict f(x) < x: equality must fail
             cond1 = False
         if flag(prev - fx, x):  # nondecreasing
             cond1 = False
@@ -164,11 +165,7 @@ def check_gauge_class(
     return GaugeClassReport(cond1, cond2, cond3, prop5_ok, worst, witness)
 
 
-def check_prop5_hypothesis(
-    f: GaugeFunction,
-    a: float,
-    grid: Sequence[float] | None = None,
-) -> Tuple[bool, List[Tuple[float, float]]]:
+def check_prop5_hypothesis(f: GaugeFunction, a: float) -> Tuple[bool, List[Tuple[float, float]]]:
     """Decide whether f(x) * x**(-a) decays along the tail of the grid.
 
     Accepts when the sampled ratio t(x) peaks strictly before the end of
@@ -178,9 +175,7 @@ def check_prop5_hypothesis(
     """
     if a <= 0:
         raise ValidationError(f"decay check needs a > 0, got {a}")
-    if grid is None:
-        grid = default_grid(top_exponent=30)
-    trend = [(x, f(x) * x ** (-a)) for x in grid]
+    trend = [(x, f(x) * x ** (-a)) for x in default_grid(top_exponent=30)]
     ts = [t for _, t in trend]
     peak = max(range(len(ts)), key=lambda i: ts[i])
     ok = peak < len(ts) - 1

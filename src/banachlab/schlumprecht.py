@@ -56,7 +56,7 @@ import numpy as np
 from .errors import SizeCapError, ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
-from .vectors import Interval, SeqVector, lp_norm, pairing, restrict
+from .vectors import Interval, SeqVector, pairing, restrict
 
 __all__ = [
     "DEFAULT_DP_CAP",
@@ -110,12 +110,12 @@ class PartitionCertificate:
     def evaluate(self, x: SeqVector) -> float:
         return pairing(self.functional(), x)
 
-    def render(self, indent: str = "  ") -> str:
+    def render(self) -> str:
         lines: List[str] = []
         depths = [0]  # the depth of each subtree still to be entered
         for lo, hi, m in self.nodes:
             depth = depths.pop()
-            pad = indent * depth
+            pad = "  " * depth
             if m == 1:
                 sgn = "+" if self.signs[lo] >= 0 else "-"
                 lines.append(f"{pad}leaf [{lo}] sign={sgn}")
@@ -401,6 +401,27 @@ def best_partition(
     return total / f(float(n)), [Interval(s, t) for s, t in zip(starts, ends + [e.hi])]
 
 
+def _defining_map_at(vals: Sequence[float], table: List[List[float]], f: GaugeFunction,
+                     b: int) -> List[float]:
+    """The defining map at every interval a..b, a = 0..b, from block values.
+
+    table[c][k] is the value taken for the block of positions c..k.  The
+    map at a..b is the max of max(vals[a..b]) and, for m = 2..b-a+1, the
+    best sum of table values over covering partitions of a..b into m
+    blocks, divided by f(m).  The best m-block sums over every c..b come
+    from the (m-1)-block ones, so one pass over m serves every a.
+    """
+    new = [max(vals[a : b + 1]) for a in range(b + 1)]
+    part = [table[c][b] for c in range(b + 1)]  # part[c]: best sum over c..b in m blocks
+    for m in range(2, b + 2):
+        part = [max(table[c][k] + part[k + 1] for k in range(c, b - m + 2))
+                for c in range(b - m + 2)]
+        fm = f(float(m))
+        for a in range(b - m + 2):
+            new[a] = max(new[a], part[a] / fm)
+    return new
+
+
 def fixed_point_check(
     x: SeqVector,
     f: GaugeFunction,
@@ -410,8 +431,9 @@ def fixed_point_check(
 
     value_fn must evaluate the claimed norm on restrictions of x.  The
     step takes the max of ||x||_inf and all covering-partition split
-    values computed from value_fn; a self-consistent engine returns a
-    residual at rounding level.
+    values computed from value_fn (`_defining_map_at` over the whole
+    support); a self-consistent engine returns a residual at rounding
+    level.
     """
     if not x:
         raise ValidationError("fixed_point_check requires a nonempty vector")
@@ -423,17 +445,8 @@ def fixed_point_check(
     for a in range(n):
         for b in range(a, n):
             val[a][b] = value_fn(restrict(x, Interval(coords[a], coords[b])))
-
-    # best[m][a] = max sum over partitions of a..n-1 into m blocks
-    stepped = lp_norm(x, math.inf)
-    prev = [val[a][n - 1] for a in range(n)]
-    for m in range(2, n + 1):
-        cur = [0.0] * n
-        for a in range(n - m + 1):
-            cur[a] = max(val[a][k] + prev[k + 1] for k in range(a, n - m + 1))
-        prev = cur
-        stepped = max(stepped, prev[0] / f(float(m)))
-    return abs(stepped - claimed)
+    vals = [abs(v) for v in x.values_in_order()]
+    return abs(_defining_map_at(vals, val, f, n - 1)[0] - claimed)
 
 
 def summing_norm_table(n_max: int, f: GaugeFunction) -> ExperimentReport:
@@ -470,7 +483,7 @@ def _run_sequences(length: int) -> Tuple[Tuple[Tuple[int, int], ...], ...]:
     return tuple(seq for seq in tails[0] if len(seq) >= 2)
 
 
-def reference_norm(x: SeqVector, f: GaugeFunction, cap: int = REFERENCE_CAP) -> float:
+def reference_norm(x: SeqVector, f: GaugeFunction) -> float:
     """Exhaustive evaluation over all partition trees, gaps allowed.
 
     Every node either picks a single coordinate or a sequence of n >= 2
@@ -481,8 +494,8 @@ def reference_norm(x: SeqVector, f: GaugeFunction, cap: int = REFERENCE_CAP) -> 
     """
     if not x:
         return 0.0
-    if len(x) > cap:
-        raise SizeCapError("reference evaluator cap", needed=len(x), cap=cap)
+    if len(x) > REFERENCE_CAP:
+        raise SizeCapError("reference evaluator cap", needed=len(x), cap=REFERENCE_CAP)
     vals = tuple(abs(v) for _, v in x)
     n = len(vals)
     # value[a][b] for positions a..b, by increasing length: every run of a
@@ -502,48 +515,31 @@ def reference_norm(x: SeqVector, f: GaugeFunction, cap: int = REFERENCE_CAP) -> 
     return value[0][n - 1]
 
 
-def iterate_defining_map(
-    x: SeqVector, f: GaugeFunction, max_steps: int | None = None
-) -> List[float]:
+def iterate_defining_map(x: SeqVector, f: GaugeFunction) -> List[float]:
     """Iterate the defining map from the sup-norm seed (validation mode).
 
     Returns the sequence of whole-vector values, starting at ||x||_inf,
-    produced by repeatedly applying the defining max to the previous
-    interval-value table.  The sequence is nondecreasing and stabilizes
-    at the DP value in at most N-1 steps for support size N.
+    produced by repeatedly applying the defining max (`_defining_map_at`
+    at every right end) to the previous interval-value table.  The
+    sequence is nondecreasing and stabilizes at the DP value in at most
+    N-1 steps for support size N; no more are taken.
     """
     if not x:
         raise ValidationError("iterate_defining_map requires a nonempty vector")
     vals = tuple(abs(v) for _, v in x)
     n = len(vals)
-    if max_steps is None:
-        max_steps = max(1, n - 1)
 
     table = [
         [max(vals[a : b + 1]) if b >= a else 0.0 for b in range(n)] for a in range(n)
     ]
     history = [table[0][n - 1]]
-    for _ in range(max_steps):
+    for _ in range(max(1, n - 1)):
         new = [[0.0] * n for _ in range(n)]
-        for length in range(1, n + 1):
-            for a in range(n - length + 1):
-                b = a + length - 1
-                top = max(vals[a : b + 1])
-                prev = [table[c][b] for c in range(n)]
-                for m in range(2, length + 1):
-                    cur = [0.0] * n
-                    for c in range(b - m + 2 - 1, a - 1, -1):
-                        cur[c] = max(
-                            table[c][k] + prev[k + 1] for k in range(c, b - m + 2)
-                        )
-                    prev = cur
-                    top = max(top, prev[a] / f(float(m)))
-                new[a][b] = top
-        if all(
-            new[a][b] == table[a][b] for a in range(n) for b in range(a, n)
-        ):
-            history.append(new[0][n - 1])
+        for b in range(n):
+            for a, value in enumerate(_defining_map_at(vals, table, f, b)):
+                new[a][b] = value
+        history.append(new[0][n - 1])
+        if new == table:
             break
         table = new
-        history.append(table[0][n - 1])
     return history

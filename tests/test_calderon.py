@@ -93,15 +93,11 @@ class TestCalderonNorm:
         with pytest.raises(UnsupportedSpaceError):
             calderon_norm(YDistortion(fam), Lp(2), 0.5, SeqVector.basis(1))
 
-    @pytest.mark.parametrize("budget", [0, -5])
-    def test_rejects_budget_below_one(self, budget):
-        with pytest.raises(ValidationError):
-            calderon_norm(Lp(1), S, 0.5, SeqVector.from_values([1, 1]), budget=budget)
-
-    def test_budget_exhaustion_carries_bracket(self):
+    def test_budget_exhaustion_carries_bracket(self, monkeypatch):
         z = SeqVector.from_values([1.0, 0.7, 0.3, 1.2, 0.5, 0.9, 0.2, 1.1, 0.6, 0.4, 0.8, 1.3])
+        monkeypatch.setattr(engine, "DEFAULT_BUDGET", 12)
         with pytest.raises(ConvergenceError) as err:
-            calderon_norm(Lp(2), S, 1 / 3, z, tol=1e-13, budget=12)
+            calderon_norm(Lp(2), S, 1 / 3, z, tol=1e-13)
         assert err.value.upper >= err.value.lower > 0
         assert "the budget ran out after 12 of 12 norm evaluations" in str(err.value)
         assert "relative gap" in str(err.value)
@@ -156,15 +152,15 @@ class TestExactHull:
         value, fac = NormEvaluator(parse_space("cal:l2:s:log2p1:0.333333"), tol).factorize(z)
         assert 0.0 <= fac.relative_gap <= tol
 
-    def test_tiny_mixture_coordinates(self):
+    def test_tiny_mixture_coordinates(self, monkeypatch):
         # the hull optimum puts almost no weight on the second coordinate; a
         # new atom there has a positive slope against a huge curvature
         z = SeqVector.from_values(
             [0.05579619066319369, 0.0001548734535690946, -0.008643493717604452,
              -0.7464331312064092, -0.11504752050043492, -0.062412468720513134,
              -0.013677056314384392, -0.027196238788307618, 0.10699213353622483])
-        value, fac = NormEvaluator(CalderonProduct(Lp(3), S, 0.8), tol=1e-6,
-                                   budget=400).factorize(z)
+        monkeypatch.setattr(engine, "DEFAULT_BUDGET", 400)
+        value, fac = NormEvaluator(CalderonProduct(Lp(3), S, 0.8), tol=1e-6).factorize(z)
         assert 0.0 <= fac.relative_gap <= 1e-6
 
     @pytest.mark.parametrize("theta", [0.2, 0.5, 0.8])
@@ -220,7 +216,7 @@ class TestExactHull:
         # g ~ v^(q / (1 - eq)) = v^15 (q = 15/13, eq = 12/13): the face step
         # must leave the first atom a weight of 3.3e-11, not drop it
         v = np.array([0.2, 1.0])
-        solve = engine._Solve(NormEvaluator(Lp(3)), NormEvaluator(S), 0.8, v, 1e-6, 100)
+        solve = engine._Solve(NormEvaluator(Lp(3)), NormEvaluator(S), 0.8, v, 1e-6)
         calls = []
         trial = engine._Solve.trial
         monkeypatch.setattr(engine._Solve, "trial",
@@ -244,7 +240,7 @@ class TestExactHull:
         with pytest.raises(ConvergenceError, match="at or below the rounding level"):
             NormEvaluator(CalderonProduct(Lp(1), S, 0.5), tol=1e-14).norm(z)
 
-    def test_dropping_an_atom_of_no_weight(self):
+    def test_dropping_an_atom_of_no_weight(self, monkeypatch):
         # an inner product's hull optimum moves all weight off a unit atom
         # that keeps about 1e-17; only dropping it lets the step go on
         z = SeqVector.from_values(
@@ -252,7 +248,8 @@ class TestExactHull:
              -0.7464331312064092, -0.11504752050043492, -0.062412468720513134,
              -0.013677056314384392, -0.027196238788307618, 0.10699213353622483])
         nested = CalderonProduct(CalderonProduct(Lp(2), S, 0.5), S, 0.5)
-        assert NormEvaluator(nested, tol=1e-6, budget=400).norm(z) > 0.0
+        monkeypatch.setattr(engine, "DEFAULT_BUDGET", 400)
+        assert NormEvaluator(nested, tol=1e-6).norm(z) > 0.0
 
     @staticmethod
     def spread(k):

@@ -190,6 +190,19 @@ class TestDualSimplex:
                 tab.solve()
             self.check(c, u, rows, *tab.solve())
 
+    def test_fresh_tableau_starts_at_the_box_optimum(self, monkeypatch):
+        # with the box rows alone the optimum is known: x_j = u where c_j > LP_TOL
+        pivots = []
+        monkeypatch.setattr(engine._Tableau, "_pivot", lambda tab, r, s: pivots.append(r))
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            c, u, _ = dual_shaped_lp(rng, False)
+            c[rng.random(len(c)) < 0.2] = 1e-13  # at or below LP_TOL: x_j stays 0
+            x, bound = engine._Tableau(c, u).solve()
+            assert pivots == []
+            assert x.tolist() == np.where(c > engine.LP_TOL, u, 0.0).tolist()
+            assert bound == u * c.sum()
+
     def test_pivot_cap_raises_with_bracket(self, monkeypatch):
         z = SeqVector.from_values([1.0, 0.5, 0.3, 0.8])
         value = NormEvaluator(Dual(S)).norm(z)

@@ -25,6 +25,7 @@ from banachlab import (
     vn_averages,
 )
 from banachlab.errors import ValidationError
+from banachlab.experiments import _lattice_sum
 
 F = LOG2P1
 S = Schlumprecht(F)
@@ -240,6 +241,13 @@ class TestClassXVerify:
     def test_lp_member_passes(self):
         report = classX_verify(Lp(1.5), 1.5, 3.0, F, 120, seed=1)
         assert all(row[2] for row in report.rows)
+
+    @pytest.mark.parametrize("s", [1.0, 2.0, 3.0, math.inf])
+    def test_lattice_sum_at_unit_scale(self, s):
+        # powers of a lone coordinate must neither flush to 0 nor overflow
+        tiny = SeqVector.from_values([1e-200, 1.0])
+        assert _lattice_sum([tiny], s) == tiny
+        assert _lattice_sum([SeqVector.basis(1, 1e200)], s) == SeqVector.basis(1, 1e200)
 
     def test_sup_norm_flagged(self):
         report = classX_verify(Lp(math.inf), 1.0, math.inf, F, 40, seed=1)
