@@ -29,6 +29,8 @@ __all__ = [
     "Factorization",
 ]
 
+SUMMING_TOL = 1e-7  # the product solver's tol in spr_summing_identity
+
 
 def space_spr(p: float, r: float, f: GaugeFunction) -> SpaceDescriptor:
     """Descriptor of S_{p,r}(f); requires 1 <= p < r <= inf."""
@@ -66,13 +68,12 @@ def spr_summing_identity(
     p: float,
     r: float,
     f: GaugeFunction,
-    tol: float = 1e-7,
 ) -> Tuple[float, float, float]:
     """(expected, computed, |difference|) for the summing vector of S_{p,r}."""
     if n < 1:
         raise ValidationError(f"n must be positive, got {n}")
     expected = spr_summing_expected(n, p, r, f)
     desc = space_spr(p, r, f)
-    ev = get_evaluator(desc, tol=tol)
+    ev = get_evaluator(desc, tol=SUMMING_TOL)
     computed = ev.norm(SeqVector.from_values([1.0] * n))
     return expected, computed, abs(expected - computed)

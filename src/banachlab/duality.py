@@ -40,6 +40,8 @@ __all__ = [
     "dual_block_bound",
 ]
 
+BLOCK_BOUND_TOL = 1e-6  # dual_block_bound's tol for its dual norms and its slack relative to rhs
+
 
 @dataclass
 class DualEvaluation:
@@ -99,7 +101,6 @@ def dual_block_bound(
     p: float,
     f: GaugeFunction,
     blocks: Sequence[SeqVector],
-    tol: float = 1e-6,
 ) -> Tuple[float, float, bool]:
     """Check ||sum u_i*|| <= f(n) (sum ||u_i*||^q)^(1/q) in the dual.
 
@@ -117,7 +118,7 @@ def dual_block_bound(
     total = blocks[0]
     for u in blocks[1:]:
         total = total + u
-    lhs = dual_norm(x_space, total, tol=tol).value
-    parts = [dual_norm(x_space, u, tol=tol).value for u in blocks]
+    lhs = dual_norm(x_space, total, tol=BLOCK_BOUND_TOL).value
+    parts = [dual_norm(x_space, u, tol=BLOCK_BOUND_TOL).value for u in blocks]
     rhs = f(float(n)) * lp_of(parts, q)
-    return lhs, rhs, lhs <= rhs + tol * max(1.0, rhs)
+    return lhs, rhs, lhs <= rhs + BLOCK_BOUND_TOL * max(1.0, rhs)

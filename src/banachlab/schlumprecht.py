@@ -24,9 +24,9 @@ count the largest sum of block norms, with the norm itself at count 1.
 It stores maxima only.  Every consumer reads it: the norm, the best
 n-way partition, whose block ends `_blocks_of` recovers, and the
 extremal tree, which one walk, `_tree`, derives from it as a preorder
-node list, the tree's only format: it gives the weights of
-`s_norm_weights` and is kept by `s_norm`'s certificate.  A norm alone,
-`s_norm_top`, reads the top cell and walks no tree.  Beyond
+node list, the tree's only format, with its weights by position: the
+norming functional of `s_norm_weights` and `s_norm`'s certificate.  A
+norm alone, `s_norm_top`, reads the top cell and walks no tree.  Beyond
 DEFAULT_DP_CAP positions only constant values are accepted, on the
 analytic path; `s_norm_top` and `_extremal` hold that rule, and no other
 module reads the cap.
@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import add, mul
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -73,6 +73,7 @@ __all__ = [
 DEFAULT_DP_CAP = 64
 # support size from which `_dp_core` runs the numpy wavefront (see there)
 DP_NUMPY_MIN = 11
+Tree = List[Tuple[int, int, int]]  # preorder nodes (lo, hi, m), see PartitionCertificate
 
 
 # -- certificates -------------------------------------------------------
@@ -84,21 +85,19 @@ class PartitionCertificate:
     The tree is the list `nodes` of the DP's extremal tree in preorder,
     over coordinates: a node (lo, hi, m) with m >= 2 splits lo..hi into
     m blocks, whose subtrees follow it, and a leaf at coordinate i is
-    (i, i, 1).  `signs` maps each coordinate to the sign of x there, and
-    `split_weights[m - 2]` is the weight 1/f(m) of an m-way split.
+    (i, i, 1).  `split_weights[m - 2]` is the weight 1/f(m) of an m-way
+    split.
 
-    Doubles as a norming functional: the induced linear functional is
-    the product of split weights down each root-leaf path times the sign
-    at the leaf.  It attains the norm on the witnessed vector and never
-    exceeds the norm on any other vector (dual feasibility).  `s_norm`
-    stores that functional, computed by the same walk as `s_norm_weights`.
+    Doubles as a norming functional: a leaf's weight is 1.0 divided by
+    f(m) at each split above it, signed as x there, and `render` reads
+    the leaf signs from it.  It attains the norm on the witnessed vector
+    and never exceeds the norm on any other vector (dual feasibility).
+    `s_norm` stores it, from the same walk as `s_norm_weights`.
     """
 
-    def __init__(self, nodes: List[Tuple[int, int, int]], signs: Dict[int, float],
-                 split_weights: Sequence[float], value: float, functional: SeqVector,
-                 analytic: bool = False):
+    def __init__(self, nodes: Tree, split_weights: Sequence[float], value: float,
+                 functional: SeqVector, analytic: bool = False):
         self.nodes = nodes
-        self.signs = signs
         self.split_weights = split_weights
         self.value = value
         self.analytic = analytic
@@ -117,7 +116,7 @@ class PartitionCertificate:
             depth = depths.pop()
             pad = "  " * depth
             if m == 1:
-                sgn = "+" if self.signs[lo] >= 0 else "-"
+                sgn = "+" if self._functional[lo] >= 0 else "-"
                 lines.append(f"{pad}leaf [{lo}] sign={sgn}")
             else:
                 lines.append(f"{pad}split n={m} w={self.split_weights[m - 2]:.6g} [{lo}..{hi}]")
@@ -234,24 +233,28 @@ def _blocks_of(best: Sequence[float], n: int, a: int, b: int, m: int) -> List[Tu
     return blocks
 
 
-def _tree(best: Sequence[float], vals: List[float], f: GaugeFunction) -> List[Tuple[int, int, int]]:
-    """The extremal tree of the DP table over `vals`, in preorder.
+def _tree(best: Sequence[float], vals: List[float], f: GaugeFunction) -> Tuple[Tree, List[float]]:
+    """The extremal tree of the DP table over `vals` in preorder, and its weights.
 
     A node (a, b, m) splits a..b into the m blocks of `_blocks_of`, whose
     subtrees follow it; a leaf at position i is (i, i, 1).  The leaf is
     the largest value, earliest on ties; a split must beat it strictly,
-    the smallest m winning ties.  A loop, not a recursive closure, whose
+    the smallest m winning ties.  A split of weight w (1.0 at the root)
+    gives each block w / f(m), and a leaf keeps its weight; positions
+    without a leaf weigh 0.0.  A loop, not a recursive closure, whose
     cycle would keep the table alive until a full GC.
     """
     n = len(vals)
     nn = n * n
     finv = _finv(f, n)
     nodes = []
-    stack = [(0, n - 1)]
+    weights = [0.0] * n
+    stack = [(0, n - 1, 1.0)]
     while stack:
-        a, b = stack.pop()
+        a, b, w = stack.pop()
         if a == b:
             nodes.append((a, a, 1))
+            weights[a] = w
             continue
         largest = max(vals[a : b + 1])
         scaled = list(map(mul, best[2 * nn + a * n + b :: nn], finv[: b - a]))  # m = 2, 3, ...
@@ -259,24 +262,13 @@ def _tree(best: Sequence[float], vals: List[float], f: GaugeFunction) -> List[Tu
         if top > largest:
             m = scaled.index(top) + 2
             nodes.append((a, b, m))
-            stack.extend(reversed(_blocks_of(best, n, a, b, m)))
+            child = w / f(float(m))
+            stack.extend((c, d, child) for c, d in reversed(_blocks_of(best, n, a, b, m)))
         else:
             leaf = vals.index(largest, a)
             nodes.append((leaf, leaf, 1))
-    return nodes
-
-
-def _tree_weights(nodes: List[Tuple[int, int, int]], f: GaugeFunction, n: int) -> List[float]:
-    """Per-position products of 1/f(m) down the extremal tree to each leaf."""
-    weights = [0.0] * n
-    pending = [1.0]  # the weight of each subtree still to be entered
-    for a, _, m in nodes:
-        w = pending.pop()
-        if m == 1:
-            weights[a] += w
-        else:
-            pending.extend([w / f(float(m))] * m)
-    return weights
+            weights[leaf] = w
+    return nodes, weights
 
 
 def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
@@ -288,8 +280,6 @@ def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
     by the summing identity) and anything else raises SizeCapError.
     """
     n = len(vals)
-    if n == 1:
-        return vals[0]
     if n <= DEFAULT_DP_CAP:
         return _dp_core(vals, f)[n * n + n - 1]
     if max(vals) - min(vals) <= 1e-15 * max(vals):
@@ -297,51 +287,47 @@ def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
     raise SizeCapError("support exceeds DP cap", needed=n, cap=DEFAULT_DP_CAP)
 
 
-def _extremal(vals: List[float], f: GaugeFunction) -> Tuple[float, List[Tuple[int, int, int]]]:
-    """The norm and the extremal tree of positive values in support order.
+def _extremal(vals: List[float], f: GaugeFunction) -> Tuple[float, Tree, List[float]]:
+    """The norm, extremal tree and weights of positive values in support order.
 
     Up to DEFAULT_DP_CAP values: the DP table's top cell and `_tree`.
     Beyond it: `s_norm_top`, the analytic value or SizeCapError, witnessed
-    by the N-way split into singletons.
+    by the N-way split into singletons, each of weight 1/f(N).
     """
     n = len(vals)
-    if n == 1:
-        return vals[0], [(0, 0, 1)]
     if n > DEFAULT_DP_CAP:
-        return s_norm_top(vals, f), [(0, n - 1, n)] + [(i, i, 1) for i in range(n)]
+        tree = [(0, n - 1, n)] + [(i, i, 1) for i in range(n)]
+        return s_norm_top(vals, f), tree, [1.0 / f(float(n))] * n
     best = _dp_core(vals, f)
-    return best[n * n + n - 1], _tree(best, vals, f)
+    return (best[n * n + n - 1], *_tree(best, vals, f))
 
 
 def s_norm_weights(vals: List[float], f: GaugeFunction) -> Tuple[float, List[float]]:
     """Array fast path: norm and norming-functional weights by position.
 
     Assumes a list of strictly positive values (callers pass only the
-    positive entries); returns the value of `_extremal` and per-position
-    weights of its tree, skipping certificate construction.
+    positive entries); returns the value and the weights of `_extremal`,
+    skipping certificate construction.
     """
-    value, nodes = _extremal(vals, f)
-    return value, _tree_weights(nodes, f, len(vals))
+    value, _, weights = _extremal(vals, f)
+    return value, weights
 
 
 def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]:
     """Norm of x with its witnessing partition certificate.
 
-    The value and the tree are those of `_extremal`; beyond the DP cap
-    the certificate is flagged `analytic`.
+    The value, the tree and the weights are those of `_extremal`; beyond
+    the DP cap the certificate is flagged `analytic`.
     """
     if not x:
         raise ValidationError("s_norm requires a nonempty vector")
     entries = x.canonical()
     n = len(entries)
     coords = [i for i, _ in entries]
-    signs = [1.0 if v >= 0 else -1.0 for _, v in entries]
-    value, nodes = _extremal([abs(v) for _, v in entries], f)
-    weights = _tree_weights(nodes, f, n)
-    func = SeqVector(zip(coords, [w * s for w, s in zip(weights, signs)]))
+    value, nodes, weights = _extremal([abs(v) for _, v in entries], f)
+    func = SeqVector(zip(coords, [math.copysign(w, v) for w, (_, v) in zip(weights, entries)]))
     tree = [(coords[a], coords[b], m) for a, b, m in nodes]
-    cert = PartitionCertificate(tree, dict(zip(coords, signs)), _finv(f, n), value, func,
-                                analytic=n > DEFAULT_DP_CAP)
+    cert = PartitionCertificate(tree, _finv(f, n), value, func, analytic=n > DEFAULT_DP_CAP)
     return value, cert
 
 

@@ -254,3 +254,17 @@ def test_criterion_14_determinism():
     ok = classx_same and proj_same
     assert report(14, "same seed gives byte-identical CSV", ok,
                   f"classx {classx_same}, projection {proj_same}")
+
+
+def test_criterion_15_lozanovskii_on_the_family():
+    # each sample runs the DP, the dual LP and the inner and outer product
+    # solves of S_{p,r} and its dual against the exact answer ||z||_2
+    t0 = time.perf_counter()
+    worsts = {}
+    for p, r in [(4.0 / 3.0, 4.0), (1.0, 2.0), (2.0, 4.0), (1.5, 3.0)]:
+        rep = lozanovskii_check(space_spr(p, r, F), 10, 6, seed=5, tol=1e-5)
+        worsts[f"S_({p:g},{r:g})"] = rep.metadata["max_rel_deviation"]
+    elapsed = time.perf_counter() - t0
+    ok = max(worsts.values()) <= 1e-4 and elapsed <= 10.0
+    assert report(15, "Lozanovskii on S_{p,r}: X^(1/2)(X*)^(1/2) = l2", ok,
+                  ", ".join(f"{k} {v:.2e}" for k, v in worsts.items()) + f", {elapsed:.1f} s")
