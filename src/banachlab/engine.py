@@ -41,7 +41,10 @@ would zero a coordinate of a mixture beside a closed side stops where a
 power-law model of the pairing peaks), then norms the gradient directions
 cx = |z| gx^-t gy^t and cy = |z| gx^(1-t) gy^(t-1): since cx^(1-t) cy^t
 = |z|, they witness the upper bound K = ||cx||^(1-t) ||cy||^t, and their
-norming functionals become atoms.  The solver stops when upper - lower
+norming functionals become atoms.  Beside a closed side, S's oracle
+also offers the best m-split functionals of its DP table; those with a
+positive slope become atoms too (not on two mixed sides, where they made
+a nested product creep and stall).  The solver stops when upper - lower
 <= tol * upper; it raises a ConvergenceError with the bracket when the
 budget of norm evaluations runs out, or when the oracle returns no new
 atom and the hull optimum meets the KKT condition (no atom's slope beats
@@ -89,7 +92,7 @@ from .errors import (
     ValidationError,
 )
 # s_norm stays bound here: perfbench's tracer wraps it by name in this module
-from .schlumprecht import s_norm, s_norm_top, s_norm_weights
+from .schlumprecht import s_norm, s_norm_splits, s_norm_top, s_norm_weights
 from .vectors import SeqVector, lp_norm, lp_of, pairing
 
 __all__ = [
@@ -215,6 +218,15 @@ class NormEvaluator:
             gx, gy = sol.pair
             return sol.value, gx ** (1.0 - d.theta) * gy**d.theta
         raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
+
+    def norming_atoms(self, v: np.ndarray) -> Tuple[float, np.ndarray]:
+        """`norming_values` with the weights as row 0 of functionals in B(X*);
+        on S the best m-split functionals of `s_norm_splits` follow."""
+        if isinstance(self.impl, Schlumprecht):
+            nv, rows = s_norm_splits(v.tolist(), self.impl.gauge)
+            return nv, np.array(rows)
+        nv, w = self.norming_values(v)
+        return nv, w[None]
 
     def _cached_norm(self, v: Tuple[float, ...]) -> float:
         """The norm of positive values in support order, cached by them."""
@@ -494,11 +506,11 @@ class _Solve:
     X and side 1 is Y.  One lp side is solved in closed form by Hölder: a
     smooth one if there is one, and of two smooth ones the larger p (on
     criterion 03's lp pairs that takes the fewest evaluations).  Each other
-    side, in `sides`, keeps atoms in its dual ball (scaled unit vectors and
-    norming functionals) and weights over them on the simplex, the warm
-    start of the next hull solve.  The atoms are the rows of one block-
-    diagonal matrix, each side's rows contiguous, so w @ atoms stacks the
-    mixtures of `sides`.
+    side, in `sides`, keeps atoms in its dual ball (scaled unit vectors,
+    norming and split functionals) and weights over them on the simplex,
+    the warm start of the next hull solve.  The atoms are the rows of one
+    block-diagonal matrix, each side's rows contiguous, so w @ atoms
+    stacks the mixtures of `sides`.
     """
 
     def __init__(self, evx: NormEvaluator, evy: NormEvaluator, theta: float,
@@ -580,26 +592,33 @@ class _Solve:
     def point(self, cx: np.ndarray, cy: np.ndarray) -> None:
         """Norm cx and cy: the upper bound K with its witness, and new atoms."""
         self.evals += 2
-        (nx, ax), (ny, ay) = (ev.norming_values(c) for ev, c in zip(self.evs, (cx, cy)))
+        cs, oracle = (cx, cy), "norming_values" if self.closed is None else "norming_atoms"
+        (nx, ax), (ny, ay) = (getattr(ev, oracle)(c) for ev, c in zip(self.evs, cs))
         u = nx ** self.expo[0] * ny ** self.expo[1]
         if u < self.best_u:
             self.best_u = u
             self.witness = (cx / nx, cy / ny)
+        rows = [np.atleast_2d(a) for a in (ax, ay)]
         for i, k in enumerate(self.sides):
-            self.add_atom(i, (ax, ay)[k])
+            self.add_atoms(i, rows[k], cs[k])
         with np.errstate(divide="ignore", invalid="ignore"):
-            self.rate(np.concatenate([(ax, ay)[k] for k in self.sides]))  # the witness's pair
+            self.rate(np.concatenate([rows[k][0] for k in self.sides]))  # the witness's pair
 
-    def add_atom(self, i: int, f: np.ndarray) -> None:
-        """Insert functional f after the atoms of sides[i] unless it is one already."""
-        block = slice(i * len(f), (i + 1) * len(f))
-        if np.max(np.abs(self.atoms[self.side == i, block] - f), axis=1).min() > 1e-12 * f.max():
-            row = np.zeros(self.atoms.shape[1])
-            row[block] = f
-            at = np.searchsorted(self.side, i, side="right")
-            self.atoms = np.insert(self.atoms, at, row, axis=0)
+    def add_atoms(self, i: int, fs: np.ndarray, c: np.ndarray) -> None:
+        """Insert after sides[i]'s atoms the first row of fs and each other that
+        pairs with c above lower_u (a positive slope), unless it is an atom."""
+        block = slice(i * len(c), (i + 1) * len(c))
+        atoms = old = self.atoms[self.side == i, block]
+        for f in fs[(fs @ c > self.lower_u) | (np.arange(len(fs)) == 0)]:
+            if np.max(np.abs(atoms - f), axis=1).min() > 1e-12 * f.max():
+                atoms = np.vstack((atoms, f))
+        if len(atoms) > len(old):  # else self.w stays the hull solve's: run() reads that
+            new = np.zeros((len(atoms) - len(old), self.atoms.shape[1]))
+            new[:, block] = atoms[len(old):]
+            at = np.full(len(new), np.searchsorted(self.side, i, side="right"))
+            self.atoms = np.insert(self.atoms, at, new, axis=0)
             self.side, self.w = np.insert(self.side, at, i), np.insert(self.w, at, 0.0)
-            self.found += 1
+            self.found += len(new)
 
     def hull_optimum(self):
         """Maximize low over the atoms' hulls by active-set Newton steps.

@@ -25,8 +25,9 @@ It stores maxima only.  Every consumer reads it: the norm, the best
 n-way partition, whose block ends `_blocks_of` recovers, and the
 extremal tree, which one walk, `_tree`, derives from it as a preorder
 node list, the tree's only format, with its weights by position: the
-norming functional of `s_norm_weights` and `s_norm`'s certificate.  A
-norm alone, `s_norm_top`, reads the top cell and walks no tree.  Beyond
+norming functional of `s_norm_weights` and `s_norm`'s certificate, and
+by `s_norm_splits` the walks below each best m-way partition's blocks.
+A norm alone, `s_norm_top`, reads the top cell and walks no tree.  Beyond
 DEFAULT_DP_CAP positions only constant values are accepted, on the
 analytic path; `s_norm_top` and `_extremal` hold that rule, and no other
 module reads the cap.
@@ -233,23 +234,25 @@ def _blocks_of(best: Sequence[float], n: int, a: int, b: int, m: int) -> List[Tu
     return blocks
 
 
-def _tree(best: Sequence[float], vals: List[float], f: GaugeFunction) -> Tuple[Tree, List[float]]:
+def _tree(best: Sequence[float], vals: List[float], f: GaugeFunction,
+          roots: Sequence[Tuple[int, int, float]] = ()) -> Tuple[Tree, List[float]]:
     """The extremal tree of the DP table over `vals` in preorder, and its weights.
 
     A node (a, b, m) splits a..b into the m blocks of `_blocks_of`, whose
     subtrees follow it; a leaf at position i is (i, i, 1).  The leaf is
     the largest value, earliest on ties; a split must beat it strictly,
-    the smallest m winning ties.  A split of weight w (1.0 at the root)
-    gives each block w / f(m), and a leaf keeps its weight; positions
-    without a leaf weigh 0.0.  A loop, not a recursive closure, whose
-    cycle would keep the table alive until a full GC.
+    the smallest m winning ties.  A split of weight w gives each block
+    w / f(m), and a leaf keeps its weight; positions without a leaf weigh
+    0.0.  The walk starts at `roots` (a, b, w), last first, or (0, N-1, 1.0).
+    A loop, not a recursive closure, whose cycle would keep the table
+    alive until a full GC.
     """
     n = len(vals)
     nn = n * n
     finv = _finv(f, n)
     nodes = []
     weights = [0.0] * n
-    stack = [(0, n - 1, 1.0)]
+    stack = list(roots) or [(0, n - 1, 1.0)]
     while stack:
         a, b, w = stack.pop()
         if a == b:
@@ -311,6 +314,24 @@ def s_norm_weights(vals: List[float], f: GaugeFunction) -> Tuple[float, List[flo
     """
     value, _, weights = _extremal(vals, f)
     return value, weights
+
+
+def s_norm_splits(vals: List[float], f: GaugeFunction) -> Tuple[float, List[List[float]]]:
+    """`s_norm_weights`, its weights the first of some rows in B(S*): up to
+    DEFAULT_DP_CAP values one more per block count m = 2..N but the root's,
+    1/f(m) times the extremal subtrees of the m blocks of `_blocks_of`.  It
+    pairs with any y to at most (1/f(m)) sum_i ||E_i y|| <= ||y||."""
+    n = len(vals)
+    if n > DEFAULT_DP_CAP:
+        value, _, weights = _extremal(vals, f)
+        return value, [weights]
+    best = _dp_core(vals, f)
+    nodes, *rows = _tree(best, vals, f)  # rows: the norming weights first
+    for m, w in enumerate(_finv(f, n), 2):
+        if m != nodes[0][2]:
+            roots = [(a, b, w) for a, b in reversed(_blocks_of(best, n, 0, n - 1, m))]
+            rows.append(_tree(best, vals, f, roots)[1])
+    return best[n * n + n - 1], rows
 
 
 def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]:

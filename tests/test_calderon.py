@@ -94,7 +94,9 @@ class TestCalderonNorm:
             calderon_norm(YDistortion(fam), Lp(2), 0.5, SeqVector.basis(1))
 
     def test_budget_exhaustion_carries_bracket(self, monkeypatch):
-        z = SeqVector.from_values([1.0, 0.7, 0.3, 1.2, 0.5, 0.9, 0.2, 1.1, 0.6, 0.4, 0.8, 1.3])
+        # the unbudgeted solve certifies after 14 norm evaluations
+        z = SeqVector.from_values([1.0, 0.3, 0.2, 0.5, 0.2, 0.7, 1.1, 0.5, 1.0, 0.4, 0.3,
+                                   0.7, 0.4, 0.3, 1.2, 0.6, 0.7, 0.8, 1.0, 0.2, 0.5])
         monkeypatch.setattr(engine, "DEFAULT_BUDGET", 12)
         with pytest.raises(ConvergenceError) as err:
             calderon_norm(Lp(2), S, 1 / 3, z, tol=1e-13)
@@ -108,13 +110,13 @@ class TestCalderonNorm:
         z = SeqVector.from_values([1.0, 0.7, 0.3, 1.2, 0.5])
         ev = NormEvaluator(CalderonProduct(Lp(1), S, 0.5), tol=1e-13)
         oracle = ev._child(S)
-        real, stale = oracle.norming_values, {}
+        real, stale = oracle.norming_atoms, {}
 
-        def norming_values(v):
-            value, w = real(v)
-            return value, stale.setdefault(len(v), w)
+        def norming_atoms(v):
+            value, rows = real(v)
+            return value, stale.setdefault(len(v), rows[:1])
 
-        monkeypatch.setattr(oracle, "norming_values", norming_values)
+        monkeypatch.setattr(oracle, "norming_atoms", norming_atoms)
         with pytest.raises(ConvergenceError) as err:
             ev.norm(z)
         assert "a round improved neither bound after" in str(err.value)
@@ -304,6 +306,25 @@ class TestSprCertification:
                                    -0.9407319259947873])
         value, fac = NormEvaluator(space_spr(4 / 3, 4, F), tol=1e-6).factorize(z)
         assert fac.lower_bound <= value
+
+    def test_split_atoms_save_hull_solves(self, monkeypatch):
+        # the DP table of each S-side call also gives the best m-split
+        # functionals; as atoms they spare rounds.  Criterion 08's first 20
+        # pairs (80 vectors) took 212 hull solves with the norming functional
+        # as the only atom per call
+        counts = []
+        hull = engine._Solve.hull_optimum
+        monkeypatch.setattr(engine._Solve, "hull_optimum",
+                            lambda solve: counts.append(1) or hull(solve))
+        ev = NormEvaluator(space_spr(4 / 3, 4, F), tol=1e-6)
+        for k in range(20):
+            rng = np.random.default_rng(np.random.SeedSequence([11, k]))
+            d = int(rng.integers(2, 6))
+            x = SeqVector.from_values(rng.uniform(-1, 1, d))
+            y = SeqVector.from_values(rng.uniform(-1, 1, d))
+            for z in (x, y, x + y, x - y):
+                ev.norm(z)
+        assert len(counts) <= 0.7 * 212
 
 
 class TestWitness:

@@ -35,6 +35,7 @@ from banachlab.schlumprecht import (
     _dp_numpy,
     _tree,
     iterate_defining_map,
+    s_norm_splits,
     s_norm_weights,
 )
 
@@ -249,6 +250,30 @@ def test_golden_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "0af8ee527b7fa5adb537e7ed545f5ae82d9831033e634874b0f07419c9b07cc6"
     )
+
+
+def test_split_functionals():
+    # one DP table: the norming weights, then the best m-split functional
+    # for each block count m = 2..N but the extremal root's
+    for f in GOLDEN_GAUGES:
+        ys = {}  # 100 nonnegative vectors and their norms per support size
+        for vals, x in golden_vectors():
+            n = len(vals)
+            if n not in ys:
+                rng = np.random.default_rng(np.random.SeedSequence([53, n]))
+                y = rng.uniform(0.0, 2.0, (100, n)) * (rng.random((100, n)) < 0.8)
+                ys[n] = y, np.array([s_norm_value(SeqVector.from_values(r), f) for r in y])
+            value, rows = s_norm_splits(vals.tolist(), f)
+            assert (value, rows[0]) == s_norm_weights(vals.tolist(), f)
+            root = s_norm(x, f)[1].nodes[0][2]
+            ms = [m for m in range(2, n + 1) if m != root]
+            assert len(rows) == 1 + len(ms)
+            best = _dp_core(vals.tolist(), f)
+            for m, row in zip(ms, rows[1:]):
+                split = best[m * n * n + n - 1] / f(float(m))  # the best m-way split's value
+                assert math.fsum(row * vals) == pytest.approx(split, rel=1e-15, abs=0)
+            y, norms = ys[n]
+            assert (np.array(rows) @ y.T <= norms * (1 + 1e-14)).all()  # plus rounding
 
 
 class TestValueOnlyNorm:
