@@ -56,14 +56,17 @@ The dual of the Schlumprecht space stays Dual(S) after normalization.
 Its norm (and, generically, the dual norm of any space with an exact
 norming oracle) is computed by a cutting-plane LP over the polyhedral
 unit ball: maximize <g, x> subject to lazily generated partition-tree
-constraints; the separation oracle is the DP itself.  Each call starts
-from the box alone, so the LP is a function of its input; the Dual
-evaluator caches its whole results (value and maximizer) like norms.
-The LPs are small (one variable per support point plus the call's own
-cuts), so one dense simplex tableau in numpy serves a whole call: each
-new cut is one more row, and dual simplex pivots restart from the
-previous optimal basis.  The LP's upper end comes from its dual
-multipliers by weak duality.
+constraints; the separation oracle is the DP itself.  On S the DP table
+of an LP vertex also yields its best m-split functionals, each in
+B(S*): besides the vertex's norming row, a round adds up to
+DUAL_SPLIT_CUTS of those that the vertex violates, most violated first.
+Each call starts from the box alone, so the LP is a function of its
+input; the Dual evaluator caches its whole results (value and maximizer)
+like norms.  The LPs are small (one variable per support point plus the
+call's own cuts), so one dense simplex tableau in numpy serves a whole
+call: a round's cuts are appended as one block of rows, and dual simplex
+pivots restart from the previous optimal basis.  The LP's upper end
+comes from its dual multipliers by weak duality.
 """
 
 from __future__ import annotations
@@ -116,6 +119,7 @@ REGISTRY_SIZE = 64  # evaluators shared by get_evaluator
 DUAL_FEAS_TOL = 1e-9  # an LP vertex this close to the ball counts as feasible
 DUAL_GAP_TOL = 1e-7  # relative gap that closes the bracket otherwise
 DUAL_MAX_ROUNDS = 400
+DUAL_SPLIT_CUTS = 3  # violated split rows of the vertex's DP table added per round
 
 
 class NormingResult(NamedTuple):
@@ -219,11 +223,14 @@ class NormEvaluator:
             return sol.value, gx ** (1.0 - d.theta) * gy**d.theta
         raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
 
-    def norming_atoms(self, v: np.ndarray) -> Tuple[float, np.ndarray]:
+    def norming_atoms(self, v: np.ndarray, above: float = -math.inf,
+                      most: Optional[int] = None) -> Tuple[float, np.ndarray]:
         """`norming_values` with the weights as row 0 of functionals in B(X*);
-        on S the best m-split functionals of `s_norm_splits` follow."""
+        on S the best m-split functionals of `s_norm_splits` follow: of those
+        whose split value at v exceeds `above` the `most` largest, in
+        block-count order."""
         if isinstance(self.impl, Schlumprecht):
-            nv, rows = s_norm_splits(v.tolist(), self.impl.gauge)
+            nv, rows = s_norm_splits(v.tolist(), self.impl.gauge, above, most)
             return nv, np.array(rows)
         nv, w = self.norming_values(v)
         return nv, w[None]
@@ -325,7 +332,7 @@ class _Tableau:
     -> n + j and the slack of cut k -> 2n + k.  With the box rows alone the
     optimum is known, x_j = u where c_j > LP_TOL and 0 elsewhere, so the
     tableau starts there: x_j basic in box row j, or its slack, and row 0
-    holds |c|.  A new cut is appended as one row in the current nonbasic
+    holds |c|.  New cuts are appended as rows in the current nonbasic
     variables; the objective row stays nonnegative up to the ratio test's
     LP_TOL, so dual-simplex pivots from the previous optimal basis restore
     feasibility (the warm start).  The pivot rule takes the lowest label
@@ -344,18 +351,19 @@ class _Tableau:
         self.nonbasic = np.where(up, n + labels, labels)  # labels of the columns
 
     def add(self, a: np.ndarray) -> None:
-        """Append the cut a.x <= 1, written in the current nonbasic variables."""
+        """Append the cuts a_k.x <= 1 of the 2-D block a, one row each, written
+        in the current nonbasic variables: one stack and one label append."""
         n = len(self.c)
-        on_row = np.zeros(len(self.t))
-        xrows = self.basic < n
-        on_row[1:][xrows] = a[self.basic[xrows]]
-        row = -(on_row @ self.t)
-        xcols = self.nonbasic < n
-        row[:-1][xcols] += a[self.nonbasic[xcols]]
-        row[-1] += 1.0
-        self.t = np.vstack([self.t, row])
-        self.basic = np.append(self.basic, 2 * n + len(self.cuts))
-        self.cuts.append(a)
+        on_rows = np.zeros((len(a), len(self.t)))
+        xrows = (self.basic < n).nonzero()[0]
+        on_rows[:, 1 + xrows] = a[:, self.basic[xrows]]
+        rows = -(on_rows @ self.t)
+        xcols = (self.nonbasic < n).nonzero()[0]
+        rows[:, xcols] += a[:, self.nonbasic[xcols]]
+        rows[:, -1] += 1.0
+        self.t = np.concatenate((self.t, rows))
+        self.basic = np.concatenate((self.basic, 2 * n + len(self.cuts) + np.arange(len(a))))
+        self.cuts.extend(a)
 
     def _pivot(self, r: int, s: int) -> None:
         t = self.t
@@ -371,16 +379,19 @@ class _Tableau:
     def _step(self) -> bool:
         """One dual-simplex pivot; False once every row is feasible.  Raises on failure."""
         t = self.t
-        bad = np.nonzero(t[1:, -1] < -LP_TOL)[0]
-        if not bad.size:
+        bad = (t[1:, -1] < -LP_TOL).nonzero()[0]
+        if not len(bad):
             return False
         r = 1 + bad[self.basic[bad].argmin()]  # the lowest infeasible row leaves
-        cand = np.nonzero(t[r, :-1] < -LP_PIVOT_TOL)[0]
-        if not cand.size:
+        # the ratio test on lists: a row has n entries, too few to pay for numpy calls
+        row, top = t[r, :-1].tolist(), t[0, :-1].tolist()
+        cand = [j for j, a in enumerate(row) if a < -LP_PIVOT_TOL]
+        if not cand:
             raise _LPFailure("no pivot restores a cut")
-        ratio = np.maximum(t[0, cand], 0.0) / -t[r, cand]
-        tie = cand[ratio <= ratio.min() + LP_TOL]
-        self._pivot(r, tie[self.nonbasic[tie].argmin()])
+        ratio = [max(top[j], 0.0) / -row[j] for j in cand]
+        low = min(ratio) + LP_TOL
+        labels = self.nonbasic.tolist()
+        self._pivot(r, min((j for j, q in zip(cand, ratio) if q <= low), key=labels.__getitem__))
         return True
 
     def solve(self) -> Tuple[np.ndarray, float]:
@@ -423,9 +434,9 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
 
     The LP is max c.x subject to cut.x <= 1 and 0 <= x <= 1/||e_1||,
     solved by one _Tableau per call: it starts at the box's optimum and
-    is warm-started by dual simplex after each new cut.  Its upper end is
-    the weak-duality bound of the tableau's multipliers, not c.x*, so it
-    does not rest on the solver having reached the optimum.
+    is warm-started by dual simplex after each round's cuts.  Its upper
+    end is the weak-duality bound of the tableau's multipliers, not c.x*,
+    so it does not rest on the solver having reached the optimum.
 
     Separation is stabilized by in-out separation (Ben-Ameur & Neto
     2007).  While the rescaled LP vertex is the best feasible point, the
@@ -435,6 +446,13 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     If the midpoint lies outside the ball, its norming functional still
     cuts the vertex off, since the best point satisfies the cut; if it
     lies inside, the lower bound gains at least half the gap.
+
+    The vertex is probed through `norming_atoms`: after its norming row
+    come the oracle's further rows in the dual ball that the vertex may
+    violate (on S the m-split functionals of the same DP table, split
+    value above 1 + DUAL_FEAS_TOL, the DUAL_SPLIT_CUTS largest).  Those it
+    violates by more than DUAL_FEAS_TOL join the round's cut, most
+    violated first.  Midpoints are probed by `norming_values` alone.
     """
     n = len(c)
     scale = float(c.max())  # dual norms are homogeneous; keep the LP well scaled
@@ -462,10 +480,13 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
             raise ConvergenceError(f"dual-norm LP failed ({err})",
                                    scale * best_val, scale * lpval) from None
         val = float(c @ xstar)
-        nv, vrow = probe(xstar)  # the vertex's norming row is its Kelley cut
+        pos = xstar > 0.0  # the vertex's norming row (its Kelley cut), then split rows
+        nv, w = oracle.norming_atoms(xstar[pos], 1.0 + DUAL_FEAS_TOL, DUAL_SPLIT_CUTS)
         if nv <= 1.0 + DUAL_FEAS_TOL:
             fix = 1.0 / nv if nv > 1.0 else 1.0
             return scale * val * fix, xstar * fix
+        vrows = np.zeros((len(w), n))
+        vrows[:, pos] = w
         row = None
         if best_val < val / nv:
             best_val, best_x = val / nv, xstar / nv
@@ -484,11 +505,16 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
         if closed():
             return scale * best_val, best_x
         if row is None:
-            row = vrow
+            row = vrows[0]
         if float(row @ xstar) <= 1.0 + 0.5 * DUAL_FEAS_TOL:
             raise ConvergenceError("dual-norm LP stalled (oracle cut did not separate)",
                                    scale * best_val, scale * lpval)
-        tab.add(row)
+        cuts = row[None]
+        if len(vrows) > 1:  # the split rows that the vertex violates, most violated first
+            viol = vrows[1:] @ xstar
+            worst = np.argsort(-viol, kind="stable")
+            cuts = np.vstack([cuts, vrows[1:][worst[viol[worst] > 1.0 + DUAL_FEAS_TOL]]])
+        tab.add(cuts)
     raise ConvergenceError("dual-norm LP exceeded round limit",
                            scale * best_val, scale * lpval)
 

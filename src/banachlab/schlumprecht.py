@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import add, mul
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -316,21 +316,31 @@ def s_norm_weights(vals: List[float], f: GaugeFunction) -> Tuple[float, List[flo
     return value, weights
 
 
-def s_norm_splits(vals: List[float], f: GaugeFunction) -> Tuple[float, List[List[float]]]:
+def s_norm_splits(vals: List[float], f: GaugeFunction, above: float = -math.inf,
+                  most: Optional[int] = None) -> Tuple[float, List[List[float]]]:
     """`s_norm_weights`, its weights the first of some rows in B(S*): up to
     DEFAULT_DP_CAP values one more per block count m = 2..N but the root's,
     1/f(m) times the extremal subtrees of the m blocks of `_blocks_of`.  It
-    pairs with any y to at most (1/f(m)) sum_i ||E_i y|| <= ||y||."""
+    pairs with any y to at most (1/f(m)) sum_i ||E_i y|| <= ||y||.
+
+    Only the m whose split value, the top cell best[m] times 1/f(m), exceeds
+    `above` are walked, and of those the `most` largest (the smaller m on
+    ties); their rows follow in m order.  The first row is always returned.
+    """
     n = len(vals)
     if n > DEFAULT_DP_CAP:
         value, _, weights = _extremal(vals, f)
         return value, [weights]
     best = _dp_core(vals, f)
     nodes, *rows = _tree(best, vals, f)  # rows: the norming weights first
-    for m, w in enumerate(_finv(f, n), 2):
-        if m != nodes[0][2]:
-            roots = [(a, b, w) for a, b in reversed(_blocks_of(best, n, 0, n - 1, m))]
-            rows.append(_tree(best, vals, f, roots)[1])
+    finv = _finv(f, n)
+    split = {m: best[(m * n + 1) * n - 1] * finv[m - 2] for m in range(2, n + 1)}
+    ms = [m for m in split if m != nodes[0][2] and split[m] > above]
+    if most is not None:
+        ms = sorted(sorted(ms, key=split.get, reverse=True)[:most])  # stable: smaller m first
+    for m in ms:
+        roots = [(a, b, finv[m - 2]) for a, b in reversed(_blocks_of(best, n, 0, n - 1, m))]
+        rows.append(_tree(best, vals, f, roots)[1])
     return best[n * n + n - 1], rows
 
 

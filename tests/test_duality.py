@@ -1,8 +1,10 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.sparse import coo_matrix
 
 from banachlab import (
     Convexified,
@@ -27,6 +29,7 @@ from banachlab import engine
 from banachlab.calderon import lp_product_oracle
 from banachlab.descriptors import CalderonProduct, FunctionalFamily, YDistortion
 from banachlab.errors import ConvergenceError, UnsupportedSpaceError, ValidationError
+from banachlab.gauges import gauge_by_name
 
 F = LOG2P1
 S = Schlumprecht(F)
@@ -180,14 +183,18 @@ class TestDualSimplex:
 
     @pytest.mark.parametrize("degenerate", [False, True])
     def test_fresh_and_warm_agree_with_linprog(self, degenerate):
-        rng = np.random.default_rng(21 + degenerate)
+        # rows arrive in blocks of 1 to 4, as a dual-LP round appends its cuts
+        rng, blocks = np.random.default_rng(21 + degenerate), np.random.default_rng(24)
         for _ in range(12):
             c, u, rows = dual_shaped_lp(rng, degenerate)
             tab = engine._Tableau(c, u)
             tab.solve()
-            for a in rows:
-                tab.add(a)
+            k = 0
+            while k < len(rows):
+                step = int(blocks.integers(1, 5))
+                tab.add(np.array(rows[k:k + step]))
                 tab.solve()
+                k += step
             self.check(c, u, rows, *tab.solve())
 
     def test_fresh_tableau_starts_at_the_box_optimum(self, monkeypatch):
@@ -212,6 +219,106 @@ class TestDualSimplex:
         assert 0.0 <= err.value.lower <= value <= err.value.upper
 
 
+def dp_lp_dual_norm(g, f):
+    """||g||_S* as one LP, independent of the cutting plane: max |g|.x over
+    x >= 0 with table values N(a, b) and B_m(a, b) that satisfy the DP's
+    recursions as inequalities, N(i, i) >= x_i, N(a, b) >= N(a, b-1) and
+    N(a+1, b), f(m) N(a, b) >= B_m(a, b), B_m(a, b) >= N(a, k) + B_(m-1)(k+1, b)
+    with B_1 = N, and N(0, n-1) <= 1.  The DP table is the least solution, so
+    the x part of the polytope is the positive part of B(S).  HiGHS's dual
+    simplex solves it at feasibility tolerance 1e-10."""
+    n = len(g)
+    index = {}
+
+    def var(*key):
+        return index.setdefault(key, len(index))
+
+    xs = [var("x", i) for i in range(n)]  # the first n variables
+    rows = [[(xs[i], 1.0), (var(1, i, i), -1.0)] for i in range(n)]  # sum of terms <= 0
+    for length in range(2, n + 1):
+        for a in range(n - length + 1):
+            b = a + length - 1
+            rows.append([(var(1, a, b - 1), 1.0), (var(1, a, b), -1.0)])
+            rows.append([(var(1, a + 1, b), 1.0), (var(1, a, b), -1.0)])
+            for m in range(2, length + 1):
+                rows.append([(var(m, a, b), 1.0), (var(1, a, b), -f(float(m)))])
+                rows.extend([(var(1, a, k), 1.0), (var(m - 1, k + 1, b), 1.0), (var(m, a, b), -1.0)]
+                            for k in range(a, b - m + 2))
+    rows.append([(var(1, 0, n - 1), 1.0)])  # <= 1
+    r, k, c = zip(*((i, k, c) for i, terms in enumerate(rows) for k, c in terms))
+    b_ub = np.zeros(len(rows))
+    b_ub[-1] = 1.0
+    cost = np.zeros(len(index))
+    cost[:n] = -np.abs(g)
+    res = linprog(cost, A_ub=coo_matrix((c, (r, k)), shape=(len(rows), len(index))), b_ub=b_ub,
+                  method="highs-ds", options={"primal_feasibility_tolerance": 1e-10,
+                                              "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0
+    return -res.fun
+
+
+HIGHS_TOL = 1e-9  # relative slack of the reference beside DUAL_GAP_TOL
+
+
+@lru_cache(maxsize=1)
+def dp_lp_references():
+    """24 seeded vectors of support 2-20 under three gauges, with their references."""
+    cases = []
+    for k in range(24):
+        rng = np.random.default_rng(np.random.SeedSequence([16, k]))
+        f = gauge_by_name(("log2p1", "sqrt", "pow:0.5")[k % 3])
+        n = int(rng.integers(2, 13)) if k % 4 else int(rng.integers(13, 21))
+        g = rng.uniform(-1.0, 1.0, n)
+        cases.append((f, g, dp_lp_dual_norm(g, f)))
+    return cases
+
+
+class TestDualAgainstTheDpLp:
+    """Dual(S) against one LP written from the DP, solved by HiGHS."""
+
+    @staticmethod
+    def misses():
+        out = []
+        for f, g, ref in dp_lp_references():
+            value = NormEvaluator(Dual(Schlumprecht(f))).norm(SeqVector.from_values(g))
+            if abs(value - ref) > (engine.DUAL_GAP_TOL + HIGHS_TOL) * ref:
+                out.append((f.name, len(g), value, ref))
+        return out
+
+    def test_reference_reproduces_the_summing_values(self):
+        for n in range(1, 11):
+            assert dp_lp_dual_norm(np.ones(n), F) == pytest.approx(math.log2(n + 1),
+                                                                    rel=HIGHS_TOL, abs=0)
+
+    def test_cutting_plane_matches_the_reference(self):
+        assert self.misses() == []
+
+    def test_reference_sees_cut_rows_scaled_by_one_plus_1e6(self, monkeypatch):
+        # a wrong oracle whose rows are 1 + 1e-6 times too large shrinks the LP
+        def too_large(real):
+            def oracle(*args):
+                value, rows = real(*args)
+                return value, (np.array(rows) * (1.0 + 1e-6)).tolist()
+            return oracle
+
+        monkeypatch.setattr(engine, "s_norm_splits", too_large(engine.s_norm_splits))
+        monkeypatch.setattr(engine, "s_norm_weights", too_large(engine.s_norm_weights))
+        assert len(self.misses()) == len(dp_lp_references())
+
+
+class TestSplitCuts:
+    @pytest.mark.parametrize("s, value", [(0, 7.30707673842), (1, 7.30734135396)])
+    def test_support_32_in_few_tableau_solves(self, monkeypatch, s, value):
+        # the violated split rows of each vertex's DP table go in with its cut
+        solves = []
+        solve = engine._Tableau.solve
+        monkeypatch.setattr(engine._Tableau, "solve", lambda tab: solves.append(1) or solve(tab))
+        rng = np.random.default_rng(np.random.SeedSequence([11, 32, s]))
+        g = SeqVector.from_values(rng.uniform(0.1, 2.0, 32))
+        assert NormEvaluator(Dual(S)).norm(g) == pytest.approx(value, rel=engine.DUAL_GAP_TOL)
+        assert len(solves) < 120
+
+
 class TestCuttingPlaneFailures:
     z = SeqVector.from_values([1.0, 0.5, 0.3, 0.8])
 
@@ -223,16 +330,17 @@ class TestCuttingPlaneFailures:
         assert err.value.upper == pytest.approx(2.6, rel=1e-12)
 
     def test_stall(self, monkeypatch):
-        # an oracle that repeats its first functional per size cuts nothing new
+        # an oracle that repeats its first rows per size cuts nothing new at
+        # the vertex, which norming_atoms probes
         ev = NormEvaluator(Dual(S))
         oracle = ev._child(S)
-        real, stale = oracle.norming_values, {}
+        real, stale = oracle.norming_atoms, {}
 
-        def norming_values(v):
-            value, w = real(v)
-            return value, stale.setdefault(len(v), w)
+        def norming_atoms(v, *limits):
+            value, rows = real(v, *limits)
+            return value, stale.setdefault(len(v), rows)
 
-        monkeypatch.setattr(oracle, "norming_values", norming_values)
+        monkeypatch.setattr(oracle, "norming_atoms", norming_atoms)
         with pytest.raises(ConvergenceError, match="oracle cut did not separate") as err:
             ev.norm(self.z)
         assert 0.0 < err.value.lower <= err.value.upper

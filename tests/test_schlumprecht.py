@@ -276,6 +276,29 @@ def test_split_functionals():
             assert (np.array(rows) @ y.T <= norms * (1 + 1e-14)).all()  # plus rounding
 
 
+def test_split_threshold():
+    # `above` keeps exactly the split rows whose split value, the top cell
+    # best[m] times 1/f(m), exceeds it: the same bits in m order; `most` keeps
+    # the largest of those, the smaller m on ties; row 0 always stays
+    for f in GOLDEN_GAUGES:
+        for vals, _ in golden_vectors():
+            v, n = vals.tolist(), len(vals)
+            value, rows = s_norm_splits(v, f)
+            best = _dp_core(v, f)
+            root = _tree(best, v, f)[0][0][2]
+            split = [best[m * n * n + n - 1] * (1.0 / f(float(m)))
+                     for m in range(2, n + 1) if m != root]
+            least, median = (min(split), sorted(split)[len(split) // 2]) if split else (0.0, 0.0)
+            for above in (least, median, value):
+                got = s_norm_splits(v, f, above)
+                assert got == (value, rows[:1] + [r for r, s in zip(rows[1:], split) if s > above])
+            on = [i for i, s in enumerate(split) if s > least]
+            rank = {i: sum(split[j] > split[i] or (split[j] == split[i] and j < i) for j in on)
+                    for i in on}
+            got = s_norm_splits(v, f, least, 2)
+            assert got == (value, rows[:1] + [rows[1 + i] for i in on if rank[i] < 2])
+
+
 class TestValueOnlyNorm:
     def test_bit_identical_to_the_certificate(self):
         for f in GOLDEN_GAUGES:
