@@ -57,7 +57,7 @@ def dual_norm(x_space: SpaceDescriptor, g: SeqVector, tol: float = 1e-6) -> Dual
         return DualEvaluation(0.0, SeqVector())
     if isinstance(x_space, Dual):
         # honest bidual: cutting-plane over the inner dual ball
-        value, x = _cutting_plane_dual(get_evaluator(x_space), _positive(g))
+        value, x = _cutting_plane_dual(get_evaluator(x_space, tol=tol), _positive(g))
         return DualEvaluation(value, _signed(g, x))
     ev = get_evaluator(Dual(x_space), tol=tol)
     res = ev.norming(g)

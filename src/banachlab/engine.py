@@ -4,11 +4,14 @@ Every lattice norm here is spreading invariant: the norm of x depends
 only on the absolute values of its support, in support order, not on
 the coordinates.  So the evaluator has one core,
 
-* ``norming_values(v)`` - for a positive numpy array v in support
-  order, the norm value (certified upper bound for optimizer branches,
-  exact up to rounding for closed forms and the DP) and the weights of
-  a norming functional g at the same positions, with ||g||_* <= 1 and
-  <v, g> equal to the norm up to the accuracy of its branch.
+* ``norming_values(v, above, most)`` - for a positive numpy array v in
+  support order, the norm value (certified upper bound for optimizer
+  branches, exact up to rounding for closed forms and the DP) and rows
+  of functionals in the dual ball at the same positions.  Row 0 is the
+  weights of a norming functional g, with ||g||_* <= 1 and <v, g> equal
+  to the norm up to the accuracy of its branch.  On S, the rows after it
+  are the m-split functionals of the same DP table whose split value at
+  v exceeds `above`, the `most` largest; the caller picks no others.
 
 It is the only place that dispatches on the descriptor kind of a lattice
 norm, and its recursion across the descriptor tree stays on arrays.
@@ -42,8 +45,8 @@ power-law model of the pairing peaks), then norms the gradient directions
 cx = |z| gx^-t gy^t and cy = |z| gx^(1-t) gy^(t-1): since cx^(1-t) cy^t
 = |z|, they witness the upper bound K = ||cx||^(1-t) ||cy||^t, and their
 norming functionals become atoms.  Beside a closed side, S's oracle
-also offers the best m-split functionals of its DP table; those with a
-positive slope become atoms too (not on two mixed sides, where they made
+also offers the m-split functionals of its DP table with a positive
+slope, which become atoms too (not on two mixed sides, where they made
 a nested product creep and stall).  The solver stops when upper - lower
 <= tol * upper; it raises a ConvergenceError with the bracket when the
 budget of norm evaluations runs out, or when the oracle returns no new
@@ -94,8 +97,9 @@ from .errors import (
     UnsupportedSpaceError,
     ValidationError,
 )
-# s_norm stays bound here: perfbench's tracer wraps it by name in this module
-from .schlumprecht import s_norm, s_norm_splits, s_norm_top, s_norm_weights
+# perfbench's tracer wraps s_norm and s_norm_weights by name in this module;
+# s_norm is bound here only for it
+from .schlumprecht import s_norm, s_norm_top, s_norm_weights
 from .vectors import SeqVector, lp_norm, lp_of, pairing
 
 __all__ = [
@@ -178,7 +182,7 @@ class NormEvaluator:
         self.descriptor = descriptor
         self.impl = _normalize(descriptor)
         self.tol = tol
-        self._norm_cache: Dict[tuple, object] = {}  # a norm, or (value, weights) on Dual
+        self._norm_cache: Dict[tuple, object] = {}  # a norm, or (value, rows) on Dual
         self._children: Dict[SpaceDescriptor, NormEvaluator] = {}
 
     # -- configuration ----------------------------------------------------
@@ -192,25 +196,28 @@ class NormEvaluator:
 
     # -- the norming core ---------------------------------------------------
 
-    def norming_values(self, v: np.ndarray) -> Tuple[float, np.ndarray]:
-        """Norm and norming weights of a positive array in support order.
+    def norming_values(self, v: np.ndarray, above: float = math.inf,
+                       most: Optional[int] = None) -> Tuple[float, np.ndarray]:
+        """Norm of a positive array in support order and rows in B(X*).
 
-        The weights are the absolute values of a norming functional at the
-        same positions.  This is the only dispatch on the descriptor kind
-        for lattice norms.
+        Row 0 holds the absolute values of a norming functional at the same
+        positions.  On S the best m-split functionals of `s_norm_weights`
+        follow: of those whose split value at v exceeds `above` the `most`
+        largest, in block-count order.  This is the only dispatch on the
+        descriptor kind for lattice norms.
         """
         d = self.impl
         if isinstance(d, Lp):
             nv = lp_of(v.tolist(), d.p)
             if math.isinf(d.p):  # one-hot at the first argmax
-                return nv, (np.arange(len(v)) == np.argmax(v)).astype(float)
-            return nv, (v / nv) ** (d.p - 1.0)
+                return nv, (np.arange(len(v)) == np.argmax(v)).astype(float)[None]
+            return nv, ((v / nv) ** (d.p - 1.0))[None]
         if isinstance(d, Schlumprecht):
-            nv, w = s_norm_weights(v.tolist(), d.gauge)
-            return nv, np.array(w)
+            nv, rows = s_norm_weights(v.tolist(), d.gauge, above, most)
+            return nv, np.array(rows)
         if isinstance(d, Dual):
             return _memo(self._norm_cache, tuple(v.tolist()),
-                         lambda: _frozen(_cutting_plane_dual(self._child(d.base), v)),
+                         lambda: _frozen(*_cutting_plane_dual(self._child(d.base), v)),
                          NORM_CACHE_SIZE)
         if isinstance(d, Convexified):  # at unit scale: u has a coordinate 1
             top = float(v.max())
@@ -220,20 +227,8 @@ class NormEvaluator:
         if isinstance(d, CalderonProduct):
             sol = self._solve_product(v)
             gx, gy = sol.pair
-            return sol.value, gx ** (1.0 - d.theta) * gy**d.theta
+            return sol.value, (gx ** (1.0 - d.theta) * gy**d.theta)[None]
         raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
-
-    def norming_atoms(self, v: np.ndarray, above: float = -math.inf,
-                      most: Optional[int] = None) -> Tuple[float, np.ndarray]:
-        """`norming_values` with the weights as row 0 of functionals in B(X*);
-        on S the best m-split functionals of `s_norm_splits` follow: of those
-        whose split value at v exceeds `above` the `most` largest, in
-        block-count order."""
-        if isinstance(self.impl, Schlumprecht):
-            nv, rows = s_norm_splits(v.tolist(), self.impl.gauge, above, most)
-            return nv, np.array(rows)
-        nv, w = self.norming_values(v)
-        return nv, w[None]
 
     def _cached_norm(self, v: Tuple[float, ...]) -> float:
         """The norm of positive values in support order, cached by them."""
@@ -263,8 +258,8 @@ class NormEvaluator:
     def norming(self, x: SeqVector) -> NormingResult:
         if not x:
             return NormingResult(0.0, SeqVector())
-        value, w = self.norming_values(_positive(x))
-        return NormingResult(value, _signed(x, w))
+        value, rows = self.norming_values(_positive(x))
+        return NormingResult(value, _signed(x, rows[0]))
 
     def _solve_product(self, v: np.ndarray) -> "_Solve":
         d = self.impl
@@ -301,10 +296,11 @@ def _positive(x: SeqVector) -> np.ndarray:
     return np.abs(np.array(x.values_in_order()))
 
 
-def _frozen(result: Tuple[float, np.ndarray]) -> Tuple[float, np.ndarray]:
-    """A cached (value, weights) whose weights no caller can change."""
-    result[1].flags.writeable = False
-    return result
+def _frozen(value: float, weights: np.ndarray) -> Tuple[float, np.ndarray]:
+    """A cached (value, rows), the weights as its one row, that no caller can change."""
+    rows = weights[None]
+    rows.flags.writeable = False
+    return value, rows
 
 
 def _signed(x: SeqVector, w: np.ndarray) -> SeqVector:
@@ -447,12 +443,12 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     cuts the vertex off, since the best point satisfies the cut; if it
     lies inside, the lower bound gains at least half the gap.
 
-    The vertex is probed through `norming_atoms`: after its norming row
-    come the oracle's further rows in the dual ball that the vertex may
-    violate (on S the m-split functionals of the same DP table, split
-    value above 1 + DUAL_FEAS_TOL, the DUAL_SPLIT_CUTS largest).  Those it
-    violates by more than DUAL_FEAS_TOL join the round's cut, most
-    violated first.  Midpoints are probed by `norming_values` alone.
+    Vertices and midpoints are probed by `norming_values` on their positive
+    coordinates.  At a vertex the oracle also returns its further rows in
+    the dual ball that the vertex violates (on S the m-split functionals of
+    the same DP table, split value above 1 + DUAL_FEAS_TOL, the
+    DUAL_SPLIT_CUTS largest); they join the round's cut, most violated
+    first.
     """
     n = len(c)
     scale = float(c.max())  # dual norms are homogeneous; keep the LP well scaled
@@ -460,13 +456,14 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     box = 1.0 / oracle._cached_norm((1.0,))  # no coordinate of the ball exceeds it
     tab = _Tableau(c, box)
 
-    def probe(x: np.ndarray) -> Tuple[float, np.ndarray]:
+    def probe(x: np.ndarray, above: float = math.inf,
+              most: Optional[int] = None) -> Tuple[float, np.ndarray]:
         # LP points have zero coordinates; the oracle norms the positive ones
         pos = x > 0.0
-        nx, w = oracle.norming_values(x[pos])
-        row = np.zeros(n)
-        row[pos] = w
-        return nx, row
+        nx, w = oracle.norming_values(x[pos], above, most)
+        rows = np.zeros((len(w), n))
+        rows[:, pos] = w
+        return nx, rows
 
     def closed() -> bool:
         return lpval - best_val <= DUAL_GAP_TOL * max(lpval, 1.0)
@@ -480,41 +477,33 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
             raise ConvergenceError(f"dual-norm LP failed ({err})",
                                    scale * best_val, scale * lpval) from None
         val = float(c @ xstar)
-        pos = xstar > 0.0  # the vertex's norming row (its Kelley cut), then split rows
-        nv, w = oracle.norming_atoms(xstar[pos], 1.0 + DUAL_FEAS_TOL, DUAL_SPLIT_CUTS)
+        # the vertex's norming row (its Kelley cut), then the split rows it violates
+        nv, vrows = probe(xstar, 1.0 + DUAL_FEAS_TOL, DUAL_SPLIT_CUTS)
         if nv <= 1.0 + DUAL_FEAS_TOL:
             fix = 1.0 / nv if nv > 1.0 else 1.0
             return scale * val * fix, xstar * fix
-        vrows = np.zeros((len(w), n))
-        vrows[:, pos] = w
-        row = None
+        row = vrows[0]
         if best_val < val / nv:
             best_val, best_x = val / nv, xstar / nv
         else:
             while not closed():
                 q = 0.5 * (xstar + best_x)
-                nq, qrow = probe(q)
+                nq, qrows = probe(q)
                 gain = float(c @ q) / nq > best_val
                 if gain:
                     best_val, best_x = float(c @ q) / nq, q / nq
-                if float(qrow @ xstar) > 1.0 + 0.5 * DUAL_FEAS_TOL:
-                    row = qrow
+                if float(qrows[0] @ xstar) > 1.0 + 0.5 * DUAL_FEAS_TOL:
+                    row = qrows[0]
                     break
                 if not gain:
                     break
         if closed():
             return scale * best_val, best_x
-        if row is None:
-            row = vrows[0]
         if float(row @ xstar) <= 1.0 + 0.5 * DUAL_FEAS_TOL:
             raise ConvergenceError("dual-norm LP stalled (oracle cut did not separate)",
                                    scale * best_val, scale * lpval)
-        cuts = row[None]
-        if len(vrows) > 1:  # the split rows that the vertex violates, most violated first
-            viol = vrows[1:] @ xstar
-            worst = np.argsort(-viol, kind="stable")
-            cuts = np.vstack([cuts, vrows[1:][worst[viol[worst] > 1.0 + DUAL_FEAS_TOL]]])
-        tab.add(cuts)
+        splits = vrows[1:]  # most violated first
+        tab.add(np.vstack([row, splits[np.argsort(-(splits @ xstar), kind="stable")]]))
     raise ConvergenceError("dual-norm LP exceeded round limit",
                            scale * best_val, scale * lpval)
 
@@ -616,26 +605,29 @@ class _Solve:
         return g, low, c, m, slope
 
     def point(self, cx: np.ndarray, cy: np.ndarray) -> None:
-        """Norm cx and cy: the upper bound K with its witness, and new atoms."""
+        """Norm cx and cy: the upper bound K with its witness, and new atoms.
+        Beside a closed side the oracle adds the split rows that pair with c
+        above lower_u (a positive slope); two mixed sides get none."""
         self.evals += 2
-        cs, oracle = (cx, cy), "norming_values" if self.closed is None else "norming_atoms"
-        (nx, ax), (ny, ay) = (getattr(ev, oracle)(c) for ev, c in zip(self.evs, cs))
+        cs, most = (cx, cy), 0 if self.closed is None else None
+        (nx, ax), (ny, ay) = (ev.norming_values(c, self.lower_u, most)
+                              for ev, c in zip(self.evs, cs))
         u = nx ** self.expo[0] * ny ** self.expo[1]
         if u < self.best_u:
             self.best_u = u
             self.witness = (cx / nx, cy / ny)
-        rows = [np.atleast_2d(a) for a in (ax, ay)]
+        rows = (ax, ay)
         for i, k in enumerate(self.sides):
-            self.add_atoms(i, rows[k], cs[k])
+            self.add_atoms(i, rows[k])
         with np.errstate(divide="ignore", invalid="ignore"):
             self.rate(np.concatenate([rows[k][0] for k in self.sides]))  # the witness's pair
 
-    def add_atoms(self, i: int, fs: np.ndarray, c: np.ndarray) -> None:
-        """Insert after sides[i]'s atoms the first row of fs and each other that
-        pairs with c above lower_u (a positive slope), unless it is an atom."""
-        block = slice(i * len(c), (i + 1) * len(c))
+    def add_atoms(self, i: int, fs: np.ndarray) -> None:
+        """Insert after sides[i]'s atoms each row of fs that is not an atom."""
+        n = fs.shape[1]
+        block = slice(i * n, (i + 1) * n)
         atoms = old = self.atoms[self.side == i, block]
-        for f in fs[(fs @ c > self.lower_u) | (np.arange(len(fs)) == 0)]:
+        for f in fs:
             if np.max(np.abs(atoms - f), axis=1).min() > 1e-12 * f.max():
                 atoms = np.vstack((atoms, f))
         if len(atoms) > len(old):  # else self.w stays the hull solve's: run() reads that

@@ -26,11 +26,11 @@ n-way partition, whose block ends `_blocks_of` recovers, and the
 extremal tree, which one walk, `_tree`, derives from it as a preorder
 node list, the tree's only format, with its weights by position: the
 norming functional of `s_norm_weights` and `s_norm`'s certificate, and
-by `s_norm_splits` the walks below each best m-way partition's blocks.
+by `s_norm_weights` also the walks below each best m-way partition's blocks.
 A norm alone, `s_norm_top`, reads the top cell and walks no tree.  Beyond
 DEFAULT_DP_CAP positions only constant values are accepted, on the
-analytic path; `s_norm_top` and `_extremal` hold that rule, and no other
-module reads the cap.
+analytic path; `s_norm_top`, `_extremal` and `s_norm_weights` hold that
+rule, and no other module reads the cap.
 
 The table has two implementations with equal entries.  Below
 `DP_NUMPY_MIN` (11) positions a pure-Python loop fills it: the Calderon
@@ -305,30 +305,20 @@ def _extremal(vals: List[float], f: GaugeFunction) -> Tuple[float, Tree, List[fl
     return (best[n * n + n - 1], *_tree(best, vals, f))
 
 
-def s_norm_weights(vals: List[float], f: GaugeFunction) -> Tuple[float, List[float]]:
-    """Array fast path: norm and norming-functional weights by position.
+def s_norm_weights(vals: List[float], f: GaugeFunction, above: float = math.inf,
+                   most: Optional[int] = None) -> Tuple[float, List[List[float]]]:
+    """The norm of positive values in support order and rows in B(S*) by position.
 
-    Assumes a list of strictly positive values (callers pass only the
-    positive entries); returns the value and the weights of `_extremal`,
-    skipping certificate construction.
-    """
-    value, _, weights = _extremal(vals, f)
-    return value, weights
-
-
-def s_norm_splits(vals: List[float], f: GaugeFunction, above: float = -math.inf,
-                  most: Optional[int] = None) -> Tuple[float, List[List[float]]]:
-    """`s_norm_weights`, its weights the first of some rows in B(S*): up to
-    DEFAULT_DP_CAP values one more per block count m = 2..N but the root's,
-    1/f(m) times the extremal subtrees of the m blocks of `_blocks_of`.  It
-    pairs with any y to at most (1/f(m)) sum_i ||E_i y|| <= ||y||.
-
-    Only the m whose split value, the top cell best[m] times 1/f(m), exceeds
-    `above` are walked, and of those the `most` largest (the smaller m on
-    ties); their rows follow in m order.  The first row is always returned.
+    Row 0 is the norming functional's weights, from `_extremal`.  Up to
+    DEFAULT_DP_CAP values one more row per block count m = 2..N but the
+    root's may follow: 1/f(m) times the extremal subtrees of the m blocks of
+    `_blocks_of`, which pairs with any y to at most (1/f(m)) sum_i ||E_i y||
+    <= ||y||.  Only the m whose split value, the top cell best[m] times
+    1/f(m), exceeds `above` are walked, and of those the `most` largest (the
+    smaller m on ties); their rows follow in m order.
     """
     n = len(vals)
-    if n > DEFAULT_DP_CAP:
+    if above == math.inf or n > DEFAULT_DP_CAP:
         value, _, weights = _extremal(vals, f)
         return value, [weights]
     best = _dp_core(vals, f)

@@ -213,8 +213,8 @@ def parse_vector(text: str) -> SeqVector:
     """Parse the CLI vector literal.
 
     Either comma-separated dense reals ("1,0,2.5" -> coords 1..3) or
-    sparse "idx:value" pairs ("1:1,5:2.5").  The two styles cannot be
-    mixed.
+    sparse "idx:value" pairs ("1:1,5:2.5"), each index at most once.  The
+    two styles cannot be mixed.
     """
     text = text.strip()
     if not text:
@@ -233,4 +233,9 @@ def parse_vector(text: str) -> SeqVector:
         raise ValidationError(f"bad vector literal {text!r}: {exc}") from None
     if not all(math.isfinite(v) for _, v in pairs):
         raise ValidationError(f"bad vector literal {text!r}: entries must be finite")
+    seen = set()
+    for i, _ in pairs:
+        if i in seen:
+            raise ValidationError(f"bad vector literal {text!r}: index {i} is repeated")
+        seen.add(i)
     return SeqVector(pairs)

@@ -110,13 +110,13 @@ class TestCalderonNorm:
         z = SeqVector.from_values([1.0, 0.7, 0.3, 1.2, 0.5])
         ev = NormEvaluator(CalderonProduct(Lp(1), S, 0.5), tol=1e-13)
         oracle = ev._child(S)
-        real, stale = oracle.norming_atoms, {}
+        real, stale = oracle.norming_values, {}
 
-        def norming_atoms(v):
-            value, rows = real(v)
+        def norming_values(v, *limits):
+            value, rows = real(v, *limits)
             return value, stale.setdefault(len(v), rows[:1])
 
-        monkeypatch.setattr(oracle, "norming_atoms", norming_atoms)
+        monkeypatch.setattr(oracle, "norming_values", norming_values)
         with pytest.raises(ConvergenceError) as err:
             ev.norm(z)
         assert "a round improved neither bound after" in str(err.value)
@@ -370,6 +370,29 @@ class TestOracleAgreement:
             ref = lp_norm(z, lp_product_oracle(p0, p1, theta))
             worst = max(worst, abs(value - ref) / ref)
         assert worst <= 1e-6
+
+
+def test_every_dp_table_is_built_under_two_engine_names(monkeypatch):
+    # the engine reaches S's DP through s_norm_weights (norming and split
+    # rows) and s_norm_top (a norm alone), the names perfbench's tracer wraps
+    from banachlab import schlumprecht
+
+    depth, calls = [0], []  # per DP table: whether one of the names is running
+    for name in ("s_norm_weights", "s_norm_top"):
+        def entry(*args, real=getattr(engine, name)):
+            depth[0] += 1
+            try:
+                return real(*args)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(engine, name, entry)
+    dp = schlumprecht._dp_core
+    monkeypatch.setattr(schlumprecht, "_dp_core",
+                        lambda vals, f: calls.append(depth[0] > 0) or dp(vals, f))
+    z = SeqVector.from_values([0.3, -1.2, 0.5, 0.8, 0.1, 0.9, -0.4, 0.7])
+    NormEvaluator(space_spr(4 / 3, 4, F)).factorize(z)
+    NormEvaluator(Dual(S)).norm(z)
+    assert calls and all(calls)
 
 
 class TestSpaceSpr:

@@ -301,7 +301,6 @@ class TestDualAgainstTheDpLp:
                 return value, (np.array(rows) * (1.0 + 1e-6)).tolist()
             return oracle
 
-        monkeypatch.setattr(engine, "s_norm_splits", too_large(engine.s_norm_splits))
         monkeypatch.setattr(engine, "s_norm_weights", too_large(engine.s_norm_weights))
         assert len(self.misses()) == len(dp_lp_references())
 
@@ -331,16 +330,16 @@ class TestCuttingPlaneFailures:
 
     def test_stall(self, monkeypatch):
         # an oracle that repeats its first rows per size cuts nothing new at
-        # the vertex, which norming_atoms probes
+        # the vertex
         ev = NormEvaluator(Dual(S))
         oracle = ev._child(S)
-        real, stale = oracle.norming_atoms, {}
+        real, stale = oracle.norming_values, {}
 
-        def norming_atoms(v, *limits):
+        def norming_values(v, *limits):
             value, rows = real(v, *limits)
             return value, stale.setdefault(len(v), rows)
 
-        monkeypatch.setattr(oracle, "norming_atoms", norming_atoms)
+        monkeypatch.setattr(oracle, "norming_values", norming_values)
         with pytest.raises(ConvergenceError, match="oracle cut did not separate") as err:
             ev.norm(self.z)
         assert 0.0 < err.value.lower <= err.value.upper
@@ -355,6 +354,18 @@ class TestBidual:
             x = rand_vec(rng, dmax=6)
             again = dual_norm(Dual(space), x).value
             assert again == pytest.approx(ev.norm(x), rel=1e-5)
+
+    def test_tolerance_reaches_the_inner_solves(self, monkeypatch):
+        # the bidual's oracle norms in cal(l2, S, 1/2)* by Calderon solves at
+        # the caller's tolerance
+        tols = []
+        solve = engine._calderon_solve
+        monkeypatch.setattr(engine, "_registry", {})
+        monkeypatch.setattr(engine, "_calderon_solve",
+                            lambda *args: tols.append(args[-1]) or solve(*args))
+        g = SeqVector.from_values([1.0, 0.5, 0.3])
+        dual_norm(Dual(CalderonProduct(Lp(2), S, 0.5)), g, tol=1e-10)
+        assert tols and set(tols) == {1e-10}
 
 
 class TestLozanovskii:

@@ -134,6 +134,10 @@ class TestCliCommands:
     def test_empty_vector_exits_2(self, capsys):
         assert entrypoint(["norm", "--space", "s:log2p1", "--vec", ""]) == 2
 
+    def test_repeated_index_exits_2(self, capsys):
+        assert entrypoint(["norm", "--space", "l1", "--vec", "1:1,1:2"]) == 2
+        assert "index 1 is repeated" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["norm", "dual"])
     @pytest.mark.parametrize("vec", ["nan,1", "inf,1"])
     def test_non_finite_vector_exits_2(self, capsys, command, vec):

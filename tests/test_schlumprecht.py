@@ -35,7 +35,6 @@ from banachlab.schlumprecht import (
     _dp_numpy,
     _tree,
     iterate_defining_map,
-    s_norm_splits,
     s_norm_weights,
 )
 
@@ -110,7 +109,7 @@ class TestCertificates:
         for k in range(25):
             rng = np.random.default_rng(np.random.SeedSequence([44, k]))
             vals = list(rng.uniform(0.05, 2.0, int(rng.integers(1, 9))))
-            value, weights = s_norm_weights(vals, F)
+            value, [weights] = s_norm_weights(vals, F)
             x = SeqVector.from_values(vals)
             ref, cert = s_norm(x, F)
             assert value == ref
@@ -118,7 +117,7 @@ class TestCertificates:
             assert weights == [func[i] for i in x.support]
         # signed, with gaps: |functional| is the weights position by position
         x = SeqVector({1: 1.8, 4: -1.6, 6: -0.5, 8: 0.7, 10: -1.8, 12: -0.1, 14: -1.7, 16: 1.6})
-        value, weights = s_norm_weights([abs(v) for _, v in x], F)
+        value, [weights] = s_norm_weights([abs(v) for _, v in x], F)
         ref, cert = s_norm(x, F)
         func = cert.functional()
         assert value == ref
@@ -202,7 +201,7 @@ class TestDpPaths:
         assert type(value) is float
         assert all(type(w) is float for _, w in cert.functional())
         assert all(type(c) is int for node in cert.nodes for c in node)
-        value, weights = s_norm_weights(list(vals), F)
+        value, [weights] = s_norm_weights(list(vals), F)
         assert type(value) is float and all(type(w) is float for w in weights)
         total, blocks = best_partition(x, F, Interval(1, 45), 5)
         assert type(total) is float
@@ -234,7 +233,8 @@ def golden_lines():
         for vals, x in golden_vectors():
             value, cert = s_norm(x, f)
             yield repr((value, cert.render(), list(cert.functional())))
-            yield repr(s_norm_weights(vals.tolist(), f))
+            value, rows = s_norm_weights(vals.tolist(), f)
+            yield repr((value, rows[0]))
             e = Interval(1, x.max_index() + 2)
             n = len(vals)
             for k in sorted({2, 3, max(n, 2), n + 2}):
@@ -263,8 +263,8 @@ def test_split_functionals():
                 rng = np.random.default_rng(np.random.SeedSequence([53, n]))
                 y = rng.uniform(0.0, 2.0, (100, n)) * (rng.random((100, n)) < 0.8)
                 ys[n] = y, np.array([s_norm_value(SeqVector.from_values(r), f) for r in y])
-            value, rows = s_norm_splits(vals.tolist(), f)
-            assert (value, rows[0]) == s_norm_weights(vals.tolist(), f)
+            value, rows = s_norm_weights(vals.tolist(), f, -math.inf)
+            assert s_norm_weights(vals.tolist(), f) == (value, rows[:1])  # no `above`: row 0
             root = s_norm(x, f)[1].nodes[0][2]
             ms = [m for m in range(2, n + 1) if m != root]
             assert len(rows) == 1 + len(ms)
@@ -283,19 +283,19 @@ def test_split_threshold():
     for f in GOLDEN_GAUGES:
         for vals, _ in golden_vectors():
             v, n = vals.tolist(), len(vals)
-            value, rows = s_norm_splits(v, f)
+            value, rows = s_norm_weights(v, f, -math.inf)
             best = _dp_core(v, f)
             root = _tree(best, v, f)[0][0][2]
             split = [best[m * n * n + n - 1] * (1.0 / f(float(m)))
                      for m in range(2, n + 1) if m != root]
             least, median = (min(split), sorted(split)[len(split) // 2]) if split else (0.0, 0.0)
             for above in (least, median, value):
-                got = s_norm_splits(v, f, above)
+                got = s_norm_weights(v, f, above)
                 assert got == (value, rows[:1] + [r for r, s in zip(rows[1:], split) if s > above])
             on = [i for i, s in enumerate(split) if s > least]
             rank = {i: sum(split[j] > split[i] or (split[j] == split[i] and j < i) for j in on)
                     for i in on}
-            got = s_norm_splits(v, f, least, 2)
+            got = s_norm_weights(v, f, least, 2)
             assert got == (value, rows[:1] + [rows[1 + i] for i in on if rank[i] < 2])
 
 
@@ -327,7 +327,8 @@ class TestValueOnlyNorm:
         value, cert = s_norm(signed, F)
         assert cert.analytic
         assert ev.norming(signed).functional == cert.functional()
-        assert s_norm_weights([0.5] * 80, F) == (value, [1 / F(80.0)] * 80)
+        for above in (math.inf, -math.inf):  # beyond the cap no split row
+            assert s_norm_weights([0.5] * 80, F, above) == (value, [[1 / F(80.0)] * 80])
         assert hashlib.sha256(cert.render().encode()).hexdigest() == (
             "f228f2bd9f28fd58a66dd62f2bad1c6407b57fceb46faa370baacd1fabcf2fd6"
         )
@@ -338,6 +339,7 @@ class TestValueOnlyNorm:
             lambda x: s_norm_value(x, F),
             lambda x: s_norm(x, F),
             lambda x: s_norm_weights(x.values_in_order(), F),
+            lambda x: s_norm_weights(x.values_in_order(), F, -math.inf),
         ):
             with pytest.raises(SizeCapError):
                 norm(bumpy)

@@ -132,6 +132,11 @@ class TestParseVector:
         with pytest.raises(ValidationError, match="finite"):
             parse_vector(text)
 
+    @pytest.mark.parametrize("text, index", [("1:1,1:2", 1), ("2:1,5:0,05:3", 5)])
+    def test_repeated_index_rejected(self, text, index):
+        with pytest.raises(ValidationError, match=f"index {index} is repeated"):
+            parse_vector(text)
+
 
 coords = st.integers(min_value=1, max_value=30)
 values = st.floats(min_value=-10, max_value=10, allow_nan=False).filter(
