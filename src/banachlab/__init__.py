@@ -21,7 +21,7 @@ from .descriptors import (
     parse_space,
     space_to_str,
 )
-from .duality import DualEvaluation, dual_block_bound, dual_norm, lozanovskii_check, pairing
+from .duality import DualEvaluation, dual_block_bound, dual_norm, lozanovskii_check
 from .engine import (
     Factorization,
     NormEvaluator,
@@ -69,7 +69,7 @@ from .schlumprecht import (
     s_norm_value,
     summing_norm_table,
 )
-from .vectors import Interval, SeqVector, lp_norm, parse_vector, pointwise_power, restrict
+from .vectors import Interval, SeqVector, lp_norm, pairing, parse_vector, pointwise_power, restrict
 
 __all__ = [
     "__version__",

@@ -15,7 +15,7 @@ import math
 from typing import Tuple
 
 from .descriptors import CalderonProduct, Convexified, Lp, Schlumprecht, SpaceDescriptor
-from .engine import Factorization, calderon_norm, get_evaluator
+from .engine import get_evaluator
 from .errors import ValidationError
 from .gauges import GaugeFunction
 from .vectors import SeqVector
@@ -25,8 +25,6 @@ __all__ = [
     "lp_product_oracle",
     "spr_summing_identity",
     "spr_summing_expected",
-    "calderon_norm",
-    "Factorization",
 ]
 
 SUMMING_TOL = 1e-7  # the product solver's tol in spr_summing_identity
@@ -51,15 +49,14 @@ def lp_product_oracle(p0: float, p1: float, theta: float) -> float:
         raise ValidationError("lp exponents must be >= 1")
     if not 0.0 < theta < 1.0:
         raise ValidationError(f"theta must lie in (0,1), got {theta}")
-    inv = (1.0 - theta) * (0.0 if math.isinf(p0) else 1.0 / p0)
-    inv += theta * (0.0 if math.isinf(p1) else 1.0 / p1)
+    inv = (1.0 - theta) * (1.0 / p0) + theta * (1.0 / p1)
     if inv == 0.0:
         return math.inf
     return 1.0 / inv
 
 
 def spr_summing_expected(n: int, p: float, r: float, f: GaugeFunction) -> float:
-    exponent = (0.0 if math.isinf(r) else 1.0 / r) - 1.0 / p
+    exponent = 1.0 / r - 1.0 / p
     return n ** (1.0 / p) * f(float(n)) ** exponent
 
 

@@ -25,7 +25,7 @@ import click
 from . import __version__, schlumprecht
 from .descriptors import FunctionalFamily, Schlumprecht, parse_space
 from .duality import dual_norm
-from .engine import calderon_norm, get_evaluator
+from .engine import TOL_ITERATIVE, calderon_norm, get_evaluator
 from .errors import BanachLabError, ValidationError
 from .experiments import (
     BlockSequence,
@@ -64,10 +64,6 @@ def _default_seed() -> int:
     return _int({"BANACHLAB_SEED": value}, "BANACHLAB_SEED", 0)
 
 
-def _fmt(v: float) -> str:
-    return format_number(float(v))
-
-
 @click.group()
 @click.version_option(__version__, prog_name="banachlab")
 def main() -> None:
@@ -92,7 +88,8 @@ def _space_with_gauge(space: str, gauge: str | None):
 @click.option("--gauge", default=None, help="gauge shorthand when --space is plain 's'")
 @click.option("--vec", required=True, help="vector literal: '1,2,3' or '1:1,5:2.5'")
 @click.option("--cert", is_flag=True, help="print the partition certificate tree")
-@click.option("--tol", type=float, default=1e-6, help="relative tolerance of product norms")
+@click.option("--tol", type=float, default=TOL_ITERATIVE,
+              help="relative tolerance of product norms")
 def norm(space: str, gauge: str | None, vec: str, cert: bool, tol: float) -> None:
     """Evaluate a norm; with --cert also print the witnessing tree."""
     desc = _space_with_gauge(space, gauge)
@@ -101,23 +98,23 @@ def norm(space: str, gauge: str | None, vec: str, cert: bool, tol: float) -> Non
     if cert:
         gauge_fn = _schlumprecht_gauge(ev, "--cert requires a Schlumprecht space")
         value, certificate = schlumprecht.s_norm(x, gauge_fn)
-        click.echo(_fmt(value))
+        click.echo(format_number(value))
         click.echo(certificate.render())
     else:
-        click.echo(_fmt(ev.norm(x)))
+        click.echo(format_number(ev.norm(x)))
 
 
 @main.command()
 @click.option("--space", required=True)
 @click.option("--vec", required=True)
 @click.option("--maximizer", is_flag=True, help="print the attaining unit vector")
-@click.option("--tol", type=float, default=1e-6)
+@click.option("--tol", type=float, default=TOL_ITERATIVE)
 def dual(space: str, vec: str, maximizer: bool, tol: float) -> None:
     """Dual-norm evaluation sup{<x,g> : ||x|| <= 1}."""
     desc = parse_space(space)
     g = parse_vector(vec)
     res = dual_norm(desc, g, tol=tol)
-    click.echo(_fmt(res.value))
+    click.echo(format_number(res.value))
     if maximizer:
         click.echo(",".join(f"{i}:{format_number(v)}" for i, v in res.maximizer))
 
@@ -128,16 +125,17 @@ def dual(space: str, vec: str, maximizer: bool, tol: float) -> None:
 @click.option("--theta", type=float, required=True)
 @click.option("--vec", required=True)
 @click.option("--witness", is_flag=True, help="print the optimal factorization")
-@click.option("--tol", type=float, default=1e-6)
+@click.option("--tol", type=float, default=TOL_ITERATIVE)
 def calderon(x_space: str, y_space: str, theta: float, vec: str, witness: bool, tol: float) -> None:
     """Calderon product norm with certified bracket."""
     z = parse_vector(vec)
     value, fac = calderon_norm(parse_space(x_space), parse_space(y_space), theta, z, tol=tol)
-    click.echo(_fmt(value))
+    click.echo(format_number(value))
     if witness:
         click.echo("x = " + ",".join(f"{i}:{format_number(v)}" for i, v in fac.x))
         click.echo("y = " + ",".join(f"{i}:{format_number(v)}" for i, v in fac.y))
-        click.echo(f"bracket = [{_fmt(fac.lower_bound)}, {_fmt(fac.achieved_value)}]")
+        lo, hi = format_number(fac.lower_bound), format_number(fac.achieved_value)
+        click.echo(f"bracket = [{lo}, {hi}]")
 
 
 @main.command("gauge-check")
@@ -154,8 +152,8 @@ def gauge_check(gauge: str, prop5_a: float) -> None:
     click.echo(f"decay hypothesis (a={prop5_a:g}):          {report.condition_prop5_ok}")
     click.echo(f"in class: {report.in_class}")
     if report.witness:
-        click.echo(f"worst violation {_fmt(report.worst_violation)} at x = "
-                   + ", ".join(_fmt(w) for w in report.witness[:5]))
+        click.echo(f"worst violation {format_number(report.worst_violation)} at x = "
+                   + ", ".join(format_number(w) for w in report.witness[:5]))
 
 
 # -- experiment dispatch -----------------------------------------------------
@@ -307,9 +305,11 @@ def experiment(name: str, config_path: str) -> None:
             cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"bad config JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValidationError("config must be a JSON object")
+    fmt, out = _text(cfg, "format", "csv"), _text(cfg, "output", "")
+    ExperimentReport([]).emit(fmt)  # an unknown format fails here, before any computation
     report = run_experiment(name, cfg)
-    fmt = cfg.get("format", "csv")
-    out = cfg.get("output")
     if out:
         report.write(out, fmt)
         click.echo(f"wrote {out}")

@@ -26,15 +26,15 @@ from .descriptors import (
     conjugate_exponent,
     space_to_str,
 )
-from .engine import _cutting_plane_dual, _positive, _signed, calderon_norm, get_evaluator
+from .engine import (TOL_ITERATIVE, _cutting_plane_dual, _positive, _signed, calderon_norm,
+                     get_evaluator)
 from .errors import ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
-from .vectors import SeqVector, lp_norm, lp_of, pairing
+from .vectors import SeqVector, lp_norm, lp_of
 
 __all__ = [
     "DualEvaluation",
-    "pairing",
     "dual_norm",
     "lozanovskii_check",
     "dual_block_bound",
@@ -51,7 +51,8 @@ class DualEvaluation:
     maximizer: SeqVector
 
 
-def dual_norm(x_space: SpaceDescriptor, g: SeqVector, tol: float = 1e-6) -> DualEvaluation:
+def dual_norm(x_space: SpaceDescriptor, g: SeqVector,
+              tol: float = TOL_ITERATIVE) -> DualEvaluation:
     """Evaluate ||g|| in the dual of x_space, with maximizer."""
     if not g:
         return DualEvaluation(0.0, SeqVector())

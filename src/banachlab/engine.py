@@ -35,7 +35,7 @@ The core drives the Calderon-product solver.  The norm of X^(1-t) Y^t
 at z is max { sum_i |z_i| gx_i^(1-t) gy_i^t : gx in B(X*), gy in B(Y*) },
 so every pair (gx, gy) gives a certified lower bound.  The solver is
 simplicial decomposition (fully-corrective Frank-Wolfe), whose linear
-oracle over B(X*) is X's norming call.  Each side keeps atoms (scaled
+oracle over B(X*) is X's norming call.  Each side keeps atoms (the
 unit vectors and the norming functionals found so far); an lp side
 keeps none, as Hölder's equality case answers the other side in closed
 form.  Each round maximizes the pairing over the atoms' convex hulls
@@ -110,7 +110,7 @@ __all__ = [
     "calderon_norm",
 ]
 
-# default relative tolerance; only the Calderon solver and _child read it
+# the default tol of evaluators, calderon_norm, dual_norm and the CLI
 TOL_ITERATIVE = 1e-6
 
 DEFAULT_BUDGET = 10_000  # norm evaluations per Calderon solve
@@ -179,7 +179,6 @@ class NormEvaluator:
     def __init__(self, descriptor: SpaceDescriptor, tol: float = TOL_ITERATIVE):
         if not 0.0 < tol < math.inf:
             raise ValidationError(f"the tolerance must be positive and finite, got {tol}")
-        self.descriptor = descriptor
         self.impl = _normalize(descriptor)
         self.tol = tol
         self._norm_cache: Dict[tuple, object] = {}  # a norm, or (value, rows) on Dual
@@ -203,8 +202,9 @@ class NormEvaluator:
         Row 0 holds the absolute values of a norming functional at the same
         positions.  On S the best m-split functionals of `s_norm_weights`
         follow: of those whose split value at v exceeds `above` the `most`
-        largest, in block-count order.  This is the only dispatch on the
-        descriptor kind for lattice norms.
+        largest, in block-count order.  The default `above` asks for row 0
+        alone, and only the dual LP sets `most`.  This is the only dispatch
+        on the descriptor kind for lattice norms.
         """
         d = self.impl
         if isinstance(d, Lp):
@@ -320,13 +320,13 @@ class _LPFailure(Exception):
 
 
 class _Tableau:
-    """max c.x subject to cut.x <= 1 for every cut and 0 <= x <= u, by dual simplex.
+    """max c.x subject to cut.x <= 1 for every cut and 0 <= x <= 1, by dual simplex.
 
     A condensed (Tucker) tableau: row 0 reads c.x = t[0, -1] - sum_k t[0, k]
     nonbasic_k and row i >= 1 reads basic_i = t[i, -1] - sum_k t[i, k]
-    nonbasic_k.  Variables are labelled x_j -> j, the slack of x_j <= u
+    nonbasic_k.  Variables are labelled x_j -> j, the slack of x_j <= 1
     -> n + j and the slack of cut k -> 2n + k.  With the box rows alone the
-    optimum is known, x_j = u where c_j > LP_TOL and 0 elsewhere, so the
+    optimum is known, x_j = 1 where c_j > LP_TOL and 0 elsewhere, so the
     tableau starts there: x_j basic in box row j, or its slack, and row 0
     holds |c|.  New cuts are appended as rows in the current nonbasic
     variables; the objective row stays nonnegative up to the ratio test's
@@ -335,12 +335,12 @@ class _Tableau:
     among ties (Bland), which rules out cycling.
     """
 
-    def __init__(self, c: np.ndarray, u: float):
+    def __init__(self, c: np.ndarray):
         n = len(c)
-        self.c, self.u, self.cuts = c, u, []
-        up = c > LP_TOL  # x_j basic at its bound u
-        top = np.append(np.where(up, c, -c), sum((c[up] * u).tolist()))
-        box = np.hstack([np.eye(n), np.full((n, 1), u)])
+        self.c, self.cuts = c, []
+        up = c > LP_TOL  # x_j basic at its bound 1
+        top = np.append(np.where(up, c, -c), sum(c[up].tolist()))
+        box = np.hstack([np.eye(n), np.ones((n, 1))])
         self.t = np.vstack([top, box])
         labels = np.arange(n)
         self.basic = np.where(up, labels, n + labels)  # labels of rows 1..m
@@ -393,7 +393,7 @@ class _Tableau:
     def solve(self) -> Tuple[np.ndarray, float]:
         """The optimal x and an upper bound on the LP value from its multipliers.
 
-        The bound is weak duality, sum(y) + u sum(max(c - A^T y, 0)) with
+        The bound is weak duality, sum(y) + sum(max(c - A^T y, 0)) with
         y >= 0 read from the objective row, so it holds whether or not the
         basis is optimal.
         """
@@ -414,7 +414,7 @@ class _Tableau:
         ay = np.zeros(n)
         for k, yk in zip(self.nonbasic[cutcols] - 2 * n, y):
             ay += yk * self.cuts[k]
-        return x, float(y.sum() + self.u * np.maximum(self.c - ay, 0.0).sum())
+        return x, float(y.sum() + np.maximum(self.c - ay, 0.0).sum())
 
 
 def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -428,11 +428,12 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     balls, where the LP vertex itself turns out feasible, and DUAL_GAP_TOL
     on smooth ones, where the bracket closes gradually.
 
-    The LP is max c.x subject to cut.x <= 1 and 0 <= x <= 1/||e_1||,
-    solved by one _Tableau per call: it starts at the box's optimum and
-    is warm-started by dual simplex after each round's cuts.  Its upper
-    end is the weak-duality bound of the tableau's multipliers, not c.x*,
-    so it does not rest on the solver having reached the optimum.
+    The LP is max c.x subject to cut.x <= 1 and 0 <= x <= 1 (the ball of
+    a normalized lattice lies in that box), solved by one _Tableau per
+    call: it starts at the box's optimum and is warm-started by dual
+    simplex after each round's cuts.  Its upper end is the weak-duality
+    bound of the tableau's multipliers, not c.x*, so it does not rest on
+    the solver having reached the optimum.
 
     Separation is stabilized by in-out separation (Ben-Ameur & Neto
     2007).  While the rescaled LP vertex is the best feasible point, the
@@ -453,8 +454,7 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     n = len(c)
     scale = float(c.max())  # dual norms are homogeneous; keep the LP well scaled
     c = c / scale
-    box = 1.0 / oracle._cached_norm((1.0,))  # no coordinate of the ball exceeds it
-    tab = _Tableau(c, box)
+    tab = _Tableau(c)
 
     def probe(x: np.ndarray, above: float = math.inf,
               most: Optional[int] = None) -> Tuple[float, np.ndarray]:
@@ -469,7 +469,7 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
         return lpval - best_val <= DUAL_GAP_TOL * max(lpval, 1.0)
 
     best_val, best_x = 0.0, np.zeros(n)
-    lpval = box * float(c.sum())  # weak duality with zero multipliers
+    lpval = float(c.sum())  # weak duality with zero multipliers
     for _ in range(DUAL_MAX_ROUNDS):
         try:
             xstar, lpval = tab.solve()
@@ -521,7 +521,7 @@ class _Solve:
     X and side 1 is Y.  One lp side is solved in closed form by Hölder: a
     smooth one if there is one, and of two smooth ones the larger p (on
     criterion 03's lp pairs that takes the fewest evaluations).  Each other
-    side, in `sides`, keeps atoms in its dual ball (scaled unit vectors,
+    side, in `sides`, keeps atoms in its dual ball (the unit vectors,
     norming and split functionals) and weights over them on the simplex,
     the warm start of the next hull solve.  The atoms are the rows of one
     block-diagonal matrix, each side's rows contiguous, so w @ atoms
@@ -545,9 +545,7 @@ class _Solve:
             self.k = -b if math.isinf(s) else b * (1.0 - s) / (s - b)  # e q - 1, 0 for l-infinity
             self.vq, self.alpha = self.v**self.q, self.k + 1.0
         n = len(z)
-        # e_i / ||e_i||_* lies in the dual ball, and ||e_i||_* = 1 / ||e_1||
-        self.atoms = np.kron(np.diag([self.evs[k]._cached_norm((1.0,)) for k in self.sides]),
-                             np.eye(n))
+        self.atoms = np.eye(len(self.sides) * n)  # each e_i, in the dual ball as ||e_i|| = 1
         self.side = np.repeat(np.arange(len(self.sides)), n)  # the place in sides of each atom
         self.w = np.full(len(self.side), 1.0 / n)
         self.evals = 0
@@ -609,9 +607,8 @@ class _Solve:
         Beside a closed side the oracle adds the split rows that pair with c
         above lower_u (a positive slope); two mixed sides get none."""
         self.evals += 2
-        cs, most = (cx, cy), 0 if self.closed is None else None
-        (nx, ax), (ny, ay) = (ev.norming_values(c, self.lower_u, most)
-                              for ev, c in zip(self.evs, cs))
+        cs, above = (cx, cy), math.inf if self.closed is None else self.lower_u
+        (nx, ax), (ny, ay) = (ev.norming_values(c, above) for ev, c in zip(self.evs, cs))
         u = nx ** self.expo[0] * ny ** self.expo[1]
         if u < self.best_u:
             self.best_u = u

@@ -26,12 +26,12 @@ from .descriptors import (
     conjugate_exponent,
     space_to_str,
 )
-from .duality import dual_norm, pairing
+from .duality import dual_norm
 from .engine import NormEvaluator, get_evaluator
 from .errors import ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
-from .vectors import Interval, SeqVector, lp_norm, lp_of, restrict
+from .vectors import Interval, SeqVector, lp_norm, lp_of, pairing, restrict
 
 __all__ = [
     "BlockSequence",
@@ -226,7 +226,7 @@ def beta_estimate(
     randomized search of normalized dual block sequences.
     """
     q = conjugate_exponent(p)
-    nq = 1.0 if math.isinf(q) else float(n) ** (1.0 / q)
+    nq = float(n) ** (1.0 / q)
     lower = nq
     upper = f(float(n)) * nq
     if n == 1:
@@ -427,7 +427,7 @@ def classX_verify(
     that separates the sup-norm from admissible spaces.
     """
     ev = get_evaluator(x_space)
-    q_exp = (1.0 / p) - (0.0 if math.isinf(r) else 1.0 / r)
+    q_exp = 1.0 / p - 1.0 / r
     worst = {"squeeze": 0.0, "convexity": 0.0, "lower_estimate": 0.0}
 
     def check_squeeze(x: SeqVector) -> None:

@@ -10,10 +10,9 @@ back losslessly at that precision.
 
 from __future__ import annotations
 
-import io
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from .errors import ValidationError
 
@@ -54,12 +53,14 @@ class ExperimentReport:
 
     # -- emission -------------------------------------------------------
 
+    def _delimited(self, head: str, sep: str) -> str:
+        """The header line, `head` then the columns, and one line per row."""
+        lines = [head + sep.join(self.columns)]
+        lines += [sep.join(format_number(c) for c in row) for row in self.rows]
+        return "\n".join(lines) + "\n"
+
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            out.write(",".join(format_number(c) for c in row) + "\n")
-        return out.getvalue()
+        return self._delimited("", ",")
 
     def to_json(self) -> str:
         payload = {
@@ -70,11 +71,7 @@ class ExperimentReport:
         return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
 
     def to_plotdata(self) -> str:
-        out = io.StringIO()
-        out.write("# " + " ".join(self.columns) + "\n")
-        for row in self.rows:
-            out.write(" ".join(format_number(c) for c in row) + "\n")
-        return out.getvalue()
+        return self._delimited("# ", " ")
 
     def emit(self, fmt: str) -> str:
         try:
@@ -85,13 +82,18 @@ class ExperimentReport:
     # -- parsing (round-trip checks) --------------------------------------
 
     @classmethod
-    def from_csv(cls, text: str) -> "ExperimentReport":
-        lines = [ln for ln in text.splitlines() if ln]
-        if not lines:
-            raise ValidationError("empty CSV")
-        columns = lines[0].split(",")
-        rows = [[_parse_cell(c) for c in ln.split(",")] for ln in lines[1:]]
+    def _from_delimited(cls, text: str, head: str, sep: Optional[str]) -> "ExperimentReport":
+        """Parse `_delimited` output; sep None splits on whitespace."""
+        lines = [ln for ln in text.splitlines() if ln.strip()]
+        if not lines or not lines[0].startswith(head):
+            raise ValidationError(f"a report starts with a header line that begins with {head!r}")
+        columns = lines[0][len(head):].split(sep)
+        rows = [[_parse_cell(c) for c in ln.split(sep)] for ln in lines[1:]]
         return cls(columns, rows)
+
+    @classmethod
+    def from_csv(cls, text: str) -> "ExperimentReport":
+        return cls._from_delimited(text, "", ",")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentReport":
@@ -100,12 +102,7 @@ class ExperimentReport:
 
     @classmethod
     def from_plotdata(cls, text: str) -> "ExperimentReport":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("#"):
-            raise ValidationError("plotdata must start with a '#' header line")
-        columns = lines[0][1:].split()
-        rows = [[_parse_cell(c) for c in ln.split()] for ln in lines[1:]]
-        return cls(columns, rows)
+        return cls._from_delimited(text, "#", None)
 
     def write(self, path: str, fmt: str) -> None:
         try:

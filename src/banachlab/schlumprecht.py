@@ -30,7 +30,8 @@ by `s_norm_weights` also the walks below each best m-way partition's blocks.
 A norm alone, `s_norm_top`, reads the top cell and walks no tree.  Beyond
 DEFAULT_DP_CAP positions only constant values are accepted, on the
 analytic path; `s_norm_top`, `_extremal` and `s_norm_weights` hold that
-rule, and no other module reads the cap.
+rule, and no other module reads the cap.  The readers fill the table at
+unit scale (`_unit`), so its sums cannot overflow on representable values.
 
 The table has two implementations with equal entries.  Below
 `DP_NUMPY_MIN` (11) positions a pure-Python loop fills it: the Calderon
@@ -274,6 +275,16 @@ def _tree(best: Sequence[float], vals: List[float], f: GaugeFunction,
     return nodes, weights
 
 
+def _unit(vals: Sequence[float]) -> Tuple[List[float], float]:
+    """vals times 2**-e, with e such that the largest lies in [1, 2), and 2.0**e.
+
+    The readers run the DP there and multiply by 2**e after (inf where the
+    norm overflows): a power of two moves no bit of a normal float.
+    """
+    e = math.frexp(max(vals))[1] - 1
+    return [math.ldexp(v, -e) for v in vals], 2.0**e
+
+
 def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
     """The norm alone of positive values in support order.
 
@@ -281,12 +292,14 @@ def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
     that `s_norm_weights` and `s_norm` return, with no extremal tree.
     Beyond it, constant values take the analytic path (value * N / f(N)
     by the summing identity) and anything else raises SizeCapError.
+    Both run at the unit scale of `_unit`.
     """
     n = len(vals)
+    u, scale = _unit(vals)
     if n <= DEFAULT_DP_CAP:
-        return _dp_core(vals, f)[n * n + n - 1]
+        return _dp_core(u, f)[n * n + n - 1] * scale
     if max(vals) - min(vals) <= 1e-15 * max(vals):
-        return vals[0] * n / f(float(n))
+        return u[0] * n / f(float(n)) * scale
     raise SizeCapError("support exceeds DP cap", needed=n, cap=DEFAULT_DP_CAP)
 
 
@@ -301,8 +314,9 @@ def _extremal(vals: List[float], f: GaugeFunction) -> Tuple[float, Tree, List[fl
     if n > DEFAULT_DP_CAP:
         tree = [(0, n - 1, n)] + [(i, i, 1) for i in range(n)]
         return s_norm_top(vals, f), tree, [1.0 / f(float(n))] * n
-    best = _dp_core(vals, f)
-    return (best[n * n + n - 1], *_tree(best, vals, f))
+    u, scale = _unit(vals)
+    best = _dp_core(u, f)
+    return (best[n * n + n - 1] * scale, *_tree(best, u, f))
 
 
 def s_norm_weights(vals: List[float], f: GaugeFunction, above: float = math.inf,
@@ -321,17 +335,19 @@ def s_norm_weights(vals: List[float], f: GaugeFunction, above: float = math.inf,
     if above == math.inf or n > DEFAULT_DP_CAP:
         value, _, weights = _extremal(vals, f)
         return value, [weights]
-    best = _dp_core(vals, f)
-    nodes, *rows = _tree(best, vals, f)  # rows: the norming weights first
+    u, scale = _unit(vals)
+    best = _dp_core(u, f)
+    nodes, *rows = _tree(best, u, f)  # rows: the norming weights first
     finv = _finv(f, n)
     split = {m: best[(m * n + 1) * n - 1] * finv[m - 2] for m in range(2, n + 1)}
+    above /= scale  # compared at unit scale too
     ms = [m for m in split if m != nodes[0][2] and split[m] > above]
     if most is not None:
         ms = sorted(sorted(ms, key=split.get, reverse=True)[:most])  # stable: smaller m first
     for m in ms:
         roots = [(a, b, finv[m - 2]) for a, b in reversed(_blocks_of(best, n, 0, n - 1, m))]
-        rows.append(_tree(best, vals, f, roots)[1])
-    return best[n * n + n - 1], rows
+        rows.append(_tree(best, u, f, roots)[1])
+    return best[n * n + n - 1] * scale, rows
 
 
 def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]:
@@ -389,9 +405,10 @@ def best_partition(
     # every run is a single support point.
     if size:
         coords = [i for i, _ in entries]
-        best = _dp_core([abs(v) for _, v in entries], f)
+        u, scale = _unit([abs(v) for _, v in entries])
+        best = _dp_core(u, f)
         m = min(n, size)
-        total = best[m * size * size + size - 1]
+        total = best[m * size * size + size - 1] / f(float(n)) * scale
         runs = [(coords[s], coords[t]) for s, t in _blocks_of(best, size, 0, size - 1, m)]
         gaps = [(runs[-1][1], e.hi - runs[-1][1]), (e.lo, runs[0][0] - e.lo)]
         gaps += [(t + 1, s - t - 1) for (_, t), (s, _) in zip(runs, runs[1:])]
@@ -405,7 +422,7 @@ def best_partition(
         spare -= take
     ends.sort()
     starts = [e.lo] + [t + 1 for t in ends]
-    return total / f(float(n)), [Interval(s, t) for s, t in zip(starts, ends + [e.hi])]
+    return total, [Interval(s, t) for s, t in zip(starts, ends + [e.hi])]
 
 
 def _defining_map_at(vals: Sequence[float], table: List[List[float]], f: GaugeFunction,

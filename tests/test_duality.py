@@ -168,16 +168,21 @@ def dual_shaped_lp(rng, degenerate):
 
 
 class TestDualSimplex:
-    """The dual LP's tableau against scipy's linprog (HiGHS) as reference."""
+    """The dual LP's tableau against scipy's linprog (HiGHS) as reference.
+
+    The tableau's box is 0 <= x <= 1.  An LP with the box 0 <= x <= u is the
+    same LP in x = u x', with objective u c and cut rows u a, so each LP of
+    `dual_shaped_lp` goes to the tableau in x' and to linprog as drawn.
+    """
 
     def check(self, c, u, rows, x, bound):
         a = np.array(rows).reshape(len(rows), len(c))
         ref = linprog(-c, A_ub=a if rows else None, b_ub=np.ones(len(rows)) if rows else None,
                       bounds=[(0.0, u)] * len(c), method="highs")
         assert ref.status == 0
-        assert float(c @ x) == pytest.approx(-ref.fun, rel=1e-9)
-        assert x.min() >= 0.0 and x.max() <= u + 1e-12
-        assert (a @ x).max(initial=0.0) <= 1.0 + 1e-12
+        assert float(u * c @ x) == pytest.approx(-ref.fun, rel=1e-9)
+        assert x.min() >= 0.0 and x.max() <= 1.0 + 1e-12
+        assert (u * a @ x).max(initial=0.0) <= 1.0 + 1e-12
         # weak duality; HiGHS's value carries its own rounding
         assert bound >= -ref.fun * (1.0 - 1e-14)
 
@@ -187,28 +192,29 @@ class TestDualSimplex:
         rng, blocks = np.random.default_rng(21 + degenerate), np.random.default_rng(24)
         for _ in range(12):
             c, u, rows = dual_shaped_lp(rng, degenerate)
-            tab = engine._Tableau(c, u)
+            tab = engine._Tableau(u * c)
             tab.solve()
             k = 0
             while k < len(rows):
                 step = int(blocks.integers(1, 5))
-                tab.add(np.array(rows[k:k + step]))
+                tab.add(u * np.array(rows[k:k + step]))
                 tab.solve()
                 k += step
             self.check(c, u, rows, *tab.solve())
 
     def test_fresh_tableau_starts_at_the_box_optimum(self, monkeypatch):
-        # with the box rows alone the optimum is known: x_j = u where c_j > LP_TOL
+        # with the box rows alone the optimum is known: x_j = 1 where c_j > LP_TOL
         pivots = []
         monkeypatch.setattr(engine._Tableau, "_pivot", lambda tab, r, s: pivots.append(r))
         rng = np.random.default_rng(23)
         for _ in range(12):
             c, u, _ = dual_shaped_lp(rng, False)
             c[rng.random(len(c)) < 0.2] = 1e-13  # at or below LP_TOL: x_j stays 0
-            x, bound = engine._Tableau(c, u).solve()
+            uc = u * c
+            x, bound = engine._Tableau(uc).solve()
             assert pivots == []
-            assert x.tolist() == np.where(c > engine.LP_TOL, u, 0.0).tolist()
-            assert bound == u * c.sum()
+            assert x.tolist() == np.where(uc > engine.LP_TOL, 1.0, 0.0).tolist()
+            assert bound == uc.sum()
 
     def test_pivot_cap_raises_with_bracket(self, monkeypatch):
         z = SeqVector.from_values([1.0, 0.5, 0.3, 0.8])

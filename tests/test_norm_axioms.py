@@ -21,6 +21,7 @@ from banachlab import (
     convexified_norm,
     get_evaluator,
     lp_norm,
+    parse_space,
     s_norm_value,
     space_spr,
 )
@@ -43,6 +44,24 @@ ITERATIVE_SPACES = [
     CalderonProduct(Lp(1), Lp(math.inf), 0.5),
     CalderonProduct(Lp(2), S, 0.25),
 ]
+
+
+# one of each descriptor kind: lp, S under three gauges, duals, convexifications,
+# products (nested, of duals, of convexifications) and duals of products
+NORMALIZED = ["l1", "l1.5", "l2", "l3", "linf", "s:log2p1", "s:sqrt", "s:pow:0.5", "s:one",
+              "dual:s:log2p1", "dual:s:sqrt", "conv:s:log2p1:2", "conv:dual:s:log2p1:1.5",
+              "cal:l2:s:log2p1:0.5", "cal:s:log2p1:s:sqrt:0.3",
+              "cal:cal:l2:s:log2p1:0.5:s:sqrt:0.5", "cal:conv:s:log2p1:2:dual:s:sqrt:0.4",
+              "dual:cal:l2:s:log2p1:0.5", "dual:cal:s:log2p1:dual:s:log2p1:0.5",
+              "dual:conv:s:log2p1:2", "dual:dual:s:log2p1"]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-8])
+@pytest.mark.parametrize("space", NORMALIZED)
+def test_every_space_is_normalized(space, tol):
+    # ||e_1|| = 1 exactly: the dual LP's box 0 <= x <= 1 and the Calderon
+    # solver's unit-vector atoms rest on it
+    assert NormEvaluator(parse_space(space), tol=tol).norm(SeqVector.basis(1)) == 1.0
 
 
 def sample_pair(k, dmax=6):

@@ -311,6 +311,20 @@ class TestExperimentCommand:
         assert entrypoint(["experiment", name, "--config", str(path)]) == 2
         assert "must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", [{"output": 1}, {"output": True},
+                                       {"format": ["csv"]}, {"format": "xml"}])
+    def test_bad_output_or_format_exits_2_before_computing(self, tmp_path, capsys,
+                                                            monkeypatch, field):
+        # open() takes an integer output as a file descriptor: 1 wrote the
+        # report to stdout and then closed it
+        ran = []
+        monkeypatch.setattr("banachlab.cli.run_experiment", lambda *args: ran.append(args))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"n_max": 3, **field}))
+        assert entrypoint(["experiment", "summing", "--config", str(path)]) == 2
+        assert ran == []
+        assert next(iter(field)) in capsys.readouterr().err
+
     def test_seed_from_environment(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_max": 2, "format": "json"}))

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,29 @@ class TestDpPaths:
                 assert _tree(loop, vals, f) == _tree(wave, vals, f), (f.name, kind, n)
                 for m in range(2, n + 1):
                     assert _blocks_of(loop, n, 0, n - 1, m) == _blocks_of(wave, n, 0, n - 1, m)
+
+    @pytest.mark.parametrize("n", [2, DP_NUMPY_MIN + 1])
+    @pytest.mark.parametrize("numpy_min", [1, 100], ids=["numpy", "loop"])
+    def test_values_near_overflow(self, monkeypatch, n, numpy_min):
+        # every reader runs at unit scale, so 1e308s read as their 2**-1000
+        # multiples times 2**1000 (inf where that overflows) on both paths,
+        # with no overflow warning
+        monkeypatch.setattr(schlumprecht, "DP_NUMPY_MIN", numpy_min)
+
+        def readers(x):
+            vals = [abs(v) for v in x.values_in_order()]
+            value, rows = s_norm_weights(vals, F, 0.0)
+            return (s_norm_value(x, F), s_norm(x, F)[0], value,
+                    best_partition(x, F, Interval(1, n), 2)[0]), rows
+
+        big = vec(*[1e308] * n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, rows = readers(big)
+            want, want_rows = readers(big * 2.0**-1000)
+        assert got == tuple(v * 2.0**1000 for v in want) and rows == want_rows
+        exact = 2 / math.log2(3) * 1e308 if n == 2 else math.inf
+        assert got[0] == pytest.approx(exact, rel=1e-15)
 
     def test_dispatch_on_support_size(self):
         assert DP_NUMPY_MIN == 11
