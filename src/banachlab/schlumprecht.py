@@ -31,15 +31,22 @@ A norm alone, `s_norm_top`, reads the top cell and walks no tree.  Beyond
 DEFAULT_DP_CAP positions only constant values are accepted, on the
 analytic path; `s_norm_top`, `_extremal` and `s_norm_weights` hold that
 rule, and no other module reads the cap.  The readers fill the table at
-unit scale (`_unit`), so its sums cannot overflow on representable values.
+unit scale (`_unit`), so its sums cannot overflow on representable values;
+the reference evaluator and the validation map run there too.
 
-The table has two implementations with equal entries.  Below
-`DP_NUMPY_MIN` (11) positions a pure-Python loop fills it: the Calderon
-solver and the dual LP call the DP tens of thousands of times at N <= 12,
-where numpy's per-call overhead costs more (0.03 against 0.08 ms at N = 5
-on a 2-CPU host).  From 11 on a numpy wavefront over interval length
-fills it, O(N^4) work in O(N) array steps (11.5 against 180 ms at N = 64).
-`BENCH_13.json` has the per-N times.  Both read out Python floats.
+The table is flat and holds B_m(a, b), the count-m cell of positions a..b,
+at `_cell(N, m, a, b)` = (m * N + b - a) * N + a: by block count, then
+length, then start, so the cells of one count and length lie side by side.
+It has two implementations with equal entries.  Below `DP_NUMPY_MIN` (11)
+positions a pure-Python loop fills it: the Calderon solver and the dual LP
+call the DP tens of thousands of times at N <= 12, where numpy's per-call
+overhead costs more (0.014 against 0.047 ms at N = 5 on a 2-CPU host;
+0.10 against 0.11 ms at N = 10, and from 11 on numpy wins).  From
+11 on a numpy wavefront over interval length fills it, O(N^4) work in
+O(N) array steps: per length one add of two views that are contiguous
+in the start and one elementwise max over contiguous planes (0.64 ms
+at N = 32, 6.8 against 57 ms for the loop at N = 64).
+`BENCH_30.json` has the per-N times.  Both read out Python floats.
 
 The reference evaluator makes neither reduction over block placement:
 it enumerates every sequence of two or more disjoint runs, gaps
@@ -129,14 +136,23 @@ class PartitionCertificate:
 # -- the DP table --------------------------------------------------------
 
 
-def _dp_core(vals: Sequence[float], f: GaugeFunction) -> Sequence[float]:
-    """The flat DP table best[(m * N + a) * N + b] over positions a..b.
+def _cell(n: int, m: int, a: int, b: int) -> int:
+    """The flat index of B_m(a, b) in the `_dp_core` table over n positions."""
+    return (m * n + b - a) * n + a
 
-    For m >= 2 a cell holds the maximal sum of block norms over covering
-    partitions of a..b into m blocks, for m = 1 the norm of a..b.  Below
+
+def _dp_core(vals: Sequence[float], f: GaugeFunction) -> Sequence[float]:
+    """The flat DP table over N positions: B_m(a, b) at best[(m * N + b - a) * N + a].
+
+    The cells run by block count m, then interval length b - a + 1, then
+    start a; `_cell` gives the index.  For m >= 2 a cell holds the maximal
+    sum of block norms over covering partitions of a..b into m blocks, for
+    m = 1 the norm of a..b, so the norms of one length lie side by side
+    and the norm of all N positions is at `_cell(N, 1, 0, N - 1)`.  Below
     DP_NUMPY_MIN positions it is a list from `_dp_loop`, from there on a
     memoryview of the array from `_dp_numpy`; both read out Python floats
-    and agree wherever m <= b - a + 1 (elsewhere 0.0 and -inf).
+    and agree wherever a <= b and 1 <= m <= b - a + 1 (elsewhere 0.0 and
+    -inf).
     """
     if len(vals) >= DP_NUMPY_MIN:
         return _dp_numpy(vals, f)
@@ -156,28 +172,34 @@ def _dp_loop(vals: Sequence[float], f: GaugeFunction) -> List[float]:
     nn = n * n
     best = [0.0] * ((n + 1) * nn)
     finv = _finv(f, n)
-    for a in range(n):
-        best[nn + a * (n + 1)] = vals[a]
-    vmax = list(vals)  # vmax[a]: the largest value in a..b
+    best[nn : nn + n] = vals  # the norms of length 1
+    vmax = list(vals)  # vmax[a]: the largest value in a..a+length-1
+    back = n - 1  # the rest's step as j grows: one position shorter, one later
 
     for length in range(2, n + 1):
         for a in range(n - length + 1):
             b = a + length - 1
-            row = nn + a * n  # best[row + k]: the norm of a..k
             top = vmax[a] = max(vmax[a], vals[b])
-            # covering partitions into m blocks; first block a..k
+            norm = cell = (n + length - 1) * n + a  # _cell(n, 1, a, b), the norm of a..b
+            firsts = best[nn + a : norm : n]  # the norms of a..a+j, j = 0..length-2
+            after = cell - back  # the rest of j = 0 at m = 2: 1 block of a+1..b
+            # covering partitions into m blocks: the first block a..a+j plus
+            # m - 1 blocks of a+j+1..b, j = 0..length-m
             for m in range(2, length + 1):
-                col = (m - 1) * nn + b  # best[col + c * n]: m - 1 blocks of c..b
+                rest = after
                 s = -1.0
-                for k in range(a, b - m + 2):
-                    cand = best[row + k] + best[col + (k + 1) * n]
+                for first in firsts[: length - m + 1]:
+                    cand = first + best[rest]
                     if cand > s:
                         s = cand
-                best[m * nn + a * n + b] = s
+                    rest -= back
+                cell += nn
+                after += nn
+                best[cell] = s
                 s *= finv[m - 2]
                 if s > top:
                     top = s
-            best[row + b] = top
+            best[norm] = top
     return best
 
 
@@ -188,14 +210,16 @@ def _strided(table: np.ndarray, offset: int, shape, strides) -> np.ndarray:
 
 
 def _dp_numpy(vals: Sequence[float], f: GaugeFunction) -> memoryview:
-    """`_dp_core` as a numpy wavefront: one length L at a time, all (m, a, k).
+    """`_dp_core` as a numpy wavefront: one length L at a time, all (j, m, a).
 
-    With j = k - a, both terms of best[1][a][k] + best[m-1][k+1][b] are
-    affine in (m, a, j) on the flat table, so two strided views give the
-    (L-1, N-L+1, L-1) block of candidates, whose max over j is written
-    into the strided view of the cells (m, a, a+L-1).  A cell with no
-    partition of k+1..b into m-1 blocks reads -inf and never wins.  The
-    loop's float operations give the loop's bits.
+    With b = a + L - 1 and the first block a..a+j, both terms of
+    B_1(a, a+j) + B_{m-1}(a+j+1, b) are affine in (j, m, a) on the flat
+    table and contiguous in a, so two strided views add into one C-ordered
+    (L-1, L-1, N-L+1) block of candidates.  Its max over j, the outermost
+    axis, is an elementwise max of contiguous planes, written into the
+    cells B_m(a, b) for m = 2..L.  A cell with no partition of a+j+1..b into
+    m-1 blocks reads -inf and never wins.  The loop's float operations give
+    the loop's bits.
     """
     n = len(vals)
     nn = n * n
@@ -203,32 +227,37 @@ def _dp_numpy(vals: Sequence[float], f: GaugeFunction) -> memoryview:
     best = np.full((n + 1) * nn, -np.inf)
     finv = np.array(_finv(f, n))
 
-    _strided(best, nn, v.shape, (n + 1,))[...] = v
+    best[nn : nn + n] = v
     vmax = v  # vmax[a]: the largest value in a..a+L-1
     for length in range(2, n + 1):
         width = n - length + 1  # intervals of this length
-        shape = (length - 1, width, length - 1)  # (m - 2, a, j)
-        cand = _strided(best, nn, shape, (0, n + 1, 1)) + _strided(
-            best, nn + n + length - 1, shape, (nn, n + 1, n)
+        shape = (length - 1, length - 1, width)  # (j, m - 2, a)
+        cand = np.add(
+            _strided(best, _cell(n, 1, 0, 0), shape, (n, 0, 1)),  # B_1(a, a+j)
+            _strided(best, _cell(n, 1, 1, length - 1), shape, (1 - n, nn, 1)),  # B_{m-1}(a+j+1, b)
+            order="C",
         )
-        top = cand.max(axis=2, out=_strided(best, 2 * nn + length - 1, shape[:2], (nn, n + 1)))
+        cells = _strided(best, _cell(n, 2, 0, length - 1), shape[1:], (nn, 1))  # B_m(a, b)
+        top = np.maximum.reduce(cand, axis=0, out=cells)
         vmax = np.maximum(vmax[:-1], v[length - 1 :])
-        norms = _strided(best, nn + length - 1, vmax.shape, (n + 1,))  # m = 1
+        first = _cell(n, 1, 0, length - 1)
+        norms = best[first : first + width]  # B_1(a, b)
         np.maximum((top * finv[: length - 1, None]).max(axis=0), vmax, out=norms)
     return memoryview(best)
 
 
 def _blocks_of(best: Sequence[float], n: int, a: int, b: int, m: int) -> List[Tuple[int, int]]:
     """The m blocks of the earliest maximizing partition of positions a..b."""
-    nn = n * n
     blocks = []
     while m > 1:
-        # first block a..k: the norm of a..k plus m - 1 blocks of k+1..b
-        firsts = best[nn + a * n + a : nn + a * n + b - m + 2]
-        col = (m - 1) * nn + b
-        rests = best[col + (a + 1) * n : col + (b - m + 3) * n : n]
+        # first block a..a+j: the norm of a..a+j plus m - 1 blocks of a+j+1..b
+        count = b - a - m + 2
+        first = _cell(n, 1, a, a)
+        firsts = best[first : first + count * n : n]
+        rest = _cell(n, m - 1, a + 1, b)
+        rests = best[rest : rest - count * (n - 1) : 1 - n]
         sums = list(map(add, firsts, rests))
-        k = a + sums.index(best[(m * n + a) * n + b])  # the earliest k attaining the max
+        k = a + sums.index(best[_cell(n, m, a, b)])  # the earliest k attaining the max
         blocks.append((a, k))
         a, m = k + 1, m - 1
     blocks.append((a, b))
@@ -249,7 +278,6 @@ def _tree(best: Sequence[float], vals: List[float], f: GaugeFunction,
     alive until a full GC.
     """
     n = len(vals)
-    nn = n * n
     finv = _finv(f, n)
     nodes = []
     weights = [0.0] * n
@@ -261,7 +289,7 @@ def _tree(best: Sequence[float], vals: List[float], f: GaugeFunction,
             weights[a] = w
             continue
         largest = max(vals[a : b + 1])
-        scaled = list(map(mul, best[2 * nn + a * n + b :: nn], finv[: b - a]))  # m = 2, 3, ...
+        scaled = list(map(mul, best[_cell(n, 2, a, b) :: n * n], finv[: b - a]))  # m = 2, 3, ...
         top = max(scaled)
         if top > largest:
             m = scaled.index(top) + 2
@@ -297,7 +325,7 @@ def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
     n = len(vals)
     u, scale = _unit(vals)
     if n <= DEFAULT_DP_CAP:
-        return _dp_core(u, f)[n * n + n - 1] * scale
+        return _dp_core(u, f)[_cell(n, 1, 0, n - 1)] * scale
     if max(vals) - min(vals) <= 1e-15 * max(vals):
         return u[0] * n / f(float(n)) * scale
     raise SizeCapError("support exceeds DP cap", needed=n, cap=DEFAULT_DP_CAP)
@@ -316,7 +344,7 @@ def _extremal(vals: List[float], f: GaugeFunction) -> Tuple[float, Tree, List[fl
         return s_norm_top(vals, f), tree, [1.0 / f(float(n))] * n
     u, scale = _unit(vals)
     best = _dp_core(u, f)
-    return (best[n * n + n - 1] * scale, *_tree(best, u, f))
+    return (best[_cell(n, 1, 0, n - 1)] * scale, *_tree(best, u, f))
 
 
 def s_norm_weights(vals: List[float], f: GaugeFunction, above: float = math.inf,
@@ -339,7 +367,7 @@ def s_norm_weights(vals: List[float], f: GaugeFunction, above: float = math.inf,
     best = _dp_core(u, f)
     nodes, *rows = _tree(best, u, f)  # rows: the norming weights first
     finv = _finv(f, n)
-    split = {m: best[(m * n + 1) * n - 1] * finv[m - 2] for m in range(2, n + 1)}
+    split = {m: best[_cell(n, m, 0, n - 1)] * finv[m - 2] for m in range(2, n + 1)}
     above /= scale  # compared at unit scale too
     ms = [m for m in split if m != nodes[0][2] and split[m] > above]
     if most is not None:
@@ -347,7 +375,7 @@ def s_norm_weights(vals: List[float], f: GaugeFunction, above: float = math.inf,
     for m in ms:
         roots = [(a, b, finv[m - 2]) for a, b in reversed(_blocks_of(best, n, 0, n - 1, m))]
         rows.append(_tree(best, u, f, roots)[1])
-    return best[n * n + n - 1] * scale, rows
+    return best[_cell(n, 1, 0, n - 1)] * scale, rows
 
 
 def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]:
@@ -408,7 +436,7 @@ def best_partition(
         u, scale = _unit([abs(v) for _, v in entries])
         best = _dp_core(u, f)
         m = min(n, size)
-        total = best[m * size * size + size - 1] / f(float(n)) * scale
+        total = best[_cell(size, m, 0, size - 1)] / f(float(n)) * scale
         runs = [(coords[s], coords[t]) for s, t in _blocks_of(best, size, 0, size - 1, m)]
         gaps = [(runs[-1][1], e.hi - runs[-1][1]), (e.lo, runs[0][0] - e.lo)]
         gaps += [(t + 1, s - t - 1) for (_, t), (s, _) in zip(runs, runs[1:])]
@@ -432,17 +460,18 @@ def _defining_map_at(vals: Sequence[float], table: List[List[float]], f: GaugeFu
     table[c][k] is the value taken for the block of positions c..k.  The
     map at a..b is the max of max(vals[a..b]) and, for m = 2..b-a+1, the
     best sum of table values over covering partitions of a..b into m
-    blocks, divided by f(m).  The best m-block sums over every c..b come
-    from the (m-1)-block ones, so one pass over m serves every a.
+    blocks, times 1/f(m), the float the DP multiplies by.  The best m-block
+    sums over every c..b come from the (m-1)-block ones, so one pass over
+    m serves every a.
     """
     new = [max(vals[a : b + 1]) for a in range(b + 1)]
     part = [table[c][b] for c in range(b + 1)]  # part[c]: best sum over c..b in m blocks
     for m in range(2, b + 2):
         part = [max(table[c][k] + part[k + 1] for k in range(c, b - m + 2))
                 for c in range(b - m + 2)]
-        fm = f(float(m))
+        w = 1.0 / f(float(m))
         for a in range(b - m + 2):
-            new[a] = max(new[a], part[a] / fm)
+            new[a] = max(new[a], part[a] * w)
     return new
 
 
@@ -457,20 +486,21 @@ def fixed_point_check(
     step takes the max of ||x||_inf and all covering-partition split
     values computed from value_fn (`_defining_map_at` over the whole
     support); a self-consistent engine returns a residual at rounding
-    level.
+    level.  The step runs on the claimed values divided by the scale of
+    `_unit`, and the residual is multiplied back.
     """
     if not x:
         raise ValidationError("fixed_point_check requires a nonempty vector")
     coords = x.support
     n = len(coords)
-    claimed = value_fn(x)
+    vals, scale = _unit([abs(v) for v in x.values_in_order()])
+    claimed = value_fn(x) / scale
 
     val = [[0.0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
-            val[a][b] = value_fn(restrict(x, Interval(coords[a], coords[b])))
-    vals = [abs(v) for v in x.values_in_order()]
-    return abs(_defining_map_at(vals, val, f, n - 1)[0] - claimed)
+            val[a][b] = value_fn(restrict(x, Interval(coords[a], coords[b]))) / scale
+    return abs(_defining_map_at(vals, val, f, n - 1)[0] - claimed) * scale
 
 
 def summing_norm_table(n_max: int, f: GaugeFunction) -> ExperimentReport:
@@ -483,7 +513,7 @@ def summing_norm_table(n_max: int, f: GaugeFunction) -> ExperimentReport:
     )
     best = _dp_core([1.0] * n_max, f)
     for n in range(1, n_max + 1):
-        dp = best[n_max * n_max + n - 1]
+        dp = best[_cell(n_max, 1, 0, n - 1)]
         ref = n / f(float(n))
         report.add_row(n, dp, ref, abs(dp - ref))
     return report
@@ -514,13 +544,13 @@ def reference_norm(x: SeqVector, f: GaugeFunction) -> float:
     disjoint runs of support positions (runs need not abut or cover),
     weighting the recursive values by 1/f(n).  Extra empty blocks are
     never enumerated: they only raise n and f is nondecreasing, so they
-    cannot increase any value.
+    cannot increase any value.  Runs at the unit scale of `_unit`.
     """
     if not x:
         return 0.0
     if len(x) > REFERENCE_CAP:
         raise SizeCapError("reference evaluator cap", needed=len(x), cap=REFERENCE_CAP)
-    vals = tuple(abs(v) for _, v in x)
+    vals, scale = _unit([abs(v) for _, v in x])
     n = len(vals)
     # value[a][b] for positions a..b, by increasing length: every run of a
     # sequence is shorter than the interval it lies in
@@ -536,7 +566,7 @@ def reference_norm(x: SeqVector, f: GaugeFunction) -> float:
                 if cand > best:
                     best = cand
             value[a][b] = best
-    return value[0][n - 1]
+    return value[0][n - 1] * scale
 
 
 def iterate_defining_map(x: SeqVector, f: GaugeFunction) -> List[float]:
@@ -546,11 +576,12 @@ def iterate_defining_map(x: SeqVector, f: GaugeFunction) -> List[float]:
     produced by repeatedly applying the defining max (`_defining_map_at`
     at every right end) to the previous interval-value table.  The
     sequence is nondecreasing and stabilizes at the DP value in at most
-    N-1 steps for support size N; no more are taken.
+    N-1 steps for support size N; no more are taken.  The map runs at the
+    unit scale of `_unit`, and each value is multiplied back.
     """
     if not x:
         raise ValidationError("iterate_defining_map requires a nonempty vector")
-    vals = tuple(abs(v) for _, v in x)
+    vals, scale = _unit([abs(v) for _, v in x])
     n = len(vals)
 
     table = [
@@ -566,4 +597,4 @@ def iterate_defining_map(x: SeqVector, f: GaugeFunction) -> List[float]:
         if new == table:
             break
         table = new
-    return history
+    return [v * scale for v in history]

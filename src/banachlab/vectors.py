@@ -167,14 +167,18 @@ class Interval:
 def lp_of(values: Sequence[float], p: float) -> float:
     """The lp norm of nonnegative floats, not all 0, at unit scale.
 
-    max at p = inf, fsum at p = 1 and math.hypot at p = 2; any other p divides
-    by the max before the powers, so nothing overflows or flushes to 0 while the
-    norm is representable.  Free of the values' order; pass arrays as .tolist().
+    max at p = inf, fsum at p = 1 (inf where the sum overflows) and math.hypot
+    at p = 2; any other p divides by the max before the powers, so nothing
+    overflows or flushes to 0 while the norm is representable.  Free of the
+    values' order; pass arrays as .tolist().
     """
     if math.isinf(p):
         return max(values)
     if p == 1.0:
-        return math.fsum(values)
+        try:
+            return math.fsum(values)
+        except OverflowError:  # a partial sum of nonnegative terms left the range
+            return math.inf
     if p == 2.0:
         return math.hypot(*values)
     m = max(values)
@@ -191,10 +195,20 @@ def lp_norm(x: SeqVector, p: float) -> float:
 
 
 def pairing(x: SeqVector, g: SeqVector) -> float:
-    """sum x_i g_i over the common support."""
+    """sum x_i g_i over the common support, by fsum.
+
+    Where a partial sum leaves the float range, the terms are summed times
+    2**-e, with e such that the largest lies in [1, 2), and the sum is
+    multiplied by 2.0**e (inf where that overflows).
+    """
     if len(x) > len(g):
         x, g = g, x
-    return math.fsum(v * g[i] for i, v in x)
+    terms = [v * g[i] for i, v in x]
+    try:
+        return math.fsum(terms)
+    except OverflowError:
+        e = math.frexp(max(map(abs, terms)))[1] - 1
+        return math.fsum([math.ldexp(t, -e) for t in terms]) * 2.0**e
 
 
 def restrict(x: SeqVector, e: Interval) -> SeqVector:

@@ -165,6 +165,12 @@ class TestCliCommands:
         assert code == 0
         assert capsys.readouterr().out == expected + "\n"
 
+    @pytest.mark.parametrize("args", ["norm --space l1 --vec 1e308,1e308",
+                                      "dual --space linf --vec 1e308,1e308"])
+    def test_sum_past_the_float_range_prints_inf(self, capsys, args):
+        assert entrypoint(args.split()) == 0
+        assert capsys.readouterr().out == "inf\n"
+
     def test_unknown_subcommand_exits_2(self, capsys):
         assert entrypoint(["frobnicate"]) == 2
 

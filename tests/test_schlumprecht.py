@@ -29,8 +29,10 @@ from banachlab import schlumprecht
 from banachlab.errors import SizeCapError, ValidationError
 from banachlab.gauges import IDENTITY, SQRT
 from banachlab.schlumprecht import (
+    DEFAULT_DP_CAP,
     DP_NUMPY_MIN,
     _blocks_of,
+    _cell,
     _dp_core,
     _dp_loop,
     _dp_numpy,
@@ -172,9 +174,9 @@ class TestDpPaths:
 
     @pytest.mark.parametrize("f", [LOG2P1, ONE], ids=lambda f: f.name)
     def test_tables_equal_entry_by_entry(self, f):
-        for n in range(1, 41):
+        for n in (*range(1, 41), DEFAULT_DP_CAP):
             m, a, b = np.ogrid[: n + 1, :n, :n]
-            cells = ((m >= 1) & (m <= b - a + 1)).ravel()  # the cells the table defines
+            cells = _cell(n, m, a, b)[(m >= 1) & (m <= b - a + 1)]  # the cells the table defines
             for kind, vals in self.inputs(n):
                 loop, wave = np.asarray(_dp_loop(vals, f)), np.asarray(_dp_numpy(vals, f))
                 assert (loop[cells] == wave[cells]).all(), (f.name, kind, n)
@@ -294,7 +296,7 @@ def test_split_functionals():
             assert len(rows) == 1 + len(ms)
             best = _dp_core(vals.tolist(), f)
             for m, row in zip(ms, rows[1:]):
-                split = best[m * n * n + n - 1] / f(float(m))  # the best m-way split's value
+                split = best[_cell(n, m, 0, n - 1)] / f(float(m))  # the best m-way split's value
                 assert math.fsum(row * vals) == pytest.approx(split, rel=1e-15, abs=0)
             y, norms = ys[n]
             assert (np.array(rows) @ y.T <= norms * (1 + 1e-14)).all()  # plus rounding
@@ -310,7 +312,7 @@ def test_split_threshold():
             value, rows = s_norm_weights(v, f, -math.inf)
             best = _dp_core(v, f)
             root = _tree(best, v, f)[0][0][2]
-            split = [best[m * n * n + n - 1] * (1.0 / f(float(m)))
+            split = [best[_cell(n, m, 0, n - 1)] * (1.0 / f(float(m)))
                      for m in range(2, n + 1) if m != root]
             least, median = (min(split), sorted(split)[len(split) // 2]) if split else (0.0, 0.0)
             for above in (least, median, value):
@@ -441,6 +443,15 @@ class TestFixedPoint:
             SeqVector.basis(1), F, lambda y: s_norm_value(y, F) if y else 0.0
         )
         assert residual == 0.0
+
+    def test_validation_paths_near_overflow(self):
+        # the reference, the iteration and the fixed-point step run at the
+        # DP's unit scale, so 1e308s give the finite norm and residual 0
+        x = vec(1e308, 1e308)
+        value = s_norm_value(x, F)
+        assert reference_norm(x, F) == pytest.approx(value, rel=1e-15)
+        assert iterate_defining_map(x, F) == [1e308, value]
+        assert fixed_point_check(x, F, lambda y: s_norm_value(y, F)) == 0.0
 
 
 class TestMonotoneImprovement:

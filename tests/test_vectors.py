@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from banachlab import Interval, SeqVector, lp_norm, parse_vector, pointwise_power, restrict
-from banachlab.vectors import lp_of
+from banachlab.vectors import lp_of, pairing
 from banachlab.errors import ValidationError
 
 
@@ -42,6 +42,20 @@ class TestLpNorm:
         assert lp_of([0.1] * 10, 1.0) == 1.0  # the exactly rounded sum
         assert lp_of([1.0, 3.0, 2.0], math.inf) == 3.0
         assert lp_of([1.0, 0.0], 7.0) == 1.0
+
+    def test_sum_past_the_float_range(self):
+        # fsum raises on a partial sum that overflows; the l1 norm is then inf
+        assert lp_norm(vec(1e308, 1e308), 1) == math.inf
+        assert lp_of([1e308, 1.0, 1e308], 1.0) == math.inf
+
+
+class TestPairing:
+    def test_partial_sums_past_the_float_range(self):
+        # the terms are summed at unit scale, so a finite pairing stays exact
+        assert pairing(vec(1e308, 1e308, -1e308), vec(1, 1, 1)) == 1e308
+        assert pairing(vec(1e308, 1e308, -1e308, -1e308), vec(1, 1, 1, 0.5)) == 5e307
+        assert pairing(vec(1e308, 1e308), vec(1, 1)) == math.inf
+        assert pairing(vec(1, 2), vec(3, 0.5)) == 4.0
 
 
 class TestRestrict:
