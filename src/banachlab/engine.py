@@ -4,14 +4,14 @@ Every lattice norm here is spreading invariant: the norm of x depends
 only on the absolute values of its support, in support order, not on
 the coordinates.  So the evaluator has one core,
 
-* ``norming_values(v, above, most)`` - for a positive numpy array v in
+* ``norming_values(v, above)`` - for a positive numpy array v in
   support order, the norm value (certified upper bound for optimizer
   branches, exact up to rounding for closed forms and the DP) and rows
   of functionals in the dual ball at the same positions.  Row 0 is the
   weights of a norming functional g, with ||g||_* <= 1 and <v, g> equal
   to the norm up to the accuracy of its branch.  On S, the rows after it
-  are the m-split functionals of the same DP table whose split value at
-  v exceeds `above`, the `most` largest; the caller picks no others.
+  are all the m-split functionals of the same DP table whose split value
+  at v exceeds `above`.
 
 It is the only place that dispatches on the descriptor kind of a lattice
 norm, and its recursion across the descriptor tree stays on arrays.
@@ -59,17 +59,19 @@ The dual of the Schlumprecht space stays Dual(S) after normalization.
 Its norm (and, generically, the dual norm of any space with an exact
 norming oracle) is computed by a cutting-plane LP over the polyhedral
 unit ball: maximize <g, x> subject to lazily generated partition-tree
-constraints; the separation oracle is the DP itself.  On S the DP table
-of an LP vertex also yields its best m-split functionals, each in
-B(S*): besides the vertex's norming row, a round adds up to
-DUAL_SPLIT_CUTS of those that the vertex violates, most violated first.
-Each call starts from the box alone, so the LP is a function of its
-input; the Dual evaluator caches its whole results (value and maximizer)
-like norms.  The LPs are small (one variable per support point plus the
-call's own cuts), so one dense simplex tableau in numpy serves a whole
-call: a round's cuts are appended as one block of rows, and dual simplex
-pivots restart from the previous optimal basis.  The LP's upper end
-comes from its dual multipliers by weak duality.
+constraints; the separation oracle is the DP itself.  Each round is a
+plain Kelley step: solve the LP, probe its vertex once, append the
+vertex's norming row.  On S the DP table of the vertex also yields its
+best m-split functionals, each in B(S*), and every one the vertex
+violates joins the round's block (from the second vertex on: the first
+is the box corner).  Each call starts from the box alone, so the LP is a
+function of its input; the Dual evaluator caches its whole results
+(value and maximizer) like norms.  The LPs are small (one variable per
+support point plus the call's own cuts), so one dense simplex tableau in
+numpy serves a whole call: a round's cuts are appended as one block of
+rows, and dual simplex pivots restart from the previous optimal basis,
+the leaving row priced by its right-hand side over its norm.  The LP's
+upper end comes from its dual multipliers by weak duality.
 """
 
 from __future__ import annotations
@@ -123,7 +125,6 @@ REGISTRY_SIZE = 64  # evaluators shared by get_evaluator
 DUAL_FEAS_TOL = 1e-9  # an LP vertex this close to the ball counts as feasible
 DUAL_GAP_TOL = 1e-7  # relative gap that closes the bracket otherwise
 DUAL_MAX_ROUNDS = 400
-DUAL_SPLIT_CUTS = 3  # violated split rows of the vertex's DP table added per round
 
 
 class NormingResult(NamedTuple):
@@ -195,15 +196,14 @@ class NormEvaluator:
 
     # -- the norming core ---------------------------------------------------
 
-    def norming_values(self, v: np.ndarray, above: float = math.inf,
-                       most: Optional[int] = None) -> Tuple[float, np.ndarray]:
+    def norming_values(self, v: np.ndarray,
+                       above: float = math.inf) -> Tuple[float, np.ndarray]:
         """Norm of a positive array in support order and rows in B(X*).
 
         Row 0 holds the absolute values of a norming functional at the same
         positions.  On S the best m-split functionals of `s_norm_weights`
-        follow: of those whose split value at v exceeds `above` the `most`
-        largest, in block-count order.  The default `above` asks for row 0
-        alone, and only the dual LP sets `most`.  This is the only dispatch
+        whose split value at v exceeds `above` follow, in block-count order.
+        The default `above` asks for row 0 alone.  This is the only dispatch
         on the descriptor kind for lattice norms.
         """
         d = self.impl
@@ -213,7 +213,7 @@ class NormEvaluator:
                 return nv, (np.arange(len(v)) == np.argmax(v)).astype(float)[None]
             return nv, ((v / nv) ** (d.p - 1.0))[None]
         if isinstance(d, Schlumprecht):
-            nv, rows = s_norm_weights(v.tolist(), d.gauge, above, most)
+            nv, rows = s_norm_weights(v.tolist(), d.gauge, above)
             return nv, np.array(rows)
         if isinstance(d, Dual):
             return _memo(self._norm_cache, tuple(v.tolist()),
@@ -331,8 +331,15 @@ class _Tableau:
     holds |c|.  New cuts are appended as rows in the current nonbasic
     variables; the objective row stays nonnegative up to the ratio test's
     LP_TOL, so dual-simplex pivots from the previous optimal basis restore
-    feasibility (the warm start).  The pivot rule takes the lowest label
-    among ties (Bland), which rules out cycling.
+    feasibility (the warm start).  The leaving row is the infeasible one
+    with the most negative rhs / ||row||, the norm over the nonbasic
+    columns (a cheap stand-in for dual steepest edge); the entering column
+    takes the lowest label among ratio ties.  Once a run of degenerate
+    pivots (least ratio at most LP_TOL) is as long as the tableau has
+    rows, the lowest infeasible label leaves (Bland) until the next
+    non-degenerate pivot.  That rules out cycling: a cycle has degenerate
+    pivots only, Bland's rule cannot cycle, and each non-degenerate pivot
+    strictly lowers the objective's bound.
     """
 
     def __init__(self, c: np.ndarray):
@@ -372,20 +379,35 @@ class _Tableau:
         t[r, s] = 1.0 / p
         self.basic[r - 1], self.nonbasic[s] = self.nonbasic[s], self.basic[r - 1]
 
+    def _patience(self) -> int:
+        """Degenerate pivots in a row after which the lowest label leaves: one per row."""
+        return len(self.basic)
+
     def _step(self) -> bool:
         """One dual-simplex pivot; False once every row is feasible.  Raises on failure."""
         t = self.t
         bad = (t[1:, -1] < -LP_TOL).nonzero()[0]
         if not len(bad):
             return False
-        r = 1 + bad[self.basic[bad].argmin()]  # the lowest infeasible row leaves
+        if len(bad) > 1 and self.degenerate < self._patience():
+            # priced: the most negative rhs / ||row||; a zero row has no pivot,
+            # and its -inf picks it to raise
+            rows = t[1 + bad]
+            sq = (rows[:, :-1] ** 2).sum(axis=1)
+            price = np.divide(rows[:, -1], np.sqrt(sq), out=np.full(len(bad), -np.inf),
+                              where=sq > 0.0)
+            r = 1 + bad[price.argmin()]
+        else:  # Bland, or one infeasible row: the lowest infeasible label leaves
+            r = 1 + bad[self.basic[bad].argmin()]
         # the ratio test on lists: a row has n entries, too few to pay for numpy calls
         row, top = t[r, :-1].tolist(), t[0, :-1].tolist()
         cand = [j for j, a in enumerate(row) if a < -LP_PIVOT_TOL]
         if not cand:
             raise _LPFailure("no pivot restores a cut")
         ratio = [max(top[j], 0.0) / -row[j] for j in cand]
-        low = min(ratio) + LP_TOL
+        least = min(ratio)
+        self.degenerate = self.degenerate + 1 if least <= LP_TOL else 0
+        low = least + LP_TOL
         labels = self.nonbasic.tolist()
         self._pivot(r, min((j for j, q in zip(cand, ratio) if q <= low), key=labels.__getitem__))
         return True
@@ -399,6 +421,7 @@ class _Tableau:
         """
         t = self.t
         cap = LP_PIVOTS_PER_LABEL * sum(t.shape)
+        self.degenerate = 0  # the current run of degenerate pivots
         for _ in range(cap):
             if not self._step():
                 break
@@ -435,39 +458,19 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
     bound of the tableau's multipliers, not c.x*, so it does not rest on
     the solver having reached the optimum.
 
-    Separation is stabilized by in-out separation (Ben-Ameur & Neto
-    2007).  While the rescaled LP vertex is the best feasible point, the
-    oracle is queried at the vertex (a Kelley cut).  Otherwise the LP has
-    stalled, typically on a degenerate optimal face, and the oracle is
-    queried at the midpoint of the vertex and the best feasible point.
-    If the midpoint lies outside the ball, its norming functional still
-    cuts the vertex off, since the best point satisfies the cut; if it
-    lies inside, the lower bound gains at least half the gap.
-
-    Vertices and midpoints are probed by `norming_values` on their positive
-    coordinates.  At a vertex the oracle also returns its further rows in
-    the dual ball that the vertex violates (on S the m-split functionals of
-    the same DP table, split value above 1 + DUAL_FEAS_TOL, the
-    DUAL_SPLIT_CUTS largest); they join the round's cut, most violated
-    first.
+    Each round is one Kelley step: the oracle is queried once, at the LP
+    vertex, by `norming_values` on its positive coordinates.  The vertex's
+    norming row cuts it off, and every further row in the dual ball that
+    the vertex violates joins it in one block, most violated first (on S
+    the m-split functionals of the same DP table whose split value exceeds
+    1 + DUAL_FEAS_TOL).  The first vertex is the box's optimum, x_j = 1
+    where c_j is positive, so it adds its norming row alone: split rows
+    there only lengthen the walk, on constant vectors most of all.
     """
     n = len(c)
     scale = float(c.max())  # dual norms are homogeneous; keep the LP well scaled
     c = c / scale
     tab = _Tableau(c)
-
-    def probe(x: np.ndarray, above: float = math.inf,
-              most: Optional[int] = None) -> Tuple[float, np.ndarray]:
-        # LP points have zero coordinates; the oracle norms the positive ones
-        pos = x > 0.0
-        nx, w = oracle.norming_values(x[pos], above, most)
-        rows = np.zeros((len(w), n))
-        rows[:, pos] = w
-        return nx, rows
-
-    def closed() -> bool:
-        return lpval - best_val <= DUAL_GAP_TOL * max(lpval, 1.0)
-
     best_val, best_x = 0.0, np.zeros(n)
     lpval = float(c.sum())  # weak duality with zero multipliers
     for _ in range(DUAL_MAX_ROUNDS):
@@ -477,33 +480,22 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
             raise ConvergenceError(f"dual-norm LP failed ({err})",
                                    scale * best_val, scale * lpval) from None
         val = float(c @ xstar)
-        # the vertex's norming row (its Kelley cut), then the split rows it violates
-        nv, vrows = probe(xstar, 1.0 + DUAL_FEAS_TOL, DUAL_SPLIT_CUTS)
+        pos = xstar > 0.0  # LP points have zero coordinates; the oracle norms the positive ones
+        nv, w = oracle.norming_values(xstar[pos], 1.0 + DUAL_FEAS_TOL if tab.cuts else math.inf)
         if nv <= 1.0 + DUAL_FEAS_TOL:
             fix = 1.0 / nv if nv > 1.0 else 1.0
             return scale * val * fix, xstar * fix
-        row = vrows[0]
         if best_val < val / nv:
             best_val, best_x = val / nv, xstar / nv
-        else:
-            while not closed():
-                q = 0.5 * (xstar + best_x)
-                nq, qrows = probe(q)
-                gain = float(c @ q) / nq > best_val
-                if gain:
-                    best_val, best_x = float(c @ q) / nq, q / nq
-                if float(qrows[0] @ xstar) > 1.0 + 0.5 * DUAL_FEAS_TOL:
-                    row = qrows[0]
-                    break
-                if not gain:
-                    break
-        if closed():
+        if lpval - best_val <= DUAL_GAP_TOL * max(lpval, 1.0):
             return scale * best_val, best_x
-        if float(row @ xstar) <= 1.0 + 0.5 * DUAL_FEAS_TOL:
+        rows = np.zeros((len(w), n))
+        rows[:, pos] = w
+        if float(rows[0] @ xstar) <= 1.0 + 0.5 * DUAL_FEAS_TOL:
             raise ConvergenceError("dual-norm LP stalled (oracle cut did not separate)",
                                    scale * best_val, scale * lpval)
-        splits = vrows[1:]  # most violated first
-        tab.add(np.vstack([row, splits[np.argsort(-(splits @ xstar), kind="stable")]]))
+        rows[1:] = rows[1 + np.argsort(-(rows[1:] @ xstar), kind="stable")]  # most violated first
+        tab.add(rows)
     raise ConvergenceError("dual-norm LP exceeded round limit",
                            scale * best_val, scale * lpval)
 

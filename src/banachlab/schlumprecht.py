@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from operator import add, mul
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -347,8 +347,8 @@ def _extremal(vals: List[float], f: GaugeFunction) -> Tuple[float, Tree, List[fl
     return (best[_cell(n, 1, 0, n - 1)] * scale, *_tree(best, u, f))
 
 
-def s_norm_weights(vals: List[float], f: GaugeFunction, above: float = math.inf,
-                   most: Optional[int] = None) -> Tuple[float, List[List[float]]]:
+def s_norm_weights(vals: List[float], f: GaugeFunction,
+                   above: float = math.inf) -> Tuple[float, List[List[float]]]:
     """The norm of positive values in support order and rows in B(S*) by position.
 
     Row 0 is the norming functional's weights, from `_extremal`.  Up to
@@ -356,8 +356,7 @@ def s_norm_weights(vals: List[float], f: GaugeFunction, above: float = math.inf,
     root's may follow: 1/f(m) times the extremal subtrees of the m blocks of
     `_blocks_of`, which pairs with any y to at most (1/f(m)) sum_i ||E_i y||
     <= ||y||.  Only the m whose split value, the top cell best[m] times
-    1/f(m), exceeds `above` are walked, and of those the `most` largest (the
-    smaller m on ties); their rows follow in m order.
+    1/f(m), exceeds `above` are walked; their rows follow in m order.
     """
     n = len(vals)
     if above == math.inf or n > DEFAULT_DP_CAP:
@@ -369,12 +368,10 @@ def s_norm_weights(vals: List[float], f: GaugeFunction, above: float = math.inf,
     finv = _finv(f, n)
     split = {m: best[_cell(n, m, 0, n - 1)] * finv[m - 2] for m in range(2, n + 1)}
     above /= scale  # compared at unit scale too
-    ms = [m for m in split if m != nodes[0][2] and split[m] > above]
-    if most is not None:
-        ms = sorted(sorted(ms, key=split.get, reverse=True)[:most])  # stable: smaller m first
-    for m in ms:
-        roots = [(a, b, finv[m - 2]) for a, b in reversed(_blocks_of(best, n, 0, n - 1, m))]
-        rows.append(_tree(best, u, f, roots)[1])
+    for m in split:
+        if m != nodes[0][2] and split[m] > above:
+            roots = [(a, b, finv[m - 2]) for a, b in reversed(_blocks_of(best, n, 0, n - 1, m))]
+            rows.append(_tree(best, u, f, roots)[1])
     return best[_cell(n, 1, 0, n - 1)] * scale, rows
 
 

@@ -197,18 +197,23 @@ def lp_norm(x: SeqVector, p: float) -> float:
 def pairing(x: SeqVector, g: SeqVector) -> float:
     """sum x_i g_i over the common support, by fsum.
 
-    Where a partial sum leaves the float range, the terms are summed times
-    2**-e, with e such that the largest lies in [1, 2), and the sum is
-    multiplied by 2.0**e (inf where that overflows).
+    Where a product or a partial sum leaves the float range, each factor
+    is taken at its unit scale, times 2**-e with e such that its largest
+    magnitude lies in [1, 2); those products are summed and the sum is
+    multiplied by both powers of two (inf where that overflows).
     """
     if len(x) > len(g):
         x, g = g, x
-    terms = [v * g[i] for i, v in x]
     try:
-        return math.fsum(terms)
-    except OverflowError:
-        e = math.frexp(max(map(abs, terms)))[1] - 1
-        return math.fsum([math.ldexp(t, -e) for t in terms]) * 2.0**e
+        total = math.fsum([v * g[i] for i, v in x])
+        if not math.isinf(total):  # inf only from a product past the range
+            return total
+    except (OverflowError, ValueError):  # a partial sum past the range, or inf - inf
+        pass
+    pairs = [(v, g[i]) for i, v in x]
+    ex, eg = (math.frexp(max(map(abs, vs)))[1] - 1 for vs in zip(*pairs))
+    total = math.fsum([math.ldexp(v, -ex) * math.ldexp(w, -eg) for v, w in pairs])
+    return total * 2.0 ** min(ex, eg) * 2.0 ** max(ex, eg)  # smaller first: no overflow on the way
 
 
 def restrict(x: SeqVector, e: Interval) -> SeqVector:

@@ -188,6 +188,25 @@ class TestDualSimplex:
 
     @pytest.mark.parametrize("degenerate", [False, True])
     def test_fresh_and_warm_agree_with_linprog(self, degenerate):
+        self.fresh_and_warm(degenerate)
+
+    def test_bland_fallback_agrees_with_linprog(self, monkeypatch):
+        # with no patience for degenerate pivots, the lowest infeasible label
+        # leaves at every pivot
+        leaving = []
+        pivot = engine._Tableau._pivot
+
+        def lowest_leaves(tab, r, s):
+            bad = (tab.t[1:, -1] < -engine.LP_TOL).nonzero()[0]
+            leaving.append(r == 1 + bad[tab.basic[bad].argmin()])
+            pivot(tab, r, s)
+
+        monkeypatch.setattr(engine._Tableau, "_patience", lambda tab: 0)
+        monkeypatch.setattr(engine._Tableau, "_pivot", lowest_leaves)
+        self.fresh_and_warm(True)
+        assert len(leaving) > 100 and all(leaving)
+
+    def fresh_and_warm(self, degenerate):
         # rows arrive in blocks of 1 to 4, as a dual-LP round appends its cuts
         rng, blocks = np.random.default_rng(21 + degenerate), np.random.default_rng(24)
         for _ in range(12):
@@ -311,17 +330,48 @@ class TestDualAgainstTheDpLp:
         assert len(self.misses()) == len(dp_lp_references())
 
 
+def count_solves(monkeypatch):
+    """A list that gains one entry per tableau solve."""
+    solves = []
+    solve = engine._Tableau.solve
+    monkeypatch.setattr(engine._Tableau, "solve", lambda tab: solves.append(1) or solve(tab))
+    return solves
+
+
 class TestSplitCuts:
+    @staticmethod
+    def seeded(n, s):
+        rng = np.random.default_rng(np.random.SeedSequence([11, n, s]))
+        return SeqVector.from_values(rng.uniform(0.1, 2.0, n))
+
     @pytest.mark.parametrize("s, value", [(0, 7.30707673842), (1, 7.30734135396)])
     def test_support_32_in_few_tableau_solves(self, monkeypatch, s, value):
         # the violated split rows of each vertex's DP table go in with its cut
-        solves = []
-        solve = engine._Tableau.solve
-        monkeypatch.setattr(engine._Tableau, "solve", lambda tab: solves.append(1) or solve(tab))
-        rng = np.random.default_rng(np.random.SeedSequence([11, 32, s]))
-        g = SeqVector.from_values(rng.uniform(0.1, 2.0, 32))
-        assert NormEvaluator(Dual(S)).norm(g) == pytest.approx(value, rel=engine.DUAL_GAP_TOL)
+        solves = count_solves(monkeypatch)
+        assert NormEvaluator(Dual(S)).norm(self.seeded(32, s)) == pytest.approx(
+            value, rel=engine.DUAL_GAP_TOL)
         assert len(solves) < 120
+
+    @pytest.mark.parametrize("n, value", [(48, 8.52836758556), (64, 9.45375770871)])
+    def test_up_to_the_dp_cap_in_at_most_100_tableau_solves(self, monkeypatch, n, value):
+        # every violated split row goes in, and the priced leaving row keeps
+        # each re-solve short
+        solves = count_solves(monkeypatch)
+        assert NormEvaluator(Dual(S)).norm(self.seeded(n, 0)) == pytest.approx(
+            value, rel=engine.DUAL_GAP_TOL)
+        assert len(solves) <= 100
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_constant_vector_adds_the_box_corners_row_alone(self, monkeypatch, n):
+        # the first vertex is the box corner (1, ..., 1): its split rows would
+        # only lengthen the walk, and its norming row already closes the LP
+        solves, blocks = count_solves(monkeypatch), []
+        add = engine._Tableau.add
+        monkeypatch.setattr(engine._Tableau, "add",
+                            lambda tab, a: blocks.append(len(a)) or add(tab, a))
+        value = NormEvaluator(Dual(S)).norm(SeqVector.from_values([1.0] * n))
+        assert value == pytest.approx(math.log2(n + 1), rel=1e-15)
+        assert blocks == [1] and len(solves) == 2
 
 
 class TestCuttingPlaneFailures:

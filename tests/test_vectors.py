@@ -57,6 +57,14 @@ class TestPairing:
         assert pairing(vec(1e308, 1e308), vec(1, 1)) == math.inf
         assert pairing(vec(1, 2), vec(3, 0.5)) == 4.0
 
+    def test_products_past_the_float_range(self):
+        # each product overflows on its own; the factors are summed at their
+        # unit scales, so two of opposite signs do not meet as inf - inf
+        assert pairing(vec(1e200, 1e200), vec(1e200, -1e200)) == 0.0
+        assert pairing(vec(1e200, 1e200), vec(1e200, 1e200)) == math.inf
+        assert pairing(vec(1e200, 1e200), vec(-1e200, -1e200)) == -math.inf
+        assert pairing(vec(1e308, 1, 1), vec(2, -1.5e308, -1.5e308)) == pytest.approx(-1e308)
+
 
 class TestRestrict:
     def test_inner_interval(self):
