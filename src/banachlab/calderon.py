@@ -45,7 +45,7 @@ def space_spr(p: float, r: float, f: GaugeFunction) -> SpaceDescriptor:
 
 def lp_product_oracle(p0: float, p1: float, theta: float) -> float:
     """Exponent of the lp space equal to lp0^(1-theta) lp1^theta."""
-    if p0 < 1.0 or p1 < 1.0:
+    if not (p0 >= 1.0 and p1 >= 1.0):
         raise ValidationError("lp exponents must be >= 1")
     if not 0.0 < theta < 1.0:
         raise ValidationError(f"theta must lie in (0,1), got {theta}")

@@ -42,7 +42,7 @@ class Lp:
     p: float
 
     def __post_init__(self):
-        if self.p < 1.0:
+        if not self.p >= 1.0:
             raise ValidationError(f"lp space needs p >= 1, got {self.p}")
 
 
@@ -57,7 +57,7 @@ class Convexified:
     p: float
 
     def __post_init__(self):
-        if self.p < 1.0 or math.isinf(self.p):
+        if not 1.0 <= self.p < math.inf:
             raise ValidationError(f"convexification needs finite p >= 1, got {self.p}")
 
 
@@ -189,7 +189,7 @@ def space_to_str(d: SpaceDescriptor) -> str:
 
 
 def conjugate_exponent(p: float) -> float:
-    if p < 1.0:
+    if not p >= 1.0:
         raise ValidationError(f"exponent must be >= 1, got {p}")
     if p == 1.0:
         return math.inf

@@ -173,8 +173,8 @@ def check_prop5_hypothesis(f: GaugeFunction, a: float) -> Tuple[bool, List[Tuple
     most 90% of the peak by the last point.  Returns the decision and the
     sampled (x, t) table.
     """
-    if a <= 0:
-        raise ValidationError(f"decay check needs a > 0, got {a}")
+    if not 0.0 < a < math.inf:
+        raise ValidationError(f"decay check needs finite a > 0, got {a}")
     trend = [(x, f(x) * x ** (-a)) for x in default_grid(top_exponent=30)]
     ts = [t for _, t in trend]
     peak = max(range(len(ts)), key=lambda i: ts[i])

@@ -24,13 +24,14 @@ count the largest sum of block norms, with the norm itself at count 1.
 It stores maxima only.  Every consumer reads it: the norm, the best
 n-way partition, whose block ends `_blocks_of` recovers, and the
 extremal tree, which one walk, `_tree`, derives from it as a preorder
-node list, the tree's only format, with its weights by position: the
-norming functional of `s_norm_weights` and `s_norm`'s certificate, and
-by `s_norm_weights` also the walks below each best m-way partition's blocks.
+node list, the tree's only format, with its weights by position.  One
+reader, `_extremal`, turns the table into functionals: the norming
+functional, which `s_norm_weights` hands out and `s_norm`'s certificate
+holds, and on request the walks below each best m-way partition's blocks.
 A norm alone, `s_norm_top`, reads the top cell and walks no tree.  Beyond
 DEFAULT_DP_CAP positions only constant values are accepted, on the
-analytic path; `s_norm_top`, `_extremal` and `s_norm_weights` hold that
-rule, and no other module reads the cap.  The readers fill the table at
+analytic path; `s_norm_top` and `_extremal` hold that rule, and no other
+module reads the cap.  The readers fill the table at
 unit scale (`_unit`), so its sums cannot overflow on representable values;
 the reference evaluator and the validation map run there too.
 
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain, islice
 from operator import add, mul
 from typing import Callable, List, Sequence, Tuple
 
@@ -101,7 +103,7 @@ class PartitionCertificate:
     f(m) at each split above it, signed as x there, and `render` reads
     the leaf signs from it.  It attains the norm on the witnessed vector
     and never exceeds the norm on any other vector (dual feasibility).
-    `s_norm` stores it, from the same walk as `s_norm_weights`.
+    `s_norm` stores it, from the walk of `_extremal`.
     """
 
     def __init__(self, nodes: Tree, split_weights: Sequence[float], value: float,
@@ -317,7 +319,7 @@ def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
     """The norm alone of positive values in support order.
 
     Up to DEFAULT_DP_CAP values it is the DP table's top cell, the float
-    that `s_norm_weights` and `s_norm` return, with no extremal tree.
+    that `_extremal` returns, with no extremal tree.
     Beyond it, constant values take the analytic path (value * N / f(N)
     by the summing identity) and anything else raises SizeCapError.
     Both run at the unit scale of `_unit`.
@@ -331,62 +333,60 @@ def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
     raise SizeCapError("support exceeds DP cap", needed=n, cap=DEFAULT_DP_CAP)
 
 
-def _extremal(vals: List[float], f: GaugeFunction) -> Tuple[float, Tree, List[float]]:
-    """The norm, extremal tree and weights of positive values in support order.
+def _extremal(vals: List[float], f: GaugeFunction,
+              above: float = math.inf) -> Tuple[float, Tree, List[List[float]]]:
+    """The norm, extremal tree and rows in B(S*) of positive values in support order.
 
-    Up to DEFAULT_DP_CAP values: the DP table's top cell and `_tree`.
-    Beyond it: `s_norm_top`, the analytic value or SizeCapError, witnessed
-    by the N-way split into singletons, each of weight 1/f(N).
+    Up to DEFAULT_DP_CAP values: the DP table's top cell and `_tree`, whose
+    weights are row 0, the norming functional.  Then, in m order, one row
+    per block count m = 2..N but the root's whose split value, the top
+    cell best[m] times 1/f(m), exceeds `above` (with no `above` none is
+    read): 1/f(m) times the extremal subtrees of the m blocks of
+    `_blocks_of`, which pairs with any y to at most (1/f(m)) sum_i ||E_i y||
+    <= ||y||.  Beyond the cap: `s_norm_top`, the analytic value or
+    SizeCapError, witnessed by the N-way split into singletons, each of
+    weight 1/f(N), and that one row.
     """
     n = len(vals)
     if n > DEFAULT_DP_CAP:
         tree = [(0, n - 1, n)] + [(i, i, 1) for i in range(n)]
-        return s_norm_top(vals, f), tree, [1.0 / f(float(n))] * n
+        return s_norm_top(vals, f), tree, [[1.0 / f(float(n))] * n]
     u, scale = _unit(vals)
     best = _dp_core(u, f)
-    return (best[_cell(n, 1, 0, n - 1)] * scale, *_tree(best, u, f))
+    nodes, *rows = _tree(best, u, f)  # rows: the norming weights first
+    if above < math.inf:
+        finv = _finv(f, n)
+        above /= scale  # compared at unit scale too
+        for m in range(2, n + 1):
+            if m != nodes[0][2] and best[_cell(n, m, 0, n - 1)] * finv[m - 2] > above:
+                roots = [(a, b, finv[m - 2]) for a, b in reversed(_blocks_of(best, n, 0, n - 1, m))]
+                rows.append(_tree(best, u, f, roots)[1])
+    return best[_cell(n, 1, 0, n - 1)] * scale, nodes, rows
 
 
 def s_norm_weights(vals: List[float], f: GaugeFunction,
                    above: float = math.inf) -> Tuple[float, List[List[float]]]:
     """The norm of positive values in support order and rows in B(S*) by position.
 
-    Row 0 is the norming functional's weights, from `_extremal`.  Up to
-    DEFAULT_DP_CAP values one more row per block count m = 2..N but the
-    root's may follow: 1/f(m) times the extremal subtrees of the m blocks of
-    `_blocks_of`, which pairs with any y to at most (1/f(m)) sum_i ||E_i y||
-    <= ||y||.  Only the m whose split value, the top cell best[m] times
-    1/f(m), exceeds `above` are walked; their rows follow in m order.
+    The value and rows of `_extremal`: the norming functional's weights,
+    then the best m-split rows whose split value exceeds `above`.
     """
-    n = len(vals)
-    if above == math.inf or n > DEFAULT_DP_CAP:
-        value, _, weights = _extremal(vals, f)
-        return value, [weights]
-    u, scale = _unit(vals)
-    best = _dp_core(u, f)
-    nodes, *rows = _tree(best, u, f)  # rows: the norming weights first
-    finv = _finv(f, n)
-    split = {m: best[_cell(n, m, 0, n - 1)] * finv[m - 2] for m in range(2, n + 1)}
-    above /= scale  # compared at unit scale too
-    for m in split:
-        if m != nodes[0][2] and split[m] > above:
-            roots = [(a, b, finv[m - 2]) for a, b in reversed(_blocks_of(best, n, 0, n - 1, m))]
-            rows.append(_tree(best, u, f, roots)[1])
-    return best[_cell(n, 1, 0, n - 1)] * scale, rows
+    value, _, rows = _extremal(vals, f, above)
+    return value, rows
 
 
 def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]:
     """Norm of x with its witnessing partition certificate.
 
-    The value, the tree and the weights are those of `_extremal`; beyond
-    the DP cap the certificate is flagged `analytic`.
+    The value, the tree and the weights of the one row of `_extremal`;
+    beyond the DP cap the certificate is flagged `analytic`.
     """
     if not x:
         raise ValidationError("s_norm requires a nonempty vector")
     entries = x.canonical()
     n = len(entries)
     coords = [i for i, _ in entries]
-    value, nodes, weights = _extremal([abs(v) for _, v in entries], f)
+    value, nodes, [weights] = _extremal([abs(v) for _, v in entries], f)
     func = SeqVector(zip(coords, [math.copysign(w, v) for w, (_, v) in zip(weights, entries)]))
     tree = [(coords[a], coords[b], m) for a, b, m in nodes]
     cert = PartitionCertificate(tree, _finv(f, n), value, func, analytic=n > DEFAULT_DP_CAP)
@@ -423,11 +423,11 @@ def best_partition(
         raise SizeCapError("support exceeds DP cap", needed=size, cap=DEFAULT_DP_CAP)
 
     # A block ends at each entry of `ends` and at e.hi; every support run
-    # but the last ends a block.  The spare blocks hold no support: each
-    # gap (first cut, room) takes up to `room` of them, the trailing gap
-    # first (its first cut ends the last run), then the leading gap, then
-    # inner gaps left to right.  They always fit, since with n >= size
-    # every run is a single support point.
+    # but the last ends a block.  The n - m spare blocks hold no support
+    # and end at the first candidates of `spare`: the trailing gap first
+    # (its first end closes the last run), then the leading gap, then inner
+    # gaps left to right.  They always fit, since with n >= size every run
+    # is a single support point.
     if size:
         coords = [i for i, _ in entries]
         u, scale = _unit([abs(v) for _, v in entries])
@@ -435,16 +435,12 @@ def best_partition(
         m = min(n, size)
         total = best[_cell(size, m, 0, size - 1)] / f(float(n)) * scale
         runs = [(coords[s], coords[t]) for s, t in _blocks_of(best, size, 0, size - 1, m)]
-        gaps = [(runs[-1][1], e.hi - runs[-1][1]), (e.lo, runs[0][0] - e.lo)]
-        gaps += [(t + 1, s - t - 1) for (_, t), (s, _) in zip(runs, runs[1:])]
         ends = [t for _, t in runs[:-1]]
+        spare = chain(range(runs[-1][1], e.hi), range(e.lo, runs[0][0]),
+                      *(range(t + 1, s) for (_, t), (s, _) in zip(runs, runs[1:])))
     else:
-        total, m, gaps, ends = 0.0, 1, [(e.lo, len(e))], []
-    spare = n - m
-    for first, room in gaps:
-        take = min(spare, room)
-        ends.extend(range(first, first + take))
-        spare -= take
+        total, m, ends, spare = 0.0, 1, [], range(e.lo, e.hi)
+    ends += islice(spare, n - m)
     ends.sort()
     starts = [e.lo] + [t + 1 for t in ends]
     return total, [Interval(s, t) for s, t in zip(starts, ends + [e.hi])]

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from banachlab import (
     Convexified,
@@ -27,6 +29,8 @@ from banachlab import (
 )
 from banachlab import engine
 from banachlab.descriptors import CalderonProduct
+from banachlab.errors import ConvergenceError
+from banachlab.vectors import pairing
 
 F = LOG2P1
 S = Schlumprecht(F)
@@ -196,3 +200,45 @@ class TestConvexifiedNormOp:
 
     def test_basis_vector(self):
         assert convexified_norm(S, 2.0, SeqVector.basis(1)) == pytest.approx(1.0)
+
+
+# the grammar to depth 2: its atoms, then conv, cal and dual over them twice
+_ATOMS = st.sampled_from(["l1", "l1.5", "l2", "l4", "linf", "s:log2p1", "s:sqrt", "s:pow:0.5"])
+
+
+def _built_over(inner):
+    return st.one_of(
+        st.builds("conv:{}:{}".format, inner, st.sampled_from(["1.5", "2", "3"])),
+        st.builds("cal:{}:{}:{}".format, inner, inner, st.sampled_from(["0.25", "0.5", "0.75"])),
+        st.builds("dual:{}".format, inner),
+    )
+
+
+_DEPTH_1 = st.one_of(_ATOMS, _built_over(_ATOMS))
+_GRAMMAR = st.one_of(_DEPTH_1, _built_over(_DEPTH_1))
+_VECTORS = st.builds(
+    lambda mags, signs, scale: SeqVector.from_values(
+        [m * s * scale for m, s in zip(mags, signs)]),
+    st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=8),
+    st.lists(st.sampled_from([1.0, -1.0]), min_size=8, max_size=8),
+    st.sampled_from([1.0, 2.0**-500, 2.0**500]),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_GRAMMAR, _VECTORS)
+def test_grammar_norming_and_homogeneity(space, x):
+    # on every descriptor the grammar builds: the norming value is the norm,
+    # the functional attains it within tol, and halving x halves the norm
+    # exactly (every branch runs at unit scale); only a product solve that
+    # cannot certify may raise
+    ev = NormEvaluator(parse_space(space))
+    try:
+        value = ev.norm(x)
+        res = ev.norming(x)
+        half = ev.norm(x * 0.5)
+    except ConvergenceError:
+        return
+    assert res.value == value
+    assert abs(pairing(res.functional, x) - value) <= ev.tol * value
+    assert half == 0.5 * value

@@ -1,12 +1,17 @@
 import json
 import math
 import warnings
+from functools import partial
 
 import pytest
 
+from banachlab.calderon import lp_product_oracle
 from banachlab.cli import entrypoint, run_experiment
+from banachlab.descriptors import conjugate_exponent
+from banachlab.gauges import check_prop5_hypothesis, gauge_by_name
 from banachlab.reports import ExperimentReport
 from banachlab.errors import ValidationError
+from banachlab.vectors import SeqVector, lp_norm, pointwise_power
 
 
 def make_report():
@@ -222,6 +227,37 @@ class TestCliCommands:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == "" and "tolerance" in captured.err
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "norm --space lnan --vec 1,2",
+            "norm --space conv:l2:nan --vec 1,2",
+            "norm --space conv:s:nan --vec 1,2",
+            "dual --space lnan --vec 1,2",
+            "calderon --x lnan --y s --theta 0.5 --vec 1,2",
+            "norm --space cal:lnan:l2:0.5 --vec 1,2",
+            "gauge-check --gauge sqrt --prop5-a nan",
+            "gauge-check --gauge sqrt --prop5-a inf",
+            partial(lp_norm, SeqVector.from_values([1.0, 2.0]), math.nan),
+            partial(conjugate_exponent, math.nan),
+            partial(lp_product_oracle, math.nan, 2.0, 0.5),
+            partial(lp_product_oracle, 2.0, math.nan, 0.5),
+            partial(pointwise_power, SeqVector.from_values([1.0, 2.0]), math.nan),
+            partial(check_prop5_hypothesis, gauge_by_name("sqrt"), math.nan),
+        ],
+        ids=lambda case: case if isinstance(case, str) else case.func.__name__,
+    )
+    def test_nan_exponent_is_rejected(self, capsys, case):
+        # NaN fails every comparison, so each check is written to pass only
+        # on a valid exponent
+        if isinstance(case, str):
+            assert entrypoint(case.split()) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error:")
+        else:
+            with pytest.raises(ValidationError):
+                case()
 
     def test_size_cap_exits_4(self, capsys):
         vec = ",".join(str(0.5 + (k % 3) * 0.25) for k in range(80))

@@ -65,6 +65,11 @@ class TestPairing:
         assert pairing(vec(1e200, 1e200), vec(-1e200, -1e200)) == -math.inf
         assert pairing(vec(1e308, 1, 1), vec(2, -1.5e308, -1.5e308)) == pytest.approx(-1e308)
 
+    def test_small_terms_beside_cancelling_overflows(self):
+        # the two products past the range cancel exactly; the sum keeps 1 * 3
+        assert pairing(vec(1e200, 1e200, 1), vec(1e200, -1e200, 3)) == 3.0
+        assert pairing(vec(1e200, 1e200, 1), vec(1e200, -1e200, -3e-300)) == -3e-300
+
 
 class TestRestrict:
     def test_inner_interval(self):
