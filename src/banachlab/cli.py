@@ -327,8 +327,6 @@ def entrypoint(argv=None) -> int:
         return 2
     except click.exceptions.Abort:
         return 2
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
     except BanachLabError as exc:
         click.echo(f"error: {exc}", err=True)
         return exc.exit_code

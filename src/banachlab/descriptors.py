@@ -110,11 +110,8 @@ def _parse_tokens(toks: List[str], pos: int) -> Tuple[SpaceDescriptor, int]:
         raise ValidationError("truncated space expression")
     t = toks[pos]
     if t.startswith("l") and t != "log2p1":
-        body = t[1:]
-        if body == "inf":
-            return Lp(math.inf), pos + 1
         try:
-            return Lp(float(body)), pos + 1
+            return Lp(float(t[1:])), pos + 1
         except ValueError:
             raise ValidationError(f"bad lp space {t!r}") from None
     if t == "s":
@@ -150,8 +147,6 @@ def _parse_float(toks: List[str], pos: int, what: str) -> Tuple[float, int]:
     if pos >= len(toks):
         raise ValidationError(f"missing {what}")
     body = toks[pos]
-    if body == "inf":
-        return math.inf, pos + 1
     try:
         return float(body), pos + 1
     except ValueError:

@@ -160,11 +160,13 @@ def _memo(cache: dict, key, make, size: int):
 
 
 def _normalize(d: SpaceDescriptor) -> SpaceDescriptor:
-    """Push Dual constructors down to closed forms; only Dual(S) remains."""
+    """Push Dual constructors down to closed forms, only Dual(S) remains; a
+    1-convexification becomes its base."""
     if isinstance(d, Dual):
         return dual_descriptor(_normalize(d.base))
     if isinstance(d, Convexified):
-        return Convexified(_normalize(d.base), d.p)
+        base = _normalize(d.base)
+        return base if d.p == 1.0 else Convexified(base, d.p)
     if isinstance(d, CalderonProduct):
         return CalderonProduct(_normalize(d.x), _normalize(d.y), d.theta)
     return d
@@ -558,7 +560,7 @@ class _Solve:
 
     @property
     def converged(self) -> bool:
-        return self.best_u - self.lower_u <= self.tol * self.best_u
+        return self.best_u - self.lower_u <= self.tol * self.best_u < math.inf
 
     def rate(self, g: np.ndarray):
         """(low, c, m) at the stacked mixtures g of `sides`; callers ignore divide warnings.
@@ -776,8 +778,6 @@ def get_evaluator(descriptor: SpaceDescriptor, tol: float = TOL_ITERATIVE) -> No
 
 def convexified_norm(base: SpaceDescriptor, p: float, x: SeqVector) -> float:
     """The p-convexification N_base(|x|^p)^(1/p) of a base lattice norm."""
-    if p == 1.0:
-        return get_evaluator(base).norm(x)
     return get_evaluator(Convexified(base, p)).norm(x)
 
 

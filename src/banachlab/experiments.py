@@ -198,8 +198,6 @@ def projection_bound(
     for k in range(samples):
         rng = _rng(seed, k)
         x = SeqVector(zip(coords, rng.normal(0.0, 1.0, len(coords))))
-        if not x:
-            continue
         px = SeqVector()
         for wn, gn in zip(w, g):
             px = px + pairing(x, gn) * wn
@@ -316,8 +314,6 @@ def _search_pairs(
     refine = _rng(seed, samples + 1)
     sigma = 0.3
     for _ in range(min(300, samples)):
-        if best[1] is None:
-            break
         x, y = best[1]
         xp = _unit(ev, x + SeqVector.from_values(refine.normal(0.0, sigma, dim)))
         yp = _unit(ev, y + SeqVector.from_values(refine.normal(0.0, sigma, dim)))

@@ -152,8 +152,6 @@ def check_gauge_class(
     cond3 = True
     top = grid[-1]
     for i, x in enumerate(grid):
-        if x * grid[0] > top:
-            break
         for y in grid[i:]:
             xy = x * y
             if xy > top:

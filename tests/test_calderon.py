@@ -56,6 +56,10 @@ class TestLpProductOracle:
         with pytest.raises(ValidationError):
             lp_product_oracle(0.5, 2, 0.5)
 
+    def test_rejects_theta_outside_the_open_interval(self):
+        with pytest.raises(ValidationError, match="theta"):
+            lp_product_oracle(1, 2, 0.0)
+
 
 class TestCalderonNorm:
     def test_l1_linf_pair_is_l2(self):
@@ -103,6 +107,27 @@ class TestCalderonNorm:
         assert err.value.upper >= err.value.lower > 0
         assert "the budget ran out after 12 of 12 norm evaluations" in str(err.value)
         assert "relative gap" in str(err.value)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("call", ["norm", "factorize"])
+    def test_no_finite_upper_bound_certifies_nothing(self, monkeypatch, bad, call):
+        # an S oracle whose values are never finite leaves the upper bound at
+        # inf, and inf - lower <= tol * inf holds: the solve must still fail
+        ev = NormEvaluator(CalderonProduct(Lp(2), S, 0.5))
+        oracle = ev._child(S)
+        real = oracle.norming_values
+        monkeypatch.setattr(oracle, "norming_values",
+                            lambda v, *limits: (bad, real(v, *limits)[1]))
+        with pytest.raises(ConvergenceError, match="a round improved neither bound") as err:
+            getattr(ev, call)(SeqVector.from_values([1.0, 0.5, 0.3]))
+        assert err.value.upper == math.inf and err.value.lower > 0
+
+    def test_factorize_needs_a_product(self):
+        with pytest.raises(UnsupportedSpaceError, match="factorize needs a Calderon product"):
+            NormEvaluator(S).factorize(SeqVector.basis(1))
+
+    def test_zero_factorization_has_no_gap(self):
+        assert engine.Factorization(SeqVector(), SeqVector(), 0.0, 0.0).relative_gap == 0.0
 
     def test_stall_is_reported(self, monkeypatch):
         # an oracle that repeats its first functional adds no atom, so the
@@ -426,6 +451,10 @@ class TestSummingIdentity:
         expected, computed, diff = spr_summing_identity(1, 1.5, 3, F)
         assert expected == 1.0
         assert computed == pytest.approx(1.0, rel=1e-7)
+
+    def test_rejects_an_empty_summing_vector(self):
+        with pytest.raises(ValidationError, match="n must be positive"):
+            spr_summing_identity(0, 1.0, 2.0, F)
 
     @pytest.mark.parametrize("k", [7, 10])
     def test_convexified_product_default_tolerance(self, k):

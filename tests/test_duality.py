@@ -27,7 +27,7 @@ from banachlab import (
 )
 from banachlab import engine
 from banachlab.calderon import lp_product_oracle
-from banachlab.descriptors import CalderonProduct, FunctionalFamily, YDistortion
+from banachlab.descriptors import CalderonProduct, FunctionalFamily, YDistortion, dual_descriptor
 from banachlab.errors import ConvergenceError, UnsupportedSpaceError, ValidationError
 from banachlab.gauges import gauge_by_name
 
@@ -75,6 +75,13 @@ class TestClosedForms:
     def test_dual_token_parses(self):
         assert parse_space("dual:s:log2p1") == Dual(S)
         assert space_to_str(Dual(S)) == "dual:s:log2p1"
+
+    def test_one_convexification_dualizes_as_its_base(self):
+        assert dual_descriptor(Convexified(S, 1.0)) == Dual(S)
+
+    def test_zero_functional(self):
+        res = dual_norm(S, SeqVector())
+        assert res.value == 0.0 and res.maximizer == SeqVector()
 
     def test_distorted_norm_has_no_dual(self):
         fam = FunctionalFamily((SeqVector.basis(1),), 2)
@@ -234,6 +241,16 @@ class TestDualSimplex:
             assert pivots == []
             assert x.tolist() == np.where(uc > engine.LP_TOL, 1.0, 0.0).tolist()
             assert bound == uc.sum()
+
+    def test_a_cut_no_pivot_restores_raises(self):
+        # two violated cuts at the box corner x = (1, 1); the second, with its
+        # coefficients zeroed, keeps a negative right-hand side, and its price
+        # of -inf makes it leave first
+        tab = engine._Tableau(np.array([1.0, 0.5]))
+        tab.add(np.array([[1.0, 1.0], [2.0, 2.0]]))
+        tab.t[-1, :-1] = 0.0
+        with pytest.raises(engine._LPFailure, match="no pivot restores a cut"):
+            tab.solve()
 
     def test_pivot_cap_raises_with_bracket(self, monkeypatch):
         z = SeqVector.from_values([1.0, 0.5, 0.3, 0.8])
@@ -460,6 +477,10 @@ class TestDualBlockBound:
     def test_overlapping_supports_rejected(self):
         with pytest.raises(ValidationError):
             dual_block_bound(S, 1.0, F, [SeqVector.from_values([1, 1]), SeqVector.basis(2)])
+
+    def test_no_blocks_rejected(self):
+        with pytest.raises(ValidationError, match="at least one block"):
+            dual_block_bound(S, 2.0, F, [])
 
     def test_random_blocks_satisfy_bound(self):
         rng = np.random.default_rng(14)

@@ -54,6 +54,10 @@ class TestL1Average:
         u = l1_average(4, 0, Lp(2))
         assert u[2] == pytest.approx(0.5, abs=1e-12)
 
+    def test_empty_average_rejected(self):
+        with pytest.raises(ValidationError, match="average length"):
+            l1_average(0, 0, S)
+
 
 class TestBlockGrowth:
     def test_two_l1_averages(self):
@@ -114,6 +118,10 @@ class TestEquivalenceConstant:
         k = equivalence_constant(S, w, 80, 4, seed=1)
         assert 1.0 < k < 4.0
 
+    def test_dim_beyond_the_blocks_rejected(self):
+        with pytest.raises(ValidationError, match="exceeds the 2 available blocks"):
+            equivalence_constant(S, BlockSequence.basis(2), 5, 3)
+
 
 class TestProjectionBound:
     def test_basis_projection(self):
@@ -142,6 +150,15 @@ class TestProjectionBound:
         g = BlockSequence((SeqVector.basis(1, 2.0), SeqVector.basis(2)))
         with pytest.raises(ValidationError):
             projection_bound(S, w, g, 5)
+
+    def test_unpaired_blocks_rejected(self):
+        with pytest.raises(ValidationError, match="pair up"):
+            projection_bound(S, BlockSequence.basis(2), BlockSequence.basis(3), 5)
+
+    def test_w_outside_the_support_of_g_rejected(self):
+        w = BlockSequence((SeqVector.from_values([0.5, 0.5]),))
+        with pytest.raises(ValidationError, match="supp"):
+            projection_bound(S, w, BlockSequence.basis(1), 5)
 
 
 class TestBetaEstimate:
@@ -203,6 +220,11 @@ class TestUnconditionalityRatio:
         assert m2 == pytest.approx(2.5 * m1)
         assert r2 == pytest.approx(r1)
 
+    def test_one_block_rejected(self):
+        fam = FunctionalFamily((SeqVector.basis(1),), 3)
+        with pytest.raises(ValidationError, match="at least two blocks"):
+            unconditionality_ratio(fam, BlockSequence.basis(1))
+
 
 class TestModuli:
     def test_l2_convexity_closed_form(self):
@@ -230,6 +252,15 @@ class TestModuli:
     def test_eps_domain(self):
         with pytest.raises(ValidationError):
             modulus_convexity_estimate(Lp(2), 2.5, 10)
+
+    def test_tau_domain(self):
+        with pytest.raises(ValidationError, match="tau"):
+            modulus_smoothness_estimate(Lp(2), 0.0, 10)
+
+    def test_antipodal_pair_alone(self):
+        # the one seed pair (e_1, -e_1) has midpoint 0: the bisection's
+        # chords through 0 have no unit vector, and the pair keeps 1
+        assert modulus_convexity_estimate(Lp(2), 1.0, 0, dim=1) == 1.0
 
 
 class TestClassXVerify:

@@ -63,6 +63,23 @@ class TestClassChecks:
         with pytest.raises(ValidationError):
             check_gauge_class(LOG2P1, grid=[1.0, 4.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "fn, broken",
+        [
+            (lambda x: 1.5 * math.sqrt(x), "condition1_ok"),  # f(1) = 1.5
+            (lambda x: math.sqrt(x) if x <= 4.0 else 1.5, "condition1_ok"),  # decreasing
+            (lambda x: x**-0.1, "condition1_ok"),  # f < 1
+            (lambda x: x**-0.5, "condition2_ok"),  # x/f(x) = x^1.5 is convex
+            (lambda x: 1.0 + math.log2(x) ** 2, "condition3_ok"),  # f(4) = 5 > f(2)^2 = 4
+        ],
+        ids=["f1", "decreasing", "below-1", "convex", "supermultiplicative"],
+    )
+    def test_each_broken_condition_is_flagged(self, fn, broken):
+        report = check_gauge_class(GaugeFunction("g", fn))
+        assert getattr(report, broken) is False
+        assert not report.in_class
+        assert report.worst_violation > 0.0 and report.witness
+
 
 class TestDecayHypothesis:
     def test_log_gauge_decays_under_small_power(self):
@@ -92,6 +109,12 @@ class TestRegistry:
     def test_unknown_name(self):
         with pytest.raises(ValidationError):
             gauge_by_name("nope")
+
+    @pytest.mark.parametrize("name, message", [("pow:abc", "bad power gauge"),
+                                               ("pow:2", "exponent in")])
+    def test_bad_power_gauge(self, name, message):
+        with pytest.raises(ValidationError, match=message):
+            gauge_by_name(name)
 
     def test_one_object_per_name(self):
         # parsed descriptors compare equal, so they share one evaluator

@@ -201,6 +201,21 @@ class TestConvexifiedNormOp:
     def test_basis_vector(self):
         assert convexified_norm(S, 2.0, SeqVector.basis(1)) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("base", [S, Lp(3.0)], ids=["s", "l3"])
+    def test_one_convexification_is_its_base_bit_for_bit(self, base):
+        # the evaluator folds conv:X:1 to X, so every entry point takes X's
+        # path; on S the convexified path differed in the last bits
+        for k in range(200):
+            rng = np.random.default_rng(np.random.SeedSequence([71, k]))
+            x = SeqVector.from_values(rng.uniform(-2.0, 2.0, int(rng.integers(1, 12))).tolist())
+            value = NormEvaluator(base).norm(x)
+            assert NormEvaluator(Convexified(base, 1.0)).norm(x) == value
+            assert convexified_norm(base, 1.0, x) == value
+
+    def test_zero_vector_norming(self):
+        res = NormEvaluator(Convexified(S, 2.0)).norming(SeqVector())
+        assert res.value == 0.0 and res.functional == SeqVector()
+
 
 # the grammar to depth 2: its atoms, then conv, cal and dual over them twice
 _ATOMS = st.sampled_from(["l1", "l1.5", "l2", "l4", "linf", "s:log2p1", "s:sqrt", "s:pow:0.5"])

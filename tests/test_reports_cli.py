@@ -7,7 +7,7 @@ import pytest
 
 from banachlab.calderon import lp_product_oracle
 from banachlab.cli import entrypoint, run_experiment
-from banachlab.descriptors import conjugate_exponent
+from banachlab.descriptors import FunctionalFamily, conjugate_exponent, space_to_str
 from banachlab.gauges import check_prop5_hypothesis, gauge_by_name
 from banachlab.reports import ExperimentReport
 from banachlab.errors import ValidationError
@@ -54,6 +54,16 @@ class TestRoundTrips:
         with pytest.raises(ValidationError):
             make_report().emit("xml")
 
+    def test_row_of_the_wrong_width(self):
+        with pytest.raises(ValidationError, match="row has 2 cells, report has 1 columns"):
+            ExperimentReport(["a"]).add_row(1, 2)
+
+    @pytest.mark.parametrize("parse, text", [(ExperimentReport.from_csv, ""),
+                                             (ExperimentReport.from_plotdata, "x")])
+    def test_missing_header(self, parse, text):
+        with pytest.raises(ValidationError, match="header line"):
+            parse(text)
+
 
 class TestRunExperiment:
     def test_summing(self):
@@ -80,6 +90,14 @@ class TestRunExperiment:
     def test_bad_numeric_rejected(self):
         with pytest.raises(ValidationError):
             run_experiment("summing", {"n_max": "many"})
+
+    @pytest.mark.parametrize("name, cfg, message", [
+        ("summing", [1], "config must be a JSON object"),
+        ("nope", {}, "unknown experiment 'nope'"),
+    ])
+    def test_bad_call_rejected(self, name, cfg, message):
+        with pytest.raises(ValidationError, match=message):
+            run_experiment(name, cfg)
 
     def test_distortion_instance(self):
         rep = run_experiment("distortion", {"r": 4, "count": 4})
@@ -118,7 +136,61 @@ class TestRunExperiment:
         assert "wall_time_s" in rep.metadata
 
 
+class TestSpaceGrammar:
+    @pytest.mark.parametrize(
+        "space, message",
+        [
+            ("", "unknown space token ''"),
+            ("l", "bad lp space 'l'"),
+            ("lfoo", "bad lp space 'lfoo'"),
+            ("l2:3", "trailing tokens in space expression 'l2:3'"),
+            ("dual", "truncated space expression"),
+            ("cal:l1", "truncated space expression"),
+            ("cal:l1:l2", "missing theta"),
+            ("conv:l2", "missing convexification exponent"),
+            ("conv:l2:x", "bad convexification exponent 'x'"),
+            ("s:pow", "pow gauge needs an exponent"),
+            ("s:pow:abc", "bad power gauge 'pow:abc'"),
+            ("s:pow:0", "pow gauge needs exponent in (0, 1], got 0.0"),
+            ("cal:l1:l2:0", "Calderon product needs theta strictly inside (0,1), got 0.0"),
+        ],
+    )
+    def test_bad_space_exits_2(self, capsys, space, message):
+        assert entrypoint(["norm", "--space", space, "--vec", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+    def test_bad_functional_family(self):
+        with pytest.raises(ValidationError, match="nonempty"):
+            FunctionalFamily((), 1)
+        with pytest.raises(ValidationError, match="positive integer"):
+            FunctionalFamily((SeqVector.basis(1),), 0)
+
+    def test_unknown_descriptor(self):
+        with pytest.raises(ValidationError, match="unknown descriptor"):
+            space_to_str(object())
+
+
 class TestCliCommands:
+    def test_version_and_help_exit_0(self, capsys):
+        assert entrypoint(["--version"]) == 0
+        assert capsys.readouterr().out == "banachlab, version 0.1.0\n"
+        assert entrypoint(["--help"]) == 0
+        assert "Usage:" in capsys.readouterr().out
+
+    def test_interrupt_exits_2_without_a_traceback(self, capsys, monkeypatch):
+        def interrupt(text):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("banachlab.cli.parse_vector", interrupt)
+        assert entrypoint(["norm", "--space", "l2", "--vec", "1"]) == 2
+        assert capsys.readouterr().err == "\n"  # click ends the interrupted line
+
+    def test_cert_needs_a_schlumprecht_space(self, capsys):
+        assert entrypoint(["norm", "--space", "l2", "--vec", "1", "--cert"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_norm_summing_vector(self, capsys):
         code = entrypoint(["norm", "--space", "s:log2p1", "--vec", "1,1"])
         out = capsys.readouterr().out
@@ -345,6 +417,8 @@ class TestExperimentCommand:
             ("classx", {"space": "l2", "p": "inf", "r": "inf", "samples": 5, "seed": 1}),
             ("classx", {"space": "l2", "p": 2, "r": 2, "samples": 5, "seed": 1}),
             ("classx", {"space": "l2", "p": 3, "r": 2, "samples": 5, "seed": 1}),
+            # an upper bound
+            ("moduli", {"space": "l2", "samples": 3, "dim": 2, "eps": 3}),
         ],
     )
     def test_bad_config_field_exits_2(self, tmp_path, capsys, name, cfg):

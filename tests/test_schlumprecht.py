@@ -69,6 +69,10 @@ class TestSummingIdentity:
         assert report.rows[7][1] == pytest.approx(8 / math.log2(9), abs=1e-12)
         assert max(row[3] for row in report.rows) <= 1e-12
 
+    def test_table_past_the_cap_rejected(self):
+        with pytest.raises(SizeCapError):
+            summing_norm_table(DEFAULT_DP_CAP + 1, F)
+
 
 class TestBruteForceAgreement:
     def test_mixed_vector(self):
@@ -422,6 +426,15 @@ class TestBestPartition:
         with pytest.raises(ValidationError):
             best_partition(vec(1, 1), F, Interval(1, 2), 3)
 
+    def test_one_block_rejected(self):
+        with pytest.raises(ValidationError, match="n >= 2"):
+            best_partition(vec(1, 1), F, Interval(1, 2), 1)
+
+    def test_support_past_the_cap_rejected(self):
+        n = DEFAULT_DP_CAP + 1
+        with pytest.raises(SizeCapError):
+            best_partition(SeqVector.from_values([1.0] * n), F, Interval(1, n), 2)
+
 
 class TestFixedPoint:
     def test_engine_self_consistent(self):
@@ -447,6 +460,17 @@ class TestFixedPoint:
         assert reference_norm(x, F) == pytest.approx(value, rel=1e-15)
         assert iterate_defining_map(x, F) == [1e308, value]
         assert fixed_point_check(x, F, lambda y: s_norm_value(y, F)) == 0.0
+
+    def test_empty_vector(self):
+        assert reference_norm(SeqVector(), F) == 0.0
+        with pytest.raises(ValidationError):
+            fixed_point_check(SeqVector(), F, lambda y: 0.0)
+        with pytest.raises(ValidationError):
+            iterate_defining_map(SeqVector(), F)
+
+    def test_reference_past_its_cap_rejected(self):
+        with pytest.raises(SizeCapError):
+            reference_norm(SeqVector.from_values([1.0] * (schlumprecht.REFERENCE_CAP + 1)), F)
 
 
 class TestMonotoneImprovement:

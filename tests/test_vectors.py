@@ -105,6 +105,14 @@ class TestSeqVector:
         assert SeqVector({2: 1.0}) == SeqVector.basis(2)
         assert SeqVector({2: 1.0}) != SeqVector({2: 1.0 + 1e-12})
 
+    def test_equality_with_a_non_vector_is_false(self):
+        assert (SeqVector() == 0) is False
+
+    def test_negation_and_repr(self):
+        x = SeqVector({1: 0.5, 4: -2.0})
+        assert -x == SeqVector({1: -0.5, 4: 2.0})
+        assert repr(x) == "SeqVector(1:0.5,4:-2)"
+
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValidationError):
             SeqVector({0: 1.0})
@@ -142,6 +150,10 @@ class TestIntervals:
         with pytest.raises(ValidationError):
             Interval(4, 2)
 
+    def test_membership(self):
+        assert 3 in Interval(1, 5)
+        assert 6 not in Interval(1, 5)
+
 
 class TestParseVector:
     def test_dense(self):
@@ -153,6 +165,10 @@ class TestParseVector:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             parse_vector("")
+
+    def test_non_number_rejected(self):
+        with pytest.raises(ValidationError, match="bad vector literal"):
+            parse_vector("1,a")
 
     @pytest.mark.parametrize("text", ["nan,1", "inf,1", "1,-inf", "2:nan", "1:1,3:inf"])
     def test_non_finite_rejected(self, text):
