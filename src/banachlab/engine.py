@@ -273,7 +273,7 @@ class NormEvaluator:
         if not sol.converged:
             budget_out = sol.evals >= DEFAULT_BUDGET
             why = "the budget ran out" if budget_out else "a round improved neither bound"
-            gap = (sol.value - sol.lower) / sol.value
+            gap = (sol.value - sol.lower) / sol.value if sol.value < math.inf else 1.0  # its limit
             raise ConvergenceError(
                 f"Calderon solver did not certify {space_to_str(d)}: {why} after "
                 f"{sol.evals} of {DEFAULT_BUDGET} norm evaluations at relative gap {gap:.4g}",
@@ -489,7 +489,7 @@ def _cutting_plane_dual(oracle: NormEvaluator, c: np.ndarray) -> Tuple[float, np
             return scale * val * fix, xstar * fix
         if best_val < val / nv:
             best_val, best_x = val / nv, xstar / nv
-        if lpval - best_val <= DUAL_GAP_TOL * max(lpval, 1.0):
+        if lpval - best_val <= DUAL_GAP_TOL * lpval:
             return scale * best_val, best_x
         rows = np.zeros((len(w), n))
         rows[:, pos] = w
@@ -543,7 +543,6 @@ class _Solve:
         self.side = np.repeat(np.arange(len(self.sides)), n)  # the place in sides of each atom
         self.w = np.full(len(self.side), 1.0 / n)
         self.evals = 0
-        self.found = 0  # new atoms, duplicates not counted
         self.best_u = math.inf  # least upper bound K seen, at unit scale
         self.witness: Optional[Tuple[np.ndarray, np.ndarray]] = None  # its cx/|cx|, cy/|cy|
         self.lower_u = 0.0  # certified lower bound, at unit scale
@@ -627,7 +626,6 @@ class _Solve:
             at = np.full(len(new), np.searchsorted(self.side, i, side="right"))
             self.atoms = np.insert(self.atoms, at, new, axis=0)
             self.side, self.w = np.insert(self.side, at, i), np.insert(self.w, at, 0.0)
-            self.found += len(new)
 
     def hull_optimum(self):
         """Maximize low over the atoms' hulls by active-set Newton steps.
@@ -737,10 +735,10 @@ class _Solve:
         """
         self.point(self.v, self.v)  # x = y = z: the interpolation bound
         while not self.converged and self.evals < DEFAULT_BUDGET:
-            found, w = self.found, self.w
+            atoms, w = len(self.side), self.w
             cs, optimal = self.hull_optimum()
             self.point(*cs)
-            if self.found == found and (optimal or self.w is w):
+            if len(self.side) == atoms and (optimal or self.w is w):
                 return
 
     def factorization(self, support: Tuple[int, ...]) -> Factorization:

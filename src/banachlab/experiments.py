@@ -168,8 +168,7 @@ def equivalence_constant(
         d_vec = SeqVector.from_values(coeffs)
         a = ev.norm(image)
         b = ev.norm(d_vec)
-        if a > 0 and b > 0:
-            k_lower = max(k_lower, a / b, b / a)
+        k_lower = max(k_lower, a / b, b / a)
     return k_lower
 
 
@@ -202,8 +201,7 @@ def projection_bound(
         for wn, gn in zip(w, g):
             px = px + pairing(x, gn) * wn
         nx = ev.norm(x)
-        if nx > 0:
-            norm_lower = max(norm_lower, ev.norm(px) / nx)
+        norm_lower = max(norm_lower, ev.norm(px) / nx)
     m_bound = max(dual_norm(x_space, gn).value for gn in g)
     return norm_lower, m_bound
 
@@ -303,22 +301,22 @@ def _search_pairs(
 ) -> None:
     """Feed unit pairs to consider: the seed pairs, `samples` random pairs,
     then random perturbations of the incumbent pair best[1]."""
+    if dim < 1:  # a draw of dim >= 1 Gaussians is 0 with probability 0
+        raise ValidationError(f"dim must be >= 1, got {dim}")
     for x, y in _seed_pairs(dim):
         consider(x, y)
     for k in range(samples):
         rng = _rng(seed, k)
         x = _unit(ev, SeqVector.from_values(rng.normal(0.0, 1.0, dim)))
         y = _unit(ev, SeqVector.from_values(rng.normal(0.0, 1.0, dim)))
-        if x is not None and y is not None:
-            consider(x, y)
+        consider(x, y)
     refine = _rng(seed, samples + 1)
     sigma = 0.3
     for _ in range(min(300, samples)):
         x, y = best[1]
         xp = _unit(ev, x + SeqVector.from_values(refine.normal(0.0, sigma, dim)))
         yp = _unit(ev, y + SeqVector.from_values(refine.normal(0.0, sigma, dim)))
-        if xp is not None and yp is not None:
-            consider(xp, yp)
+        consider(xp, yp)
         sigma = max(sigma * 0.98, 1e-3)
 
 

@@ -121,6 +121,9 @@ class TestCalderonNorm:
         with pytest.raises(ConvergenceError, match="a round improved neither bound") as err:
             getattr(ev, call)(SeqVector.from_values([1.0, 0.5, 0.3]))
         assert err.value.upper == math.inf and err.value.lower > 0
+        # the gap (upper - lower) / upper reads its limit 1, not inf / inf
+        assert "at relative gap 1 (bracket" in str(err.value)
+        assert "nan" not in str(err.value)
 
     def test_factorize_needs_a_product(self):
         with pytest.raises(UnsupportedSpaceError, match="factorize needs a Calderon product"):

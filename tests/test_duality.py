@@ -482,6 +482,13 @@ class TestDualBlockBound:
         with pytest.raises(ValidationError, match="at least one block"):
             dual_block_bound(S, 2.0, F, [])
 
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_empty_block_rejected(self, empty):
+        blocks = [SeqVector.basis(1), SeqVector.basis(2)]
+        blocks[empty] = SeqVector()
+        with pytest.raises(ValidationError, match="strictly increasing disjoint supports"):
+            dual_block_bound(S, 1.0, F, blocks)
+
     def test_random_blocks_satisfy_bound(self):
         rng = np.random.default_rng(14)
         for _ in range(10):

@@ -257,6 +257,12 @@ class TestModuli:
         with pytest.raises(ValidationError, match="tau"):
             modulus_smoothness_estimate(Lp(2), 0.0, 10)
 
+    @pytest.mark.parametrize("estimate", [modulus_convexity_estimate, modulus_smoothness_estimate])
+    def test_dim_domain(self, estimate):
+        # an empty draw has no unit vector
+        with pytest.raises(ValidationError, match="dim must be >= 1, got 0"):
+            estimate(Lp(2), 1.0, 3, dim=0)
+
     def test_antipodal_pair_alone(self):
         # the one seed pair (e_1, -e_1) has midpoint 0: the bisection's
         # chords through 0 have no unit vector, and the pair keeps 1

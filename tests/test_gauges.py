@@ -63,6 +63,11 @@ class TestClassChecks:
         with pytest.raises(ValidationError):
             check_gauge_class(LOG2P1, grid=[1.0, 4.0, 2.0])
 
+    @pytest.mark.parametrize("grid", [[1.0, 2.0], [2.0, 3.0, 4.0]])
+    def test_short_or_offset_grid_rejected(self, grid):
+        with pytest.raises(ValidationError, match="start at 1, and have >= 3 points"):
+            check_gauge_class(LOG2P1, grid=grid)
+
     @pytest.mark.parametrize(
         "fn, broken",
         [
@@ -71,8 +76,13 @@ class TestClassChecks:
             (lambda x: x**-0.1, "condition1_ok"),  # f < 1
             (lambda x: x**-0.5, "condition2_ok"),  # x/f(x) = x^1.5 is convex
             (lambda x: 1.0 + math.log2(x) ** 2, "condition3_ok"),  # f(4) = 5 > f(2)^2 = 4
+            # condition 1 holds; x/f(x) = sqrt(x), then x/2, bends up at 4
+            (lambda x: min(math.sqrt(x), 2.0), "condition2_ok"),
+            # conditions 1 and 2 hold; f(4) = 2 > f(2)^2 = 1.5625
+            (lambda x: 1.0 + 0.25 * math.log2(x) ** 2, "condition3_ok"),
         ],
-        ids=["f1", "decreasing", "below-1", "convex", "supermultiplicative"],
+        ids=["f1", "decreasing", "below-1", "convex", "supermultiplicative", "bends-up",
+             "supermultiplicative-only"],
     )
     def test_each_broken_condition_is_flagged(self, fn, broken):
         report = check_gauge_class(GaugeFunction("g", fn))

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from functools import partial
 
@@ -29,6 +32,7 @@ class TestRoundTrips:
         again = ExperimentReport.from_csv(text)
         assert again.to_csv() == text
         assert again.columns == rep.columns
+        assert ExperimentReport.from_csv("\n" + text + "\n \n").to_csv() == text  # blank lines skip
 
     def test_json(self):
         rep = make_report()
@@ -153,6 +157,7 @@ class TestSpaceGrammar:
             ("s:pow:abc", "bad power gauge 'pow:abc'"),
             ("s:pow:0", "pow gauge needs exponent in (0, 1], got 0.0"),
             ("cal:l1:l2:0", "Calderon product needs theta strictly inside (0,1), got 0.0"),
+            ("log2p1", "unknown space token 'log2p1'"),  # a gauge, not an lp space
         ],
     )
     def test_bad_space_exits_2(self, capsys, space, message):
@@ -179,6 +184,13 @@ class TestCliCommands:
         assert entrypoint(["--help"]) == 0
         assert "Usage:" in capsys.readouterr().out
 
+    def test_python_m_runs_the_cli(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        out = subprocess.run([sys.executable, "-m", "banachlab.cli", "--version"],
+                             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0
+        assert out.stdout == "banachlab, version 0.1.0\n"
+
     def test_interrupt_exits_2_without_a_traceback(self, capsys, monkeypatch):
         def interrupt(text):
             raise KeyboardInterrupt
@@ -201,6 +213,9 @@ class TestCliCommands:
         code = entrypoint(["norm", "--space", "s", "--gauge", "one", "--vec", "1,1,1"])
         assert code == 0
         assert float(capsys.readouterr().out.strip()) == pytest.approx(3.0)
+        # the shorthand names the gauge of a plain 's' only; other spaces ignore it
+        assert entrypoint(["norm", "--space", "l2", "--gauge", "one", "--vec", "3,4"]) == 0
+        assert capsys.readouterr().out == "5\n"
 
     def test_norm_cert_tree(self, capsys):
         code = entrypoint(["norm", "--space", "s:log2p1", "--vec", "1,1,1", "--cert"])
@@ -280,6 +295,13 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "in class: False" in out
+
+    def test_gauge_check_log2p1_in_class(self, capsys):
+        code = entrypoint(["gauge-check", "--gauge", "log2p1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "in class: True" in out
+        assert "worst violation" not in out
 
     def test_convergence_error_exits_3(self, capsys):
         # a tolerance below the rounding level cannot certify: a round stalls

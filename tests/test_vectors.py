@@ -150,6 +150,10 @@ class TestIntervals:
         with pytest.raises(ValidationError):
             Interval(4, 2)
 
+    def test_rejects_a_start_below_1(self):
+        with pytest.raises(ValidationError, match=r"bad interval \[0, 2\]"):
+            Interval(0, 2)
+
     def test_membership(self):
         assert 3 in Interval(1, 5)
         assert 6 not in Interval(1, 5)
