@@ -37,7 +37,6 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
-    BlockSequence,
     beta_estimate,
     classX_verify,
     distortion_y_norm,
@@ -69,7 +68,8 @@ from .schlumprecht import (
     s_norm_value,
     summing_norm_table,
 )
-from .vectors import Interval, SeqVector, lp_norm, pairing, parse_vector, pointwise_power, restrict
+from .vectors import (BlockSequence, Interval, SeqVector, lp_norm, pairing, parse_vector,
+                      pointwise_power, restrict)
 
 __all__ = [
     "__version__",

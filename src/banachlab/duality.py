@@ -31,7 +31,7 @@ from .engine import (TOL_ITERATIVE, _cutting_plane_dual, _positive, _signed, cal
 from .errors import ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
-from .vectors import SeqVector, lp_norm, lp_of
+from .vectors import BlockSequence, SeqVector, lp_norm, lp_of
 
 __all__ = [
     "DualEvaluation",
@@ -73,6 +73,8 @@ def lozanovskii_check(
     tol: float = 1e-5,
 ) -> ExperimentReport:
     """Compare X^(1/2) (X*)^(1/2) against l2 on random nonnegative vectors."""
+    if dim < 1:
+        raise ValidationError(f"dim must be >= 1, got {dim}")
     report = ExperimentReport(
         ["sample", "dim", "product_norm", "l2_norm", "rel_deviation"],
         metadata={
@@ -105,15 +107,13 @@ def dual_block_bound(
 ) -> Tuple[float, float, bool]:
     """Check ||sum u_i*|| <= f(n) (sum ||u_i*||^q)^(1/q) in the dual.
 
-    Blocks must be successive: strictly increasing, pairwise disjoint
-    interval supports.  q is conjugate to p (max when q = inf).
+    Blocks must be successive, as `BlockSequence` checks: nonzero, with
+    strictly increasing, pairwise disjoint supports.  q is conjugate to p
+    (max when q = inf).
     """
-    blocks = list(blocks)
+    blocks = BlockSequence(tuple(blocks))
     if not blocks:
         raise ValidationError("need at least one block")
-    for u, w in zip(blocks, blocks[1:]):
-        if not u or not w or u.max_index() >= w.min_index():
-            raise ValidationError("blocks must have strictly increasing disjoint supports")
     q = conjugate_exponent(p)
     n = len(blocks)
     total = blocks[0]

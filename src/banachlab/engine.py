@@ -289,6 +289,8 @@ class NormEvaluator:
             raise UnsupportedSpaceError(
                 f"factorize needs a Calderon product, got {space_to_str(d)}"
             )
+        if not z:
+            raise ValidationError("Calderon norm needs a nonzero vector")
         sol = self._solve_product(_positive(z))
         return sol.value, sol.factorization(z.support)
 
@@ -792,8 +794,6 @@ def calderon_norm(
     for an empty z, and ConvergenceError (carrying the bracket) if the
     certified gap cannot be closed within DEFAULT_BUDGET norm evaluations.
     """
-    if not z:
-        raise ValidationError("Calderon norm needs a nonzero vector")
     desc = CalderonProduct(x_space, y_space, theta)
     ev = get_evaluator(desc, tol=tol)
     return ev.factorize(z)

@@ -14,7 +14,6 @@ and reproducible from the seed alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +30,7 @@ from .engine import NormEvaluator, get_evaluator
 from .errors import ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
-from .vectors import Interval, SeqVector, lp_norm, lp_of, pairing, restrict
+from .vectors import BlockSequence, Interval, SeqVector, lp_norm, lp_of, pairing, restrict
 
 __all__ = [
     "BlockSequence",
@@ -52,34 +51,6 @@ __all__ = [
 
 def _rng(seed: int, k: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([seed, k]))
-
-
-@dataclass(frozen=True)
-class BlockSequence:
-    """Vectors with pairwise disjoint, strictly increasing interval supports."""
-
-    blocks: Tuple[SeqVector, ...]
-
-    def __post_init__(self):
-        for b in self.blocks:
-            if not b:
-                raise ValidationError("blocks must be nonzero")
-        for u, w in zip(self.blocks, self.blocks[1:]):
-            if u.max_index() >= w.min_index():
-                raise ValidationError("block supports must be strictly increasing")
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    def __getitem__(self, k: int) -> SeqVector:
-        return self.blocks[k]
-
-    @classmethod
-    def basis(cls, count: int) -> "BlockSequence":
-        return cls(tuple(SeqVector.basis(1 + k) for k in range(count)))
 
 
 def l1_average(m: int, offset: int, x_space: SpaceDescriptor) -> SeqVector:
@@ -153,8 +124,8 @@ def equivalence_constant(
     two-sided ratio between ||sum d_n w_n|| and ||d||; sampling can only
     certify from below.
     """
-    if dim > len(w):
-        raise ValidationError(f"dim {dim} exceeds the {len(w)} available blocks")
+    if not 1 <= dim <= len(w):
+        raise ValidationError(f"dim {dim} is below 1 or exceeds the {len(w)} available blocks")
     ev = get_evaluator(x_space)
     k_lower = 1.0
     for k in range(samples):
@@ -184,8 +155,8 @@ def projection_bound(
     Requires supp(w_n) inside supp(g_n), <w_n, g_n> = 1, and disjoint
     g-supports.  Returns (max observed ||Px||/||x||, max_n ||g_n||_X*).
     """
-    if len(w) != len(g):
-        raise ValidationError("w and g must pair up")
+    if not len(w) == len(g) >= 1:
+        raise ValidationError(f"w and g must pair up, at least one pair, got {len(w)} and {len(g)}")
     for wn, gn in zip(w, g):
         if not set(wn.support) <= set(gn.support):
             raise ValidationError("supp(w_n) must lie inside supp(g_n)")

@@ -309,8 +309,11 @@ def _unit(vals: Sequence[float]) -> Tuple[List[float], float]:
     """vals times 2**-e, with e such that the largest lies in [1, 2), and 2.0**e.
 
     The readers run the DP there and multiply by 2**e after (inf where the
-    norm overflows): a power of two moves no bit of a normal float.
+    norm overflows): a power of two moves no bit of a normal float.  Every
+    reader of a vector's values passes here, so an empty vector stops here.
     """
+    if not vals:
+        raise ValidationError("the Schlumprecht norm needs a nonempty vector")
     e = math.frexp(max(vals))[1] - 1
     return [math.ldexp(v, -e) for v in vals], 2.0**e
 
@@ -381,8 +384,6 @@ def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]
     The value, the tree and the weights of the one row of `_extremal`;
     beyond the DP cap the certificate is flagged `analytic`.
     """
-    if not x:
-        raise ValidationError("s_norm requires a nonempty vector")
     entries = x.canonical()
     n = len(entries)
     coords = [i for i, _ in entries]
@@ -482,8 +483,6 @@ def fixed_point_check(
     level.  The step runs on the claimed values divided by the scale of
     `_unit`, and the residual is multiplied back.
     """
-    if not x:
-        raise ValidationError("fixed_point_check requires a nonempty vector")
     coords = x.support
     n = len(coords)
     vals, scale = _unit([abs(v) for v in x.values_in_order()])
@@ -572,8 +571,6 @@ def iterate_defining_map(x: SeqVector, f: GaugeFunction) -> List[float]:
     N-1 steps for support size N; no more are taken.  The map runs at the
     unit scale of `_unit`, and each value is multiplied back.
     """
-    if not x:
-        raise ValidationError("iterate_defining_map requires a nonempty vector")
     vals, scale = _unit([abs(v) for _, v in x])
     n = len(vals)
 

@@ -17,6 +17,7 @@ from .errors import ValidationError
 __all__ = [
     "SeqVector",
     "Interval",
+    "BlockSequence",
     "lp_norm",
     "pairing",
     "restrict",
@@ -159,6 +160,32 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"[{self.lo}..{self.hi}]"
+
+
+@dataclass(frozen=True)
+class BlockSequence:
+    """Nonzero vectors with pairwise disjoint, strictly increasing supports."""
+
+    blocks: Tuple[SeqVector, ...]
+
+    def __post_init__(self):
+        b = self.blocks
+        if not all(b) or any(u.max_index() >= w.min_index() for u, w in zip(b, b[1:])):
+            raise ValidationError(
+                "blocks must be nonzero, with strictly increasing disjoint supports")
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __iter__(self):
+        return iter(self.blocks)
+
+    def __getitem__(self, k: int) -> SeqVector:
+        return self.blocks[k]
+
+    @classmethod
+    def basis(cls, count: int) -> "BlockSequence":
+        return cls(tuple(SeqVector.basis(1 + k) for k in range(count)))
 
 
 # -- elementary operations ---------------------------------------------

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -19,8 +20,10 @@ from banachlab import (
     get_evaluator,
     lp_norm,
     lp_product_oracle,
+    pairing,
     parse_space,
     pointwise_power,
+    s_norm_value,
     space_spr,
     spr_summing_identity,
 )
@@ -30,10 +33,12 @@ from banachlab.errors import (
     UnsupportedSpaceError,
     ValidationError,
 )
-from banachlab.descriptors import FunctionalFamily, YDistortion
+from banachlab.descriptors import FunctionalFamily, YDistortion, conjugate_exponent
+from banachlab.vectors import lp_of
 
 F = LOG2P1
 S = Schlumprecht(F)
+ULP = 2.0**-52  # the spacing of the floats in [1, 2)
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
@@ -91,6 +96,8 @@ class TestCalderonNorm:
     def test_rejects_empty_vector(self):
         with pytest.raises(ValidationError):
             calderon_norm(Lp(1), Lp(2), 0.5, SeqVector())
+        with pytest.raises(ValidationError, match="nonzero vector"):
+            NormEvaluator(parse_space("cal:l2:s:log2p1:0.5")).factorize(SeqVector())
 
     def test_rejects_non_lattice_factor(self):
         fam = FunctionalFamily((SeqVector.basis(1),), 2)
@@ -398,6 +405,71 @@ class TestOracleAgreement:
             ref = lp_norm(z, lp_product_oracle(p0, p1, theta))
             worst = max(worst, abs(value - ref) / ref)
         assert worst <= 1e-6
+
+
+def _successive(lo, hi, m):
+    """Every split of positions lo..hi into m successive nonempty intervals."""
+    if m == 1:
+        yield ((lo, hi),)
+        return
+    for cut in range(lo, hi - m + 2):
+        for rest in _successive(cut + 1, hi, m - 1):
+            yield ((lo, cut),) + rest
+
+
+def below_a_tree_functional(a, f) -> bool:
+    """Whether the weights a lie below one partition-tree functional of S(f), up
+    to 2 ulps: one leaf per block, weighted by the product of 1/f(m) over the
+    m-splits above it.  Such a functional lies in B(S*), and so does all below it."""
+    support = [i for i, v in enumerate(a) if v > 0.0]
+
+    @lru_cache(maxsize=None)
+    def fits(lo, hi, w):
+        inside = [i for i in support if lo <= i <= hi]
+        if len(inside) <= 1:
+            return all(a[i] <= w * (1.0 + 2 * ULP) for i in inside)
+        return any(all(fits(s, t, w / f(float(m))) for s, t in blocks)
+                   for m in range(2, len(inside) + 1) for blocks in _successive(lo, hi, m))
+
+    return fits(0, len(a) - 1, 1.0)
+
+
+def in_dual_ball(side, a) -> bool:
+    """Whether the atom a lies in the dual ball of the normalized space side, up to 2 ulps."""
+    if isinstance(side, Lp):
+        return lp_of(a.tolist(), conjugate_exponent(side.p)) <= 1.0 + 2 * ULP
+    if isinstance(side, Dual):  # B(S**) = B(S)
+        return s_norm_value(SeqVector.from_values(a), side.base.gauge) <= 1.0 + 2 * ULP
+    return below_a_tree_functional(a.tolist(), side.gauge)
+
+
+class TestCertifiedLowerBound:
+    """The lower end of a bracket, recomputed from the pair that certifies it."""
+
+    @pytest.mark.parametrize("space", [
+        "cal:l2:s:0.5", "cal:l1:s:0.5", "cal:linf:s:0.5", "cal:l3:s:pow:0.5:0.7",
+        "cal:s:l1.5:0.3", "cal:l1.5:l3:0.4", "cal:s:dual:s:0.5", "cal:s:s:0.5",
+    ])
+    def test_lower_bound_is_the_pairing_of_a_pair_in_the_dual_balls(self, space):
+        # the lower bound is sum v gx^(1-t) gy^t; a closed side's Hölder partner
+        # has norm at most 1, and each mixed side is a mixture of atoms in its ball
+        ev = NormEvaluator(parse_space(space))
+        t = ev.impl.theta
+        for k in range(3):
+            rng = np.random.default_rng(np.random.SeedSequence([24, k]))
+            z = rng.uniform(0.1, 2.0, int(rng.integers(2, 6)))
+            sol = ev._solve_product(z)
+            gx, gy = sol.pair
+            afresh = pairing(SeqVector.from_values(sol.v),
+                             SeqVector.from_values(gx ** (1.0 - t) * gy**t))
+            assert abs(sol.lower_u - afresh) <= 1e-14 * afresh
+            if sol.closed is not None:
+                s = conjugate_exponent(sol.evs[sol.closed].impl.p)
+                assert lp_of(sol.pair[sol.closed].tolist(), s) <= 1.0 + 2 * ULP
+            n = len(z)
+            for i, side in enumerate(sol.sides):
+                atoms = sol.atoms[sol.side == i, i * n:(i + 1) * n]
+                assert all(in_dual_ball(sol.evs[side].impl, a) for a in atoms)
 
 
 def test_every_dp_table_is_built_under_two_engine_names(monkeypatch):

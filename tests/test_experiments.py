@@ -40,6 +40,11 @@ class TestBlockSequence:
         with pytest.raises(ValidationError):
             BlockSequence((SeqVector(),))
 
+    def test_one_class_under_three_names(self):
+        import banachlab
+        from banachlab import experiments, vectors
+        assert banachlab.BlockSequence is experiments.BlockSequence is vectors.BlockSequence
+
 
 class TestL1Average:
     def test_constant_value_in_s(self):
@@ -122,6 +127,11 @@ class TestEquivalenceConstant:
         with pytest.raises(ValidationError, match="exceeds the 2 available blocks"):
             equivalence_constant(S, BlockSequence.basis(2), 5, 3)
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_rejected(self, dim):
+        with pytest.raises(ValidationError, match="below 1"):
+            equivalence_constant(Lp(2), BlockSequence.basis(3), 3, dim)
+
 
 class TestProjectionBound:
     def test_basis_projection(self):
@@ -154,6 +164,8 @@ class TestProjectionBound:
     def test_unpaired_blocks_rejected(self):
         with pytest.raises(ValidationError, match="pair up"):
             projection_bound(S, BlockSequence.basis(2), BlockSequence.basis(3), 5)
+        with pytest.raises(ValidationError, match="pair up, at least one pair"):
+            projection_bound(S, BlockSequence(()), BlockSequence(()), 3)
 
     def test_w_outside_the_support_of_g_rejected(self):
         w = BlockSequence((SeqVector.from_values([0.5, 0.5]),))

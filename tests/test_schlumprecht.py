@@ -377,6 +377,14 @@ class TestValueOnlyNorm:
             with pytest.raises(SizeCapError):
                 norm(SeqVector.from_values([1.0] * 8 + [0.5]))
 
+    def test_beyond_the_cap_nearly_constant_values_are_not_constant(self):
+        # values 1e-12 apart relative are no summing vector: no analytic value
+        nearly = SeqVector.from_values([1.0, 1.0 + 1e-12] * 40)
+        for norm in (NormEvaluator(Schlumprecht(F)).norm, lambda x: s_norm_value(x, F),
+                     lambda x: s_norm(x, F)):
+            with pytest.raises(SizeCapError):
+                norm(nearly)
+
 
 class TestBestPartition:
     def test_three_singletons(self):
