@@ -22,6 +22,7 @@ def test_toy_package(tmp_path):
     (tmp_path / "tests" / "test_toy.py").write_text(
         "from toy import half, twice\n\n\ndef test_one():\n    assert twice(1) == 2\n\n\n"
         "def test_half():\n    assert half(4) == 2\n")
+    (tmp_path / "tests" / "test_mutants.py").write_text("def test_left_out():\n    assert False\n")
     mutant = tool.Mutant
     assert tool.verdict(mutant("a third", "src/toy.py", "x / 2", "x / 3", "soundness"),
                         tmp_path) == "tests/test_toy.py::test_half"

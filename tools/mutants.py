@@ -1,12 +1,12 @@
 """Seed one fault at a time into src/banachlab and name the Tier-1 test that catches it.
 
-    python tools/mutants.py [NAME ...]
+    python tools/mutants.py
 
-For each mutant of MUTANTS (or each one named), copies the repository to a temporary
-directory, replaces one text by another in one file of the copy, runs `pytest -x -q tests`
-there on the copy's src/, and prints the mutant's name, its kind and the first failing test,
-or SURVIVED.  tests/test_mutants.py is left out: it checks that each mutant's text occurs
-once in src/, which no mutated copy passes.  A mutant whose text no longer occurs exactly
+For each mutant of MUTANTS, copies the repository to a temporary directory, replaces one
+text by another in one file of the copy, runs `pytest -x -q tests` there on the copy's
+src/, and prints the mutant's name, its kind and the first failing test, or SURVIVED.
+tests/test_mutants.py is left out: it checks that each mutant's text occurs once in src/,
+which no mutated copy passes.  A mutant whose text no longer occurs exactly
 once prints STALE and does not run.
 
 Kinds: `soundness`, a fault that changes what the package answers (a value, a bracket, a
@@ -75,7 +75,7 @@ MUTANTS = [
 ]
 
 
-def verdict(mutant: Mutant, root: Path = ROOT, args=("tests",)) -> str:
+def verdict(mutant: Mutant, root: Path = ROOT) -> str:
     """The first test that fails with mutant applied to a copy of root, SURVIVED or STALE."""
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp) / "repo"
@@ -89,7 +89,7 @@ def verdict(mutant: Mutant, root: Path = ROOT, args=("tests",)) -> str:
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         try:
             run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p",
-                                  "no:cacheprovider", *args], cwd=copy, env=env,
+                                  "no:cacheprovider", *TIER1], cwd=copy, env=env,
                                  capture_output=True, text=True, timeout=TIMEOUT)
         except subprocess.TimeoutExpired:
             return f"HANG (over {TIMEOUT} s)"
@@ -102,6 +102,5 @@ def verdict(mutant: Mutant, root: Path = ROOT, args=("tests",)) -> str:
 
 
 if __name__ == "__main__":
-    chosen = [m for m in MUTANTS if not sys.argv[1:] or m.name in sys.argv[1:]]
-    for m in chosen:
-        print(f"{m.name} [{m.kind}]: {verdict(m, args=TIER1)}", flush=True)
+    for m in MUTANTS:
+        print(f"{m.name} [{m.kind}]: {verdict(m)}", flush=True)
