@@ -26,8 +26,7 @@ from .descriptors import (
     conjugate_exponent,
     space_to_str,
 )
-from .engine import (TOL_ITERATIVE, _cutting_plane_dual, _positive, _signed, calderon_norm,
-                     get_evaluator)
+from .engine import TOL_ITERATIVE, _cutting_plane_dual, calderon_norm, get_evaluator
 from .errors import ValidationError
 from .gauges import GaugeFunction
 from .reports import ExperimentReport
@@ -58,8 +57,8 @@ def dual_norm(x_space: SpaceDescriptor, g: SeqVector,
         return DualEvaluation(0.0, SeqVector())
     if isinstance(x_space, Dual):
         # honest bidual: cutting-plane over the inner dual ball
-        value, x = _cutting_plane_dual(get_evaluator(x_space, tol=tol), _positive(g))
-        return DualEvaluation(value, _signed(g, x))
+        value, x = _cutting_plane_dual(get_evaluator(x_space, tol=tol), np.array(g.magnitudes()))
+        return DualEvaluation(value, g.signed(x))
     ev = get_evaluator(Dual(x_space), tol=tol)
     res = ev.norming(g)
     return DualEvaluation(res.value, res.functional)
@@ -116,10 +115,7 @@ def dual_block_bound(
         raise ValidationError("need at least one block")
     q = conjugate_exponent(p)
     n = len(blocks)
-    total = blocks[0]
-    for u in blocks[1:]:
-        total = total + u
-    lhs = dual_norm(x_space, total, tol=BLOCK_BOUND_TOL).value
+    lhs = dual_norm(x_space, blocks.sum(), tol=BLOCK_BOUND_TOL).value
     parts = [dual_norm(x_space, u, tol=BLOCK_BOUND_TOL).value for u in blocks]
     rhs = f(float(n)) * lp_of(parts, q)
     return lhs, rhs, lhs <= rhs + BLOCK_BOUND_TOL * max(1.0, rhs)

@@ -16,7 +16,9 @@ the coordinates.  So the evaluator has one core,
 It is the only place that dispatches on the descriptor kind of a lattice
 norm, and its recursion across the descriptor tree stays on arrays.
 ``norm``, ``norming`` and ``factorize`` are boundary wrappers: they pass
-|x| in support order to the core and put the coordinates and signs back.
+|x| in support order (`SeqVector.magnitudes`) to the core and put the
+coordinates back, with the signs of x on a norming functional
+(`SeqVector.signed`).
 ``norm`` keeps three exceptions: the exact closed form of lp, the
 non-lattice distorted norm and the Schlumprecht norm, which reads the
 DP table's top cell (`s_norm_top`) and builds no norming functional.
@@ -232,17 +234,6 @@ class NormEvaluator:
             return sol.value, (gx ** (1.0 - d.theta) * gy**d.theta)[None]
         raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
 
-    def _cached_norm(self, v: Tuple[float, ...]) -> float:
-        """The norm of positive values in support order, cached by them."""
-        d = self.impl
-        if isinstance(d, Schlumprecht):  # the DP's top cell, no extremal tree
-            return _memo(self._norm_cache, v, lambda: s_norm_top(list(v), d.gauge),
-                         NORM_CACHE_SIZE)
-        if isinstance(d, Dual):  # the entry norming_values keeps
-            return self.norming_values(np.array(v))[0]
-        return _memo(self._norm_cache, v, lambda: self.norming_values(np.array(v))[0],
-                     NORM_CACHE_SIZE)
-
     # -- boundary wrappers on SeqVectors ------------------------------------
 
     def norm(self, x: SeqVector) -> float:
@@ -255,13 +246,19 @@ class NormEvaluator:
             fam = d.family
             hit = max(abs(pairing(x, z)) for z in fam.members)
             return max(lp_norm(x, 2.0), fam.r * hit)
-        return self._cached_norm(tuple(map(abs, x.values_in_order())))
+        v = x.magnitudes()  # the cache key
+        if isinstance(d, Schlumprecht):  # the DP's top cell, no extremal tree
+            return _memo(self._norm_cache, v, lambda: s_norm_top(v, d.gauge), NORM_CACHE_SIZE)
+        if isinstance(d, Dual):  # the entry norming_values keeps
+            return self.norming_values(np.array(v))[0]
+        return _memo(self._norm_cache, v, lambda: self.norming_values(np.array(v))[0],
+                     NORM_CACHE_SIZE)
 
     def norming(self, x: SeqVector) -> NormingResult:
         if not x:
             return NormingResult(0.0, SeqVector())
-        value, rows = self.norming_values(_positive(x))
-        return NormingResult(value, _signed(x, rows[0]))
+        value, rows = self.norming_values(np.array(x.magnitudes()))
+        return NormingResult(value, x.signed(rows[0]))
 
     def _solve_product(self, v: np.ndarray) -> "_Solve":
         d = self.impl
@@ -291,13 +288,8 @@ class NormEvaluator:
             )
         if not z:
             raise ValidationError("Calderon norm needs a nonzero vector")
-        sol = self._solve_product(_positive(z))
+        sol = self._solve_product(np.array(z.magnitudes()))
         return sol.value, sol.factorization(z.support)
-
-
-def _positive(x: SeqVector) -> np.ndarray:
-    """|x| in support order: what the norming core sees of x."""
-    return np.abs(np.array(x.values_in_order()))
 
 
 def _frozen(value: float, weights: np.ndarray) -> Tuple[float, np.ndarray]:
@@ -305,11 +297,6 @@ def _frozen(value: float, weights: np.ndarray) -> Tuple[float, np.ndarray]:
     rows = weights[None]
     rows.flags.writeable = False
     return value, rows
-
-
-def _signed(x: SeqVector, w: np.ndarray) -> SeqVector:
-    """Put the support and the signs of x back on positional weights w."""
-    return SeqVector(zip(x.support, np.copysign(w, x.values_in_order()).tolist()))
 
 
 # -- cutting-plane dual norm ------------------------------------------------

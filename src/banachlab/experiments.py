@@ -66,6 +66,8 @@ def block_sum_growth(
     x_space: SpaceDescriptor, p: float, seq: BlockSequence
 ) -> ExperimentReport:
     """Rows (n, ||u_1+...+u_n||, n^(1/p), ratio) over prefixes of seq."""
+    if not 1.0 <= p:
+        raise ValidationError(f"p must be >= 1, got {p}")
     ev = get_evaluator(x_space)
     for b in seq:
         if abs(ev.norm(b) - 1.0) > 1e-6:
@@ -92,6 +94,8 @@ def vn_averages(
     the gap along a block sequence is the subsequence-extraction
     hypothesis.
     """
+    if not 1.0 <= p:
+        raise ValidationError(f"p must be >= 1, got {p}")
     if len(u) < 2 ** (n_max + 1):
         raise ValidationError(
             f"need at least 2^(n_max+1) = {2 ** (n_max + 1)} blocks, got {len(u)}"
@@ -102,11 +106,8 @@ def vn_averages(
         metadata={"space": space_to_str(x_space), "p": p, "n_max": n_max},
     )
     for n in range(1, n_max + 1):
-        acc = SeqVector()
-        for i in range(2**n, 2 ** (n + 1)):  # 0-based slice of 1-based 2^n+1 .. 2^(n+1)
-            acc = acc + u[i]
-        vn = acc * (2.0 ** (-n / p))
-        val = ev.norm(vn)
+        dyadic = BlockSequence(u.blocks[2**n : 2 ** (n + 1)])  # 1-based 2^n+1 .. 2^(n+1)
+        val = ev.norm(dyadic.sum() * (2.0 ** (-n / p)))
         report.add_row(n, val, (2.0**n) * (1.0 - val))
     return report
 
@@ -133,11 +134,8 @@ def equivalence_constant(
         d_len = int(rng.integers(1, dim + 1))
         coeffs = rng.uniform(-1.0, 1.0, d_len)
         coeffs[np.abs(coeffs) < 1e-3] = 1e-3
-        image = SeqVector()
-        for c, b in zip(coeffs, w):
-            image = image + float(c) * b
         d_vec = SeqVector.from_values(coeffs)
-        a = ev.norm(image)
+        a = ev.norm(w.sum(coeffs))
         b = ev.norm(d_vec)
         k_lower = max(k_lower, a / b, b / a)
     return k_lower
@@ -168,9 +166,7 @@ def projection_bound(
     for k in range(samples):
         rng = _rng(seed, k)
         x = SeqVector(zip(coords, rng.normal(0.0, 1.0, len(coords))))
-        px = SeqVector()
-        for wn, gn in zip(w, g):
-            px = px + pairing(x, gn) * wn
+        px = w.sum(pairing(x, gn) for gn in g)
         nx = ev.norm(x)
         norm_lower = max(norm_lower, ev.norm(px) / nx)
     m_bound = max(dual_norm(x_space, gn).value for gn in g)
@@ -235,13 +231,8 @@ def unconditionality_ratio(
     """
     if len(z) < 2:
         raise ValidationError("need at least two blocks")
-    plus_vec = SeqVector()
-    minus_vec = SeqVector()
-    for i, b in enumerate(z, start=1):
-        plus_vec = plus_vec + b
-        minus_vec = minus_vec + ((-1.0) ** i) * b
-    plus = distortion_y_norm(family, plus_vec)
-    minus = distortion_y_norm(family, minus_vec)
+    plus = distortion_y_norm(family, z.sum())
+    minus = distortion_y_norm(family, z.sum((-1.0) ** i for i in range(1, len(z) + 1)))
     return plus, minus, plus / minus
 
 
@@ -389,8 +380,11 @@ def classX_verify(
 
     Reports the worst violation (positive slack) per condition over the
     random suite; sample index -1 is the canonical two-coordinate probe
-    that separates the sup-norm from admissible spaces.
+    that separates the sup-norm from admissible spaces.  The class S_{p,r}
+    needs 1 <= p < r: p-convexity is vacuous at p = inf.
     """
+    if not 1.0 <= p < r:
+        raise ValidationError(f"p must be >= 1 and below r, got p={p}, r={r}")
     ev = get_evaluator(x_space)
     q_exp = 1.0 / p - 1.0 / r
     worst = {"squeeze": 0.0, "convexity": 0.0, "lower_estimate": 0.0}

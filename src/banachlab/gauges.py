@@ -113,54 +113,34 @@ def check_gauge_class(
         raise ValidationError("grid must be sorted, start at 1, and have >= 3 points")
 
     vals = [f(x) for x in grid]
-    worst = 0.0
-    witness: List[float] = []
-
-    def flag(violation: float, x: float) -> bool:
-        nonlocal worst
-        if violation > CHECK_TOL:
-            worst = max(worst, violation)
-            if x not in witness:
-                witness.append(x)
-            return True
-        return False
-
-    # (1) f(1)=1, f(x)<x for x>1, nondecreasing, f >= 1
-    cond1 = True
-    if flag(abs(vals[0] - 1.0), grid[0]):
-        cond1 = False
-    prev = vals[0]
-    for x, fx in zip(grid[1:], vals[1:]):
-        if flag(fx - x + 2 * CHECK_TOL, x):  # strict f(x) < x: equality must fail
-            cond1 = False
-        if flag(prev - fx, x):  # nondecreasing
-            cond1 = False
-        if flag(1.0 - fx, x):
-            cond1 = False
-        prev = fx
+    # (condition, violation, x): a violation above CHECK_TOL fails the condition at x
+    # (1) f(1)=1, f(x)<x for x>1 (equality must fail), nondecreasing, f >= 1
+    checks = [(1, abs(vals[0] - 1.0), grid[0])]
+    for x, prev, fx in zip(grid[1:], vals, vals[1:]):
+        checks += [(1, fx - x + 2 * CHECK_TOL, x), (1, prev - fx, x), (1, 1.0 - fx, x)]
 
     # (2) concavity of g(x) = x/f(x): second divided differences <= 0
-    cond2 = True
     g = [x / fx for x, fx in zip(grid, vals)]
     for k in range(len(grid) - 2):
         x0, x1, x2 = grid[k : k + 3]
         dd = ((g[k + 2] - g[k + 1]) / (x2 - x1) - (g[k + 1] - g[k]) / (x1 - x0)) / (x2 - x0)
-        if flag(dd, x1):
-            cond2 = False
+        checks.append((2, dd, x1))
 
     # (3) submultiplicativity on grid pairs with product inside the grid span
-    cond3 = True
     top = grid[-1]
     for i, x in enumerate(grid):
         for y in grid[i:]:
             xy = x * y
             if xy > top:
                 break
-            if flag(f(xy) - f(x) * f(y), xy):
-                cond3 = False
+            checks.append((3, f(xy) - f(x) * f(y), xy))
 
+    failed = [(cond, v, x) for cond, v, x in checks if v > CHECK_TOL]
+    bad = {cond for cond, _, _ in failed}
+    worst = max((v for _, v, _ in failed), default=0.0)
+    witness = list(dict.fromkeys(x for _, _, x in failed))
     prop5_ok, _ = check_prop5_hypothesis(f, prop5_a)
-    return GaugeClassReport(cond1, cond2, cond3, prop5_ok, worst, witness)
+    return GaugeClassReport(1 not in bad, 2 not in bad, 3 not in bad, prop5_ok, worst, witness)
 
 
 def check_prop5_hypothesis(f: GaugeFunction, a: float) -> Tuple[bool, List[Tuple[float, float]]]:

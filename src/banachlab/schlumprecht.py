@@ -318,7 +318,7 @@ def _unit(vals: Sequence[float]) -> Tuple[List[float], float]:
     return [math.ldexp(v, -e) for v in vals], 2.0**e
 
 
-def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
+def s_norm_top(vals: Sequence[float], f: GaugeFunction) -> float:
     """The norm alone of positive values in support order.
 
     Up to DEFAULT_DP_CAP values it is the DP table's top cell, the float
@@ -336,7 +336,7 @@ def s_norm_top(vals: List[float], f: GaugeFunction) -> float:
     raise SizeCapError("support exceeds DP cap", needed=n, cap=DEFAULT_DP_CAP)
 
 
-def _extremal(vals: List[float], f: GaugeFunction,
+def _extremal(vals: Sequence[float], f: GaugeFunction,
               above: float = math.inf) -> Tuple[float, Tree, List[List[float]]]:
     """The norm, extremal tree and rows in B(S*) of positive values in support order.
 
@@ -367,7 +367,7 @@ def _extremal(vals: List[float], f: GaugeFunction,
     return best[_cell(n, 1, 0, n - 1)] * scale, nodes, rows
 
 
-def s_norm_weights(vals: List[float], f: GaugeFunction,
+def s_norm_weights(vals: Sequence[float], f: GaugeFunction,
                    above: float = math.inf) -> Tuple[float, List[List[float]]]:
     """The norm of positive values in support order and rows in B(S*) by position.
 
@@ -384,13 +384,12 @@ def s_norm(x: SeqVector, f: GaugeFunction) -> Tuple[float, PartitionCertificate]
     The value, the tree and the weights of the one row of `_extremal`;
     beyond the DP cap the certificate is flagged `analytic`.
     """
-    entries = x.canonical()
-    n = len(entries)
-    coords = [i for i, _ in entries]
-    value, nodes, [weights] = _extremal([abs(v) for _, v in entries], f)
-    func = SeqVector(zip(coords, [math.copysign(w, v) for w, (_, v) in zip(weights, entries)]))
+    coords = x.support
+    n = len(coords)
+    value, nodes, [weights] = _extremal(x.magnitudes(), f)
     tree = [(coords[a], coords[b], m) for a, b, m in nodes]
-    cert = PartitionCertificate(tree, _finv(f, n), value, func, analytic=n > DEFAULT_DP_CAP)
+    cert = PartitionCertificate(tree, _finv(f, n), value, x.signed(weights),
+                                analytic=n > DEFAULT_DP_CAP)
     return value, cert
 
 
@@ -398,7 +397,7 @@ def s_norm_value(x: SeqVector, f: GaugeFunction) -> float:
     """The norm of x without its certificate; 0.0 on the empty vector."""
     if not x:
         return 0.0
-    return s_norm_top([abs(v) for v in x.values_in_order()], f)
+    return s_norm_top(x.magnitudes(), f)
 
 
 def best_partition(
@@ -418,8 +417,8 @@ def best_partition(
         raise ValidationError(f"a split needs n >= 2 blocks, got {n}")
     if n > len(e):
         raise ValidationError(f"cannot split {e} into {n} nonempty blocks")
-    entries = restrict(x, e).canonical()
-    size = len(entries)
+    xe = restrict(x, e)
+    size = len(xe)
     if size > DEFAULT_DP_CAP:
         raise SizeCapError("support exceeds DP cap", needed=size, cap=DEFAULT_DP_CAP)
 
@@ -430,8 +429,8 @@ def best_partition(
     # gaps left to right.  They always fit, since with n >= size every run
     # is a single support point.
     if size:
-        coords = [i for i, _ in entries]
-        u, scale = _unit([abs(v) for _, v in entries])
+        coords = xe.support
+        u, scale = _unit(xe.magnitudes())
         best = _dp_core(u, f)
         m = min(n, size)
         total = best[_cell(size, m, 0, size - 1)] / f(float(n)) * scale
@@ -485,7 +484,7 @@ def fixed_point_check(
     """
     coords = x.support
     n = len(coords)
-    vals, scale = _unit([abs(v) for v in x.values_in_order()])
+    vals, scale = _unit(x.magnitudes())
     claimed = value_fn(x) / scale
 
     val = [[0.0] * n for _ in range(n)]
@@ -542,7 +541,7 @@ def reference_norm(x: SeqVector, f: GaugeFunction) -> float:
         return 0.0
     if len(x) > REFERENCE_CAP:
         raise SizeCapError("reference evaluator cap", needed=len(x), cap=REFERENCE_CAP)
-    vals, scale = _unit([abs(v) for _, v in x])
+    vals, scale = _unit(x.magnitudes())
     n = len(vals)
     # value[a][b] for positions a..b, by increasing length: every run of a
     # sequence is shorter than the interval it lies in
@@ -571,7 +570,7 @@ def iterate_defining_map(x: SeqVector, f: GaugeFunction) -> List[float]:
     N-1 steps for support size N; no more are taken.  The map runs at the
     unit scale of `_unit`, and each value is multiplied back.
     """
-    vals, scale = _unit([abs(v) for _, v in x])
+    vals, scale = _unit(x.magnitudes())
     n = len(vals)
 
     table = [

@@ -99,6 +99,14 @@ class SeqVector:
     def values_in_order(self) -> Tuple[float, ...]:
         return tuple(v for _, v in sorted(self._entries.items()))
 
+    def magnitudes(self) -> Tuple[float, ...]:
+        """|x_i| in support order: all that a lattice norm sees of x."""
+        return tuple(math.fabs(v) for _, v in sorted(self._entries.items()))
+
+    def signed(self, weights: Iterable[float]) -> "SeqVector":
+        """Positional weights put back on the support of x, with the signs of x."""
+        return SeqVector(zip(self.support, map(math.copysign, weights, self.values_in_order())))
+
     def min_index(self) -> int:
         return min(self._entries)
 
@@ -182,6 +190,19 @@ class BlockSequence:
 
     def __getitem__(self, k: int) -> SeqVector:
         return self.blocks[k]
+
+    def sum(self, coeffs: Iterable[float] | None = None) -> SeqVector:
+        """sum_k c_k u_k over the blocks that coeffs reaches, all with c_k = 1 by default.
+
+        The supports are disjoint, so it is a plain union of the scaled
+        blocks in block order, in one pass.
+        """
+        if coeffs is None:
+            return SeqVector._adopt({i: v for u in self.blocks for i, v in u._entries.items()})
+        out: Dict[int, float] = {}
+        for c, u in zip(coeffs, self.blocks):
+            out.update((u * c)._entries)
+        return SeqVector._adopt(out)
 
     @classmethod
     def basis(cls, count: int) -> "BlockSequence":

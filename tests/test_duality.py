@@ -372,6 +372,17 @@ class TestSplitCuts:
             value, rel=1e-7)
         assert len(solves) < 120
 
+    @pytest.mark.parametrize("s", [0, 1])
+    def test_support_32_in_few_pivots(self, monkeypatch, s):
+        # the priced leaving row keeps the walk short: 674 and 765 dual-simplex
+        # pivots here, against 5,555 and 5,764 when the lowest label always
+        # leaves (Bland's rule alone); the answers are the same either way
+        pivots, pivot = [], engine._Tableau._pivot
+        monkeypatch.setattr(engine._Tableau, "_pivot",
+                            lambda tab, r, col: pivots.append(r) or pivot(tab, r, col))
+        NormEvaluator(Dual(S)).norm(self.seeded(32, s))
+        assert len(pivots) <= 1200
+
     @pytest.mark.parametrize("n, value", [(48, 8.52836758556), (64, 9.45375770871)])
     def test_up_to_the_dp_cap_in_at_most_100_tableau_solves(self, monkeypatch, n, value):
         # every violated split row goes in, and the priced leaving row keeps

@@ -45,6 +45,14 @@ class TestBlockSequence:
         from banachlab import experiments, vectors
         assert banachlab.BlockSequence is experiments.BlockSequence is vectors.BlockSequence
 
+    def test_sum_is_the_union_of_the_scaled_blocks(self):
+        seq = BlockSequence(
+            (SeqVector({1: 0.3, 2: -2.0}), SeqVector({4: 0.7}), SeqVector({6: 3.0})))
+        added = seq[0] + seq[1] + seq[2]
+        assert list(seq.sum()) == list(added)
+        assert list(seq.sum([0.1, -1.0, 0.0])) == list(0.1 * seq[0] + (-1.0) * seq[1])
+        assert seq.sum(iter([2.0])) == 2.0 * seq[0]  # the blocks that the coefficients reach
+
 
 class TestL1Average:
     def test_constant_value_in_s(self):
@@ -87,6 +95,11 @@ class TestBlockGrowth:
         with pytest.raises(ValidationError):
             block_sum_growth(S, 1.0, BlockSequence((SeqVector.basis(1, 2.0),)))
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, math.nan])
+    def test_exponent_below_one_rejected(self, p):
+        with pytest.raises(ValidationError, match="p must be >= 1"):
+            block_sum_growth(S, p, BlockSequence.basis(2))
+
 
 class TestVnAverages:
     def test_basis_in_s(self):
@@ -105,6 +118,11 @@ class TestVnAverages:
     def test_too_few_blocks(self):
         with pytest.raises(ValidationError):
             vn_averages(S, 1.0, BlockSequence.basis(4), 2)
+
+    @pytest.mark.parametrize("p", [0.0, 0.5, math.nan])
+    def test_exponent_below_one_rejected(self, p):
+        with pytest.raises(ValidationError, match="p must be >= 1"):
+            vn_averages(S, p, BlockSequence.basis(8), 2)
 
 
 class TestEquivalenceConstant:
@@ -290,6 +308,13 @@ class TestClassXVerify:
     def test_lp_member_passes(self):
         report = classX_verify(Lp(1.5), 1.5, 3.0, F, 120, seed=1)
         assert all(row[2] for row in report.rows)
+
+    @pytest.mark.parametrize("p, r", [(0.0, 2.0), (0.5, 2.0), (3.0, 2.0), (2.0, 2.0),
+                                      (math.inf, math.inf), (math.nan, 2.0), (1.0, math.nan)])
+    def test_exponents_outside_the_class_rejected(self, p, r):
+        # S_{p,r} needs 1 <= p < r
+        with pytest.raises(ValidationError, match="p must be >= 1 and below r"):
+            classX_verify(S, p, r, F, 3)
 
     @pytest.mark.parametrize("s", [1.0, 2.0, 3.0, math.inf])
     def test_lattice_sum_at_unit_scale(self, s):

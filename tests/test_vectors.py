@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -133,6 +134,13 @@ class TestSeqVector:
         assert (0.0 * x).support == ()
         assert (2.0 * x) == SeqVector({1: 2.0, 3: -4.0})
         assert list(1e-300 * SeqVector({1: 1e-300, 2: 1.0})) == [(2, 1e-300)]  # underflow
+
+    def test_magnitudes_and_signed_in_support_order(self):
+        x = SeqVector({7: -2.0, 2: 0.5, 4: 3.0})
+        assert x.magnitudes() == (0.5, 3.0, 2.0)
+        # positional weights, a numpy row as the norming core returns them; 0 drops out
+        assert list(x.signed(np.array([1.0, 0.0, 0.25]))) == [(2, 1.0), (7, -0.25)]
+        assert x.signed(x.magnitudes()) == x
 
     def test_subtraction_adds_the_negative(self):
         x = SeqVector({1: 0.3, 2: -1.7, 5: 2.5})
