@@ -15,13 +15,16 @@ the coordinates.  So the evaluator has one core,
 
 It is the only place that dispatches on the descriptor kind of a lattice
 norm, and its recursion across the descriptor tree stays on arrays.
-``norm``, ``norming`` and ``factorize`` are boundary wrappers: they pass
-|x| in support order (`SeqVector.magnitudes`) to the core and put the
-coordinates back, with the signs of x on a norming functional
+``norm``, ``norms``, ``norming`` and ``factorize`` are boundary wrappers:
+they pass |x| in support order (`SeqVector.magnitudes`) to the core and put
+the coordinates back, with the signs of x on a norming functional
 (`SeqVector.signed`).
 ``norm`` keeps three exceptions: the exact closed form of lp, the
 non-lattice distorted norm and the Schlumprecht norm, which reads the
 DP table's top cell (`s_norm_top`) and builds no norming functional.
+``norms`` is ``norm`` over a list, the same floats; on S it sends the
+cache misses through `s_norm_tops`, one DP wavefront per support size, and
+fills the same norm cache.
 The caches are keyed by position too, so a vector with gaps hits the
 entry of its compressed twin.
 
@@ -80,7 +83,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,7 +106,7 @@ from .errors import (
 )
 # perfbench's tracer wraps s_norm and s_norm_weights by name in this module;
 # s_norm is bound here only for it
-from .schlumprecht import s_norm, s_norm_top, s_norm_weights
+from .schlumprecht import s_norm, s_norm_top, s_norm_tops, s_norm_weights
 from .vectors import SeqVector, lp_norm, lp_of, pairing
 
 __all__ = [
@@ -253,6 +256,22 @@ class NormEvaluator:
             return self.norming_values(np.array(v))[0]
         return _memo(self._norm_cache, v, lambda: self.norming_values(np.array(v))[0],
                      NORM_CACHE_SIZE)
+
+    def norms(self, xs: Sequence[SeqVector]) -> List[float]:
+        """[self.norm(x) for x in xs], the same floats.
+
+        On S the cache misses go through `s_norm_tops` in one batch, first
+        occurrence first, and fill the norm cache as `norm` would.
+        """
+        d = self.impl
+        if not isinstance(d, Schlumprecht):
+            return [self.norm(x) for x in xs]
+        keys = [x.magnitudes() for x in xs]
+        found = {v: self._norm_cache.get(v) for v in keys if v}
+        misses = [v for v, value in found.items() if value is None]
+        for v, value in zip(misses, s_norm_tops(misses, d.gauge)):
+            found[v] = _memo(self._norm_cache, v, lambda: value, NORM_CACHE_SIZE)
+        return [found[v] if v else 0.0 for v in keys]
 
     def norming(self, x: SeqVector) -> NormingResult:
         if not x:

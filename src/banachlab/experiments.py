@@ -8,7 +8,14 @@ the squeeze/convexity/lower-estimate conditions.
 
 Randomized drivers draw one generator stream per sample index (split
 from the seed), so results are independent of any parallel scheduling
-and reproducible from the seed alone.
+and reproducible from the seed alone.  `classX_verify` and
+`projection_bound` draw every sample first and norm all their vectors in
+one `NormEvaluator.norms` batch, which on S fills one DP wavefront per
+support size; they then fold their slacks and ratios in sample order, so
+the floats are those of sample-by-sample norms (max is exact).  The moduli
+stay sequential: their refine stage perturbs the incumbent pair, and the
+bisection is skipped for hopeless chords, which a lockstep batch of every
+random pair would have to run (2-3x slower in a probe).
 """
 
 from __future__ import annotations
@@ -162,13 +169,13 @@ def projection_bound(
             raise ValidationError("<w_n, g_n> must equal 1 within 1e-9")
     ev = get_evaluator(x_space)
     coords = sorted(set().union(*(gn.support for gn in g)))
+    xs = [SeqVector(zip(coords, _rng(seed, k).normal(0.0, 1.0, len(coords))))
+          for k in range(samples)]
+    pxs = [w.sum(pairing(x, gn) for gn in g) for x in xs]
+    norms = ev.norms(xs + pxs)  # every sample's x and Px in one batch
     norm_lower = 0.0
-    for k in range(samples):
-        rng = _rng(seed, k)
-        x = SeqVector(zip(coords, rng.normal(0.0, 1.0, len(coords))))
-        px = w.sum(pairing(x, gn) for gn in g)
-        nx = ev.norm(x)
-        norm_lower = max(norm_lower, ev.norm(px) / nx)
+    for nx, npx in zip(norms[:samples], norms[samples:]):
+        norm_lower = max(norm_lower, npx / nx)
     m_bound = max(dual_norm(x_space, gn).value for gn in g)
     return norm_lower, m_bound
 
@@ -379,60 +386,55 @@ def classX_verify(
     """Check the squeeze, convexity/concavity, and lower f-estimate.
 
     Reports the worst violation (positive slack) per condition over the
-    random suite; sample index -1 is the canonical two-coordinate probe
-    that separates the sup-norm from admissible spaces.  The class S_{p,r}
-    needs 1 <= p < r: p-convexity is vacuous at p = inf.
+    random suite, checked with the canonical two-coordinate probe that
+    separates the sup-norm from admissible spaces.  Every sample is drawn
+    first; their vectors are normed in one `norms` batch, and the slacks
+    are folded in sample order.  The class S_{p,r} needs 1 <= p < r:
+    p-convexity is vacuous at p = inf.
     """
     if not 1.0 <= p < r:
         raise ValidationError(f"p must be >= 1 and below r, got p={p}, r={r}")
     ev = get_evaluator(x_space)
     q_exp = 1.0 / p - 1.0 / r
-    worst = {"squeeze": 0.0, "convexity": 0.0, "lower_estimate": 0.0}
-
-    def check_squeeze(x: SeqVector) -> None:
-        nx = ev.norm(x)
-        worst["squeeze"] = max(
-            worst["squeeze"], lp_norm(x, r) - nx, nx - lp_norm(x, p)
-        )
-
-    def check_convexity(tup: List[SeqVector]) -> None:
-        norms = [ev.norm(xj) for xj in tup]
-        # p-convexity with constant one
-        lhs = ev.norm(_lattice_sum(tup, p))
-        worst["convexity"] = max(worst["convexity"], lhs - lp_of(norms, p))
-        # r-concavity with constant one
-        rhs_c = ev.norm(_lattice_sum(tup, r))
-        worst["convexity"] = max(worst["convexity"], lp_of(norms, r) - rhs_c)
-
-    def check_lower_estimate(x: SeqVector, intervals: List[Interval]) -> None:
-        n = len(intervals)
-        # lp_norm drops the blocks that miss the support of x, all of them at times
-        inner = lp_norm(SeqVector.from_values([ev.norm(restrict(x, e)) for e in intervals]), p)
-        bound = inner / f(float(n)) ** q_exp
-        worst["lower_estimate"] = max(worst["lower_estimate"], bound - ev.norm(x))
 
     # canonical probe: two unit coordinates against singleton blocks
     probe = SeqVector.from_values([1.0, 1.0])
-    check_squeeze(probe)
-    check_convexity([SeqVector.basis(1), SeqVector.basis(2)])
-    check_lower_estimate(probe, [Interval(1, 1), Interval(2, 2)])
-
+    draws = [(probe, [SeqVector.basis(1), SeqVector.basis(2)], [Interval(1, 1), Interval(2, 2)])]
     for k in range(samples):
         rng = _rng(seed, k)
         d = int(rng.integers(2, CLASSX_DIM + 1))
         vals = rng.uniform(0.2, 1.5, d) * rng.choice([-1.0, 1.0], d)
         x = SeqVector.from_values(vals)
-        check_squeeze(x)
         tup = []
         for _ in range(int(rng.integers(2, 4))):
             dj = int(rng.integers(1, CLASSX_DIM + 1))
             tup.append(SeqVector.from_values(rng.uniform(0.1, 1.0, dj)))
-        check_convexity(tup)
         n_blocks = int(rng.integers(2, 5))
         cuts = sorted(rng.choice(np.arange(1, d + n_blocks * 2 + 1),
                                  size=2 * n_blocks, replace=False))
         intervals = [Interval(int(cuts[2 * j]), int(cuts[2 * j + 1])) for j in range(n_blocks)]
-        check_lower_estimate(x, intervals)
+        draws.append((x, tup, intervals))
+
+    # per draw: x, the tuple, its p- and r-sums, then x on each interval
+    norms = iter(ev.norms([
+        v for x, tup, intervals in draws
+        for v in (x, *tup, _lattice_sum(tup, p), _lattice_sum(tup, r),
+                  *(restrict(x, e) for e in intervals))
+    ]))
+    worst = {"squeeze": 0.0, "convexity": 0.0, "lower_estimate": 0.0}
+    for x, tup, intervals in draws:
+        nx = next(norms)
+        worst["squeeze"] = max(worst["squeeze"], lp_norm(x, r) - nx, nx - lp_norm(x, p))
+        tup_norms = [next(norms) for _ in tup]
+        lhs, rhs_c = next(norms), next(norms)
+        # p-convexity with constant one
+        worst["convexity"] = max(worst["convexity"], lhs - lp_of(tup_norms, p))
+        # r-concavity with constant one
+        worst["convexity"] = max(worst["convexity"], lp_of(tup_norms, r) - rhs_c)
+        # lp_norm drops the blocks that miss the support of x, all of them at times
+        inner = lp_norm(SeqVector.from_values([next(norms) for _ in intervals]), p)
+        bound = inner / f(float(len(intervals))) ** q_exp
+        worst["lower_estimate"] = max(worst["lower_estimate"], bound - nx)
 
     report = ExperimentReport(
         ["condition", "worst_slack", "pass"],

@@ -28,10 +28,11 @@ node list, the tree's only format, with its weights by position.  One
 reader, `_extremal`, turns the table into functionals: the norming
 functional, which `s_norm_weights` hands out and `s_norm`'s certificate
 holds, and on request the walks below each best m-way partition's blocks.
-A norm alone, `s_norm_top`, reads the top cell and walks no tree.  Beyond
-DEFAULT_DP_CAP positions only constant values are accepted, on the
-analytic path; `s_norm_top` and `_extremal` hold that rule, and no other
-module reads the cap.  The readers fill the table at
+A norm alone, `s_norm_top`, reads the top cell and walks no tree, and
+`s_norm_tops` reads the top cells of many rows, one wavefront per support
+size.  Beyond DEFAULT_DP_CAP positions only constant values are accepted,
+on the analytic path; `s_norm_top` and `_extremal` hold that rule, and no
+other module reads the cap.  The readers fill the table at
 unit scale (`_unit`), so its sums cannot overflow on representable values;
 the reference evaluator and the validation map run there too.
 
@@ -47,7 +48,13 @@ overhead costs more (0.014 against 0.047 ms at N = 5 on a 2-CPU host;
 O(N) array steps: per length one add of two views that are contiguous
 in the start and one elementwise max over contiguous planes (0.64 ms
 at N = 32, 6.8 against 57 ms for the loop at N = 64).
-`BENCH_30.json` has the per-N times.  Both read out Python floats.
+`BENCH_30.json` has the per-N times.  Both read out Python floats.  The
+wavefront also fills the tables of K rows of one size at once, each cell's
+K entries side by side, with each row's float operations; `s_norm_tops`
+runs it in chunks of at most the cells of one table at DEFAULT_DP_CAP
+(65 * 64**2).  On 200 rows a row costs 2-21x less than alone for N = 2
+to 32 and 1.2x less at N = 48; at N = 64 a chunk is one row
+(`BENCH_38.json`).
 
 The reference evaluator makes neither reduction over block placement:
 it enumerates every sequence of two or more disjoint runs, gaps
@@ -152,9 +159,10 @@ def _dp_core(vals: Sequence[float], f: GaugeFunction) -> Sequence[float]:
     m = 1 the norm of a..b, so the norms of one length lie side by side
     and the norm of all N positions is at `_cell(N, 1, 0, N - 1)`.  Below
     DP_NUMPY_MIN positions it is a list from `_dp_loop`, from there on a
-    memoryview of the array from `_dp_numpy`; both read out Python floats
-    and agree wherever a <= b and 1 <= m <= b - a + 1 (elsewhere 0.0 and
-    -inf).
+    memoryview of the array from `_dp_numpy`, a batch of one; both read out
+    Python floats and agree wherever a <= b and 1 <= m <= b - a + 1
+    (elsewhere 0.0 and -inf).  Batches of rows skip it: `s_norm_tops` calls
+    `_dp_numpy` at every N.
     """
     if len(vals) >= DP_NUMPY_MIN:
         return _dp_numpy(vals, f)
@@ -205,47 +213,51 @@ def _dp_loop(vals: Sequence[float], f: GaugeFunction) -> List[float]:
     return best
 
 
-def _strided(table: np.ndarray, offset: int, shape, strides) -> np.ndarray:
-    """A view of `table` from flat element `offset`, strides in elements."""
-    size = table.itemsize
-    return np.ndarray(shape, table.dtype, table, offset * size, [t * size for t in strides])
+def _dp_numpy(rows: Sequence, f: GaugeFunction) -> memoryview:
+    """`_dp_core` as a numpy wavefront over a batch: one length L at a time,
+    all (j, m, a) of every row.
 
-
-def _dp_numpy(vals: Sequence[float], f: GaugeFunction) -> memoryview:
-    """`_dp_core` as a numpy wavefront: one length L at a time, all (j, m, a).
-
-    With b = a + L - 1 and the first block a..a+j, both terms of
+    `rows` is one row of N values or K rows of N (a leading batch axis).
+    The table holds each cell's K entries side by side, row k's entry of
+    cell c at c * K + k, so a batch of one is the single-row table.  With
+    b = a + L - 1 and the first block a..a+j, both terms of
     B_1(a, a+j) + B_{m-1}(a+j+1, b) are affine in (j, m, a) on the flat
-    table and contiguous in a, so two strided views add into one C-ordered
-    (L-1, L-1, N-L+1) block of candidates.  Its max over j, the outermost
-    axis, is an elementwise max of contiguous planes, written into the
-    cells B_m(a, b) for m = 2..L.  A cell with no partition of a+j+1..b into
-    m-1 blocks reads -inf and never wins.  The loop's float operations give
-    the loop's bits.
+    table and contiguous in (a, k), so two strided views add into one
+    C-ordered (L-1, L-1, N-L+1, K) block of candidates.  Its max over j,
+    the outermost axis, is an elementwise max of contiguous planes, written
+    into the cells B_m(a, b) for m = 2..L.  A cell with no partition of
+    a+j+1..b into m-1 blocks reads -inf and never wins.  Every row gets the
+    loop's float operations, so every entry has the loop's bits.
     """
-    n = len(vals)
+    v = np.atleast_2d(np.asarray(rows, dtype=float)).T  # (N, K): position, then row
+    n, k = v.shape
     nn = n * n
-    v = np.asarray(vals, dtype=float)
-    best = np.full((n + 1) * nn, -np.inf)
-    finv = np.array(_finv(f, n))
+    best = np.full(((n + 1) * nn, k), -np.inf)
+    finv = np.array(_finv(f, n))[:, None, None]
+    cell, entry = best.strides  # bytes per cell (its K entries) and per entry
+
+    def view(first: int, shape, strides) -> np.ndarray:
+        """The table from cell `first` on; `strides` in bytes, K entries last."""
+        return np.ndarray(shape, best.dtype, best, first * cell, strides)
 
     best[nn : nn + n] = v
-    vmax = v  # vmax[a]: the largest value in a..a+L-1
+    vmax = v  # vmax[a]: the largest value in a..a+L-1, per row
     for length in range(2, n + 1):
         width = n - length + 1  # intervals of this length
-        shape = (length - 1, length - 1, width)  # (j, m - 2, a)
+        shape = (length - 1, length - 1, width, k)  # (j, m - 2, a, row)
         cand = np.add(
-            _strided(best, _cell(n, 1, 0, 0), shape, (n, 0, 1)),  # B_1(a, a+j)
-            _strided(best, _cell(n, 1, 1, length - 1), shape, (1 - n, nn, 1)),  # B_{m-1}(a+j+1, b)
+            view(_cell(n, 1, 0, 0), shape, (n * cell, 0, cell, entry)),  # B_1(a, a+j)
+            view(_cell(n, 1, 1, length - 1), shape,
+                 ((1 - n) * cell, nn * cell, cell, entry)),  # B_{m-1}(a+j+1, b)
             order="C",
         )
-        cells = _strided(best, _cell(n, 2, 0, length - 1), shape[1:], (nn, 1))  # B_m(a, b)
+        cells = view(_cell(n, 2, 0, length - 1), shape[1:], (nn * cell, cell, entry))  # B_m(a, b)
         top = np.maximum.reduce(cand, axis=0, out=cells)
         vmax = np.maximum(vmax[:-1], v[length - 1 :])
         first = _cell(n, 1, 0, length - 1)
         norms = best[first : first + width]  # B_1(a, b)
-        np.maximum((top * finv[: length - 1, None]).max(axis=0), vmax, out=norms)
-    return memoryview(best)
+        np.maximum((top * finv[: length - 1]).max(axis=0), vmax, out=norms)
+    return memoryview(best.reshape(-1))
 
 
 def _blocks_of(best: Sequence[float], n: int, a: int, b: int, m: int) -> List[Tuple[int, int]]:
@@ -334,6 +346,34 @@ def s_norm_top(vals: Sequence[float], f: GaugeFunction) -> float:
     if max(vals) - min(vals) <= 1e-15 * max(vals):
         return u[0] * n / f(float(n)) * scale
     raise SizeCapError("support exceeds DP cap", needed=n, cap=DEFAULT_DP_CAP)
+
+
+def s_norm_tops(rows: Sequence[Sequence[float]], f: GaugeFunction) -> List[float]:
+    """`s_norm_top` of each row, the same floats, batched by support size.
+
+    The rows of one size N run through one `_dp_numpy` wavefront at unit
+    scale, in chunks whose tables hold at most the cells of one table at
+    DEFAULT_DP_CAP, and each reads its top cell.  A lone row of its size,
+    or a row beyond the cap, takes `s_norm_top`.
+    """
+    tops = [0.0] * len(rows)
+    sizes: dict = {}
+    for i, vals in enumerate(rows):
+        sizes.setdefault(len(vals), []).append(i)
+    for n, group in sizes.items():
+        if len(group) == 1 or n > DEFAULT_DP_CAP:
+            for i in group:
+                tops[i] = s_norm_top(rows[i], f)
+            continue
+        units = [_unit(rows[i]) for i in group]  # an empty row stops here
+        chunk = (DEFAULT_DP_CAP + 1) * DEFAULT_DP_CAP**2 // ((n + 1) * n * n)
+        for lo in range(0, len(group), chunk):
+            part = units[lo : lo + chunk]
+            best = _dp_numpy([u for u, _ in part], f)
+            top = _cell(n, 1, 0, n - 1) * len(part)  # the top cell's entries, one per row
+            for i, norm, (_, scale) in zip(group[lo : lo + chunk], best[top:], part):
+                tops[i] = norm * scale
+    return tops
 
 
 def _extremal(vals: Sequence[float], f: GaugeFunction,

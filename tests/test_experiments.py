@@ -172,6 +172,9 @@ class TestProjectionBound:
         norm_lower, m = projection_bound(S, w, g, 30, seed=2)
         assert 0.0 < norm_lower < 3.0
         assert m <= 1.0 + 1e-9
+        # the batched norms keep the bits of the norms one by one
+        assert (norm_lower, m) == (float.fromhex("0x1.a8bbabf00cfbap-1"),
+                                   float.fromhex("0x1.fffffffffffffp-1"))
 
     def test_bad_pairing_rejected(self):
         w = BlockSequence.basis(2)
@@ -304,6 +307,15 @@ class TestClassXVerify:
         report = classX_verify(S, 1.0, math.inf, F, 120, seed=1)
         assert all(row[2] for row in report.rows)
         assert max(row[1] for row in report.rows) <= 1e-8
+
+    @pytest.mark.parametrize("samples, convexity", [(120, "0x0.0p+0"), (500, "0x1.0p-50")])
+    def test_pinned_slacks(self, samples, convexity):
+        # the samples are normed in one batch and keep the bits of the norms
+        # one by one
+        report = classX_verify(S, 1.0, math.inf, F, samples, seed=1)
+        assert report.rows == [["squeeze", 0.0, True],
+                               ["convexity", float.fromhex(convexity), True],
+                               ["lower_estimate", 0.0, True]]
 
     def test_lp_member_passes(self):
         report = classX_verify(Lp(1.5), 1.5, 3.0, F, 120, seed=1)

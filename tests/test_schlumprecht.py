@@ -19,6 +19,7 @@ from banachlab import (
     best_partition,
     fixed_point_check,
     lp_norm,
+    parse_space,
     reference_norm,
     restrict,
     s_norm,
@@ -178,12 +179,18 @@ class TestDpPaths:
 
     @pytest.mark.parametrize("f", [LOG2P1, ONE], ids=lambda f: f.name)
     def test_tables_equal_entry_by_entry(self, f):
+        # one row, a batch of one and a batch of the three kinds: row by row
+        # the cells the loop defines hold the loop's bits
         for n in (*range(1, 41), DEFAULT_DP_CAP):
             m, a, b = np.ogrid[: n + 1, :n, :n]
             cells = _cell(n, m, a, b)[(m >= 1) & (m <= b - a + 1)]  # the cells the table defines
-            for kind, vals in self.inputs(n):
+            kinds, rows = zip(*self.inputs(n))
+            batch = np.asarray(_dp_numpy(rows, f)).reshape(-1, len(rows))  # a column per row
+            for kind, vals, column in zip(kinds, rows, batch.T):
                 loop, wave = np.asarray(_dp_loop(vals, f)), np.asarray(_dp_numpy(vals, f))
                 assert (loop[cells] == wave[cells]).all(), (f.name, kind, n)
+                assert (loop[cells] == column[cells]).all(), (f.name, kind, n)
+                assert np.asarray(_dp_numpy([vals], f)).tobytes() == wave.tobytes()
 
     @pytest.mark.parametrize("f", [LOG2P1, ONE, IDENTITY], ids=lambda f: f.name)
     def test_trees_equal(self, f):
@@ -384,6 +391,66 @@ class TestValueOnlyNorm:
                      lambda x: s_norm(x, F)):
             with pytest.raises(SizeCapError):
                 norm(nearly)
+
+
+class TestBatchedNorms:
+    """`NormEvaluator.norms` is `[norm(x) for x in xs]`, the same floats."""
+
+    @staticmethod
+    def both(desc, xs):
+        """norms(xs) and the norm of each x, each on a fresh evaluator, with
+        the norm caches they leave."""
+        batched, single = NormEvaluator(desc), NormEvaluator(desc)
+        return (batched.norms(xs), [single.norm(x) for x in xs],
+                list(batched._norm_cache.items()), list(single._norm_cache.items()))
+
+    def test_equal_to_the_norms_one_by_one(self, monkeypatch):
+        rng = np.random.default_rng(np.random.SeedSequence([48]))
+        mixed = [rand_vector(rng, max_dim=20) for _ in range(60)]
+        gapped = [SeqVector({3 * i + 2: v for i, v in enumerate(x.values_in_order())})
+                  for x in mixed[:10]]  # the positional twins of the first ten
+        dozen = [SeqVector.from_values(rng.uniform(0.1, 2.0, 12)) for _ in range(300)]
+        flat = [SeqVector.from_values([c] * 80) for c in (0.5, -2.0, 0.5)]
+        tables = []
+        dp_numpy = schlumprecht._dp_numpy
+
+        def counted(rows, f):
+            k, n = np.atleast_2d(np.asarray(rows)).shape
+            tables.append((n, k))
+            return dp_numpy(rows, f)
+
+        monkeypatch.setattr(schlumprecht, "_dp_numpy", counted)
+        for name, xs in [
+            ("duplicates", mixed[:5] * 3 + gapped),
+            ("empty", [SeqVector(), mixed[0], SeqVector(), mixed[1]]),
+            ("mixed sizes", mixed),
+            ("beyond one chunk", dozen),
+            ("constant beyond the cap", flat + mixed[:3]),
+            ("none", []),
+        ]:
+            for f in (F, SQRT):
+                got, want, cache, want_cache = self.both(Schlumprecht(f), xs)
+                assert got == want and cache == want_cache, (name, f.name)
+        cap_cells = (DEFAULT_DP_CAP + 1) * DEFAULT_DP_CAP**2
+        assert max((n + 1) * n * n * k for n, k in tables) <= cap_cells
+        assert (12, 142) in tables and (12, 300 - 2 * 142) in tables  # 300 rows in three chunks
+
+    def test_beyond_the_cap_raises_like_norm(self):
+        ev = NormEvaluator(Schlumprecht(F))
+        bumpy = SeqVector.from_values([1.0] * 64 + [2.0])
+        with pytest.raises(SizeCapError) as single:
+            ev.norm(bumpy)
+        with pytest.raises(SizeCapError) as batched:
+            ev.norms([vec(1.0, 2.0), bumpy, vec(2.0, 1.0), bumpy])
+        assert str(batched.value) == str(single.value)
+
+    @pytest.mark.parametrize("space", ["l1.5", "dual:s:log2p1", "conv:s:log2p1:2",
+                                       "cal:l2:s:log2p1:0.5"])
+    def test_other_spaces_norm_one_by_one(self, space):
+        rng = np.random.default_rng(np.random.SeedSequence([49]))
+        xs = [rand_vector(rng, max_dim=5) for _ in range(6)]
+        got, want, _, _ = self.both(parse_space(space), xs + xs[:2] + [SeqVector()])
+        assert got == want
 
 
 class TestBestPartition:
