@@ -169,7 +169,6 @@ def _num(
     cfg: Dict[str, Any],
     key: str,
     lo: float | None = None,
-    hi: float | None = None,
     default: float | None = None,
 ):
     v = _field(cfg, key, default)
@@ -179,8 +178,6 @@ def _num(
         raise ValidationError(f"config field {key!r} must be numeric, got {v!r}")
     if lo is not None and v < lo:
         raise ValidationError(f"config field {key!r} must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ValidationError(f"config field {key!r} must be <= {hi}, got {v}")
     return v
 
 
@@ -262,8 +259,8 @@ def run_experiment(name: str, cfg: Dict[str, Any]) -> ExperimentReport:
         desc = parse_space(_text(cfg, "space"))
         samples = _int(cfg, "samples", 0, default=10_000)
         dim = _int(cfg, "dim", 1, default=4)
-        eps = _num(cfg, "eps", 0.0, 2.0, default=1.0)
-        tau = _num(cfg, "tau", 0.0, 1.0, default=1.0)
+        eps = _num(cfg, "eps", default=1.0)
+        tau = _num(cfg, "tau", default=1.0)
         delta = modulus_convexity_estimate(desc, eps, samples, dim=dim, seed=seed)
         rho = modulus_smoothness_estimate(desc, tau, samples, dim=dim, seed=seed)
         report = ExperimentReport(

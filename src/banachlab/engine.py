@@ -31,6 +31,9 @@ entry of its compressed twin.
 Each piece of state has one owner and one bound.  An evaluator owns its
 norm cache (NORM_CACHE_SIZE entries) and the evaluators of its factors,
 built on first use, so a new NormEvaluator is cold all the way down.
+On S the norm cache holds DP top cells, which ``norm`` and ``norms``
+write; on Dual, Convexified and CalderonProduct it holds each whole
+(value, rows) that ``norming_values`` computes, and ``norm`` reads it.
 ``get_evaluator`` is the only place evaluators are shared; its module
 registry keeps REGISTRY_SIZE of them.  Every bound drops the oldest
 entries first.  A cache entry holds what a cold call computes, so a hit
@@ -71,12 +74,13 @@ best m-split functionals, each in B(S*), and every one the vertex
 violates joins the round's block (from the second vertex on: the first
 is the box corner).  Each call starts from the box alone, so the LP is a
 function of its input; the Dual evaluator caches its whole results
-(value and maximizer) like norms.  The LPs are small (one variable per
-support point plus the call's own cuts), so one dense simplex tableau in
-numpy serves a whole call: a round's cuts are appended as one block of
-rows, and dual simplex pivots restart from the previous optimal basis,
-the leaving row priced by its right-hand side over its norm.  The LP's
-upper end comes from its dual multipliers by weak duality.
+(value and maximizer), as every iterative branch does.  The LPs are
+small (one variable per support point plus the call's own cuts), so one
+dense simplex tableau in numpy serves a whole call: a round's cuts are
+appended as one block of rows, and dual simplex pivots restart from the
+previous optimal basis, the leaving row priced by its right-hand side
+over its norm.  The LP's upper end comes from its dual multipliers by
+weak duality.
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ TOL_ITERATIVE = 1e-6
 DEFAULT_BUDGET = 10_000  # norm evaluations per Calderon solve
 
 # bounds on evaluator state; each drops its oldest entries first
-NORM_CACHE_SIZE = 1 << 14  # norms (dual results on Dual) cached per evaluator
+NORM_CACHE_SIZE = 1 << 14  # S norms, or whole norming results, cached per evaluator
 REGISTRY_SIZE = 64  # evaluators shared by get_evaluator
 
 # stopping rules of the dual cutting-plane LP
@@ -189,7 +193,7 @@ class NormEvaluator:
             raise ValidationError(f"the tolerance must be positive and finite, got {tol}")
         self.impl = _normalize(descriptor)
         self.tol = tol
-        self._norm_cache: Dict[tuple, object] = {}  # a norm, or (value, rows) on Dual
+        self._norm_cache: Dict[tuple, object] = {}  # a norm on S, else a (value, rows)
         self._children: Dict[SpaceDescriptor, NormEvaluator] = {}
 
     # -- configuration ----------------------------------------------------
@@ -210,8 +214,9 @@ class NormEvaluator:
         Row 0 holds the absolute values of a norming functional at the same
         positions.  On S the best m-split functionals of `s_norm_weights`
         whose split value at v exceeds `above` follow, in block-count order.
-        The default `above` asks for row 0 alone.  This is the only dispatch
-        on the descriptor kind for lattice norms.
+        The default `above` asks for row 0 alone.  Off lp and S the branch
+        ignores `above`, and the norm cache keeps its whole result, frozen.
+        This is the only dispatch on the descriptor kind for lattice norms.
         """
         d = self.impl
         if isinstance(d, Lp):
@@ -222,20 +227,23 @@ class NormEvaluator:
         if isinstance(d, Schlumprecht):
             nv, rows = s_norm_weights(v.tolist(), d.gauge, above)
             return nv, np.array(rows)
-        if isinstance(d, Dual):
-            return _memo(self._norm_cache, tuple(v.tolist()),
-                         lambda: _frozen(*_cutting_plane_dual(self._child(d.base), v)),
-                         NORM_CACHE_SIZE)
-        if isinstance(d, Convexified):  # at unit scale: u has a coordinate 1
-            top = float(v.max())
-            u = v / top
-            nb, wb = self._child(d.base).norming_values(u**d.p)
-            return top * nb ** (1.0 / d.p), u ** (d.p - 1.0) * wb / nb ** ((d.p - 1.0) / d.p)
-        if isinstance(d, CalderonProduct):
-            sol = self._solve_product(v)
-            gx, gy = sol.pair
-            return sol.value, (gx ** (1.0 - d.theta) * gy**d.theta)[None]
-        raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
+
+        def solve() -> Tuple[float, np.ndarray]:  # the value and the weights of row 0
+            if isinstance(d, Dual):
+                return _cutting_plane_dual(self._child(d.base), v)
+            if isinstance(d, Convexified):  # at unit scale: u has a coordinate 1
+                top = float(v.max())
+                u = v / top
+                nb, wb = self._child(d.base).norming_values(u**d.p)
+                return top * nb ** (1.0 / d.p), u ** (d.p - 1.0) * wb[0] / nb ** ((d.p - 1.0) / d.p)
+            if isinstance(d, CalderonProduct):
+                sol = self._solve_product(v)
+                gx, gy = sol.pair
+                return sol.value, gx ** (1.0 - d.theta) * gy**d.theta
+            raise UnsupportedSpaceError(f"no norming functional for {space_to_str(d)}")
+
+        return _memo(self._norm_cache, tuple(v.tolist()), lambda: _frozen(*solve()),
+                     NORM_CACHE_SIZE)
 
     # -- boundary wrappers on SeqVectors ------------------------------------
 
@@ -249,13 +257,10 @@ class NormEvaluator:
             fam = d.family
             hit = max(abs(pairing(x, z)) for z in fam.members)
             return max(lp_norm(x, 2.0), fam.r * hit)
-        v = x.magnitudes()  # the cache key
+        v = x.magnitudes()
         if isinstance(d, Schlumprecht):  # the DP's top cell, no extremal tree
             return _memo(self._norm_cache, v, lambda: s_norm_top(v, d.gauge), NORM_CACHE_SIZE)
-        if isinstance(d, Dual):  # the entry norming_values keeps
-            return self.norming_values(np.array(v))[0]
-        return _memo(self._norm_cache, v, lambda: self.norming_values(np.array(v))[0],
-                     NORM_CACHE_SIZE)
+        return self.norming_values(np.array(v))[0]  # the entry norming_values keeps
 
     def norms(self, xs: Sequence[SeqVector]) -> List[float]:
         """[self.norm(x) for x in xs], the same floats.
@@ -312,7 +317,7 @@ class NormEvaluator:
 
 
 def _frozen(value: float, weights: np.ndarray) -> Tuple[float, np.ndarray]:
-    """A cached (value, rows), the weights as its one row, that no caller can change."""
+    """An iterative branch's cache entry: (value, rows), the weights as its one row, read-only."""
     rows = weights[None]
     rows.flags.writeable = False
     return value, rows

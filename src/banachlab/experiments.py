@@ -203,14 +203,11 @@ def beta_estimate(
         return lower, upper, 1.0
 
     def candidate_value(widths: Sequence[int], shapes: List[np.ndarray]) -> float:
-        total = SeqVector()
-        start = 1
-        for width, shape in zip(widths, shapes):
-            block = SeqVector(zip(range(start, start + width), shape))
-            unit = block * (1.0 / dual_norm(x_space, block).value)
-            total = total + unit
-            start += width
-        return dual_norm(x_space, total).value
+        starts = np.cumsum([1, *widths]).tolist()
+        blocks = BlockSequence(tuple(SeqVector(zip(range(a, a + w), shape))
+                                     for a, w, shape in zip(starts, widths, shapes)))
+        units = blocks.sum([1.0 / dual_norm(x_space, b).value for b in blocks])
+        return dual_norm(x_space, units).value
 
     best = candidate_value([1] * n, [np.ones(1)] * n)  # pure spikes
     for width in (2, 4):
@@ -304,7 +301,7 @@ def modulus_convexity_estimate(
     boundary, and a local perturbation descent around the incumbent.
     """
     if not 0.0 < eps <= 2.0:
-        raise ValidationError(f"eps must lie in (0, 2], got {eps}")
+        raise ValidationError(f"eps must be in (0, 2], got {eps}")
     ev = get_evaluator(x_space)
     best = [math.inf, None]
 
@@ -347,7 +344,7 @@ def modulus_smoothness_estimate(
     """Lower estimate of rho_X(tau) = sup (||x+ty|| + ||x-ty||)/2 - 1
     over unit x, y; sampling approaches the supremum from below."""
     if not 0.0 < tau <= 1.0:
-        raise ValidationError(f"tau must lie in (0, 1], got {tau}")
+        raise ValidationError(f"tau must be in (0, 1], got {tau}")
     ev = get_evaluator(x_space)
     best = [-math.inf, None]
 

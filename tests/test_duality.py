@@ -130,6 +130,34 @@ class TestWarmCutPool:
                 assert s_norm_value(res.functional, F) <= 1.0 + 1e-8
                 assert pairing(res.functional, g) == pytest.approx(res.value, rel=1e-6)
 
+    @pytest.mark.parametrize("space", [
+        Dual(S), Convexified(S, 2.0), CalderonProduct(Lp(2.0), S, 0.5),
+        CalderonProduct(CalderonProduct(Lp(2.0), S, 0.5), S, 0.5)], ids=space_to_str)
+    def test_warm_norming_reads_what_norm_cached(self, monkeypatch, space):
+        # every branch that is neither a closed form nor S's DP keeps its whole
+        # (value, rows), so norming after norm is a hit: the fresh bits, no
+        # LP and no product solve, and rows that no caller can change
+        rng = np.random.default_rng(23)
+        vectors = [rand_vec(rng, dmax=4) for _ in range(4)]
+        vectors.append(SeqVector({2: 0.3, 5: -1.2, 9: 0.5}))  # with gaps
+        fresh = [(NormEvaluator(space).norming(g), NormEvaluator(space).norm(g)) for g in vectors]
+        ev = NormEvaluator(space)
+        for g in vectors:
+            ev.norm(g)
+        calls = []
+        for owner, name in ((engine, "_cutting_plane_dual"), (NormEvaluator, "_solve_product")):
+            real = getattr(owner, name)
+            monkeypatch.setattr(owner, name,
+                                lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        for g, (norming, value) in zip(vectors, fresh):
+            warm = ev.norming(g)
+            assert warm.value.hex() == norming.value.hex() and warm.functional == norming.functional
+            assert ev.norm(g).hex() == value.hex()
+            rows = ev.norming_values(np.array(g.magnitudes()))[1]
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
+        assert calls == []
+
     def test_shared_evaluator_equals_fresh_ones(self):
         rng = np.random.default_rng(5)
         vectors = [SeqVector.from_values(rng.uniform(-1, 1, int(rng.integers(2, 13))))

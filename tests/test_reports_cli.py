@@ -439,8 +439,9 @@ class TestExperimentCommand:
             ("classx", {"space": "l2", "p": "inf", "r": "inf", "samples": 5, "seed": 1}),
             ("classx", {"space": "l2", "p": 2, "r": 2, "samples": 5, "seed": 1}),
             ("classx", {"space": "l2", "p": 3, "r": 2, "samples": 5, "seed": 1}),
-            # an upper bound
+            # upper bounds
             ("moduli", {"space": "l2", "samples": 3, "dim": 2, "eps": 3}),
+            ("moduli", {"space": "l2", "samples": 3, "dim": 2, "tau": 2}),
         ],
     )
     def test_bad_config_field_exits_2(self, tmp_path, capsys, name, cfg):
